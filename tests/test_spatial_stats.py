@@ -7,6 +7,7 @@ probability, the nearest-neighbor CDF and the distance moments.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -132,6 +133,18 @@ class TestGaussianDiscMass:
             assert gaussian_disc_mass(d1, sigma, r2) >= m - 1e-12
         if d2 >= d1:
             assert gaussian_disc_mass(d2, sigma, r1) <= m + 1e-12
+
+    def test_array_radius_broadcasts_like_elementwise_calls(self):
+        dist = np.array([0.0, 0.3, 1.2, 4.0])
+        radii = np.array([[0.0], [0.5], [2.0]])
+        got = gaussian_disc_mass(dist, 0.8, radii)
+        assert got.shape == (3, 4)
+        want = [[gaussian_disc_mass(d, 0.8, r) for d in dist] for r in radii[:, 0]]
+        np.testing.assert_array_equal(got, want)
+
+    def test_negative_radius_in_array_rejected(self):
+        with pytest.raises(ParameterError):
+            gaussian_disc_mass(1.0, 1.0, np.array([0.5, -0.1]))
 
 
 PAPERLIKE = ClusterParams(10.0, 4.0, math.sqrt(0.5))
@@ -364,3 +377,100 @@ def test_custom_tolerances_accepted_per_call():
     a = cluster_nn_moment(2.0, PAPERLIKE, quad=loose)
     b = cluster_nn_moment(2.0, PAPERLIKE, quad=tight)
     assert a == pytest.approx(b, rel=1e-3)
+
+
+# values of the nested adaptive quadrature this package used before the fixed
+# grids, at its default tolerances; the exponents below 1 have an integrable
+# singularity at r = 0
+PINNED_EXPONENTS = (0.25, 0.5, 1.0, 1.5, 2.0, 4.0)
+ADAPTIVE_MOMENTS = {
+    ((10.0, 4.0, math.sqrt(0.5)), "contact"): (
+        0.5012349375891005, 0.25684965767556883, 0.07125594578853665,
+        0.0209943509809277, 0.006498366545072068, 8.624417860697018e-05,
+    ),
+    ((10.0, 4.0, math.sqrt(0.5)), "palm"): (
+        0.500589387915635, 0.2561872096447008, 0.07088744908052955,
+        0.02083107708538154, 0.0064308098269477585, 8.443252547994961e-05,
+    ),
+    ((2.0, 3.0, 0.5), "contact"): (
+        0.6384588857997977, 0.41796534428378457, 0.19092657359972526,
+        0.09372334722722689, 0.048900556072020006, 0.00585267866705693,
+    ),
+    ((2.0, 3.0, 0.5), "palm"): (
+        0.6306271516209272, 0.40762655083395233, 0.1813393523915164,
+        0.08657432528746807, 0.043876276155882236, 0.004631956210555668,
+    ),
+    ((50.0, 1.0, 0.1), "contact"): (
+        0.46441947812263557, 0.22096670709108973, 0.053165426505400536,
+        0.013687446446639683, 0.0037275008568447825, 3.136168569891252e-05,
+    ),
+    ((50.0, 1.0, 0.1), "palm"): (
+        0.4619730092325465, 0.21863184792124918, 0.0520375173246047,
+        0.013251301754991791, 0.0035693036463199388, 2.8763574370080664e-05,
+    ),
+    ((0.5, 10.0, 0.2), "contact"): (
+        0.7754886940966644, 0.6283233894266911, 0.45675585626537957,
+        0.3673620647050015, 0.31808653258608505, 0.2883499736077756,
+    ),
+    ((0.5, 10.0, 0.2), "palm"): (
+        0.5830171230169451, 0.3548824421324032, 0.15030411709318917,
+        0.0769764272411765, 0.047835384867342526, 0.027482193941118747,
+    ),
+}
+ADAPTIVE_VOID_AND_J = {
+    0.05: (0.6762875945469786, 0.99601577692022),
+    0.2: (0.0027024316848898162, 0.9398330564648869),
+    1.0: (2.616848537154099e-35, 0.40789420709968816),
+}
+
+
+@pytest.mark.parametrize("key", list(ADAPTIVE_MOMENTS), ids=lambda k: f"{k[0][:2]}-{k[1]}")
+def test_moments_match_pinned_adaptive_values(key):
+    params, distance = key
+    for exponent, want in zip(PINNED_EXPONENTS, ADAPTIVE_MOMENTS[key], strict=True):
+        got = cluster_nn_moment(exponent, ClusterParams(*params), distance=distance)
+        assert got == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("r", list(ADAPTIVE_VOID_AND_J))
+def test_void_and_j_match_pinned_adaptive_values(r):
+    void, j = ADAPTIVE_VOID_AND_J[r]
+    assert void_probability(r, PAPERLIKE) == pytest.approx(void, rel=1e-8)
+    assert j_function(r, PAPERLIKE) == pytest.approx(j, rel=1e-8)
+
+
+def test_one_cost_evaluation_builds_one_survival_curve(monkeypatch):
+    """Both user-link moments of a cost evaluation share one survival curve."""
+    from crancost import spatial_stats
+    from crancost.config import default_scenario
+    from crancost.costs import datacenter_cost
+
+    calls = []
+    original = spatial_stats.gaussian_disc_mass
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spatial_stats, "gaussian_disc_mass", counting)
+    # a user intensity no other test uses, so the curve is not memoized yet
+    scenario = default_scenario(lambda_0=163.25)
+    datacenter_cost(scenario)
+    assert 0 < len(calls) <= 4
+
+
+def test_cost_with_fractional_user_link_exponents_converges():
+    """Exponents below 1, which the configuration accepts, give finite user-link terms."""
+    from dataclasses import replace
+
+    from crancost.config import default_scenario
+    from crancost.costs import LinkCost, datacenter_cost
+
+    scenario = default_scenario()
+    links = replace(scenario.links, user_bs=LinkCost(a=5000.0, beta=0.5, b=10000.0, theta=0.25))
+    scenario = replace(scenario, links=links)
+    cost = datacenter_cost(scenario)
+    moment = partial(cluster_nn_moment, params=scenario.cluster_params, distance=scenario.user_bs_distance)
+    assert cost.capacity_user_bs / cost.infra_user_bs == pytest.approx(
+        5000.0 * moment(0.5) / (10000.0 * moment(0.25)), rel=1e-12
+    )
