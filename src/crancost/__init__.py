@@ -18,7 +18,7 @@ from .complexity import (
     servers_required,
     snr_thresholds,
 )
-from .config import default_scenario, load_scenario, save_scenario
+from .config import default_scenario, load_scenario, redimension, save_scenario
 from .costs import (
     Architecture,
     CostBreakdown,
@@ -34,7 +34,6 @@ from .costs import (
 from .dimensioning import (
     RadioParams,
     invert_for_bs_intensity,
-    power_params,
     spatial_avg_rate,
 )
 from .geometry import (
@@ -63,7 +62,6 @@ from .spatial_stats import (
     cluster_nn_moment,
     gaussian_disc_mass,
     j_function,
-    mixed_contact_moment,
     nn_distance_cdf,
     ppp_contact_moment,
     void_probability,

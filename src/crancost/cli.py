@@ -7,6 +7,10 @@ Subcommands:
   compare     closed form vs Monte Carlo, z-score per term
   complexity  pooled vs distributed processing-demand table over pool sizes
   dimension   base-station intensity from the rate target
+
+Scenarios come from ``config.load_scenario``; evaluate's ``--architecture``
+is passed to it in place of the config's mode. The worker count
+(``--threads``, else ``CRANCOST_THREADS``) is checked before any command runs.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .complexity import (
-    DecoderParams,
     FrameConstants,
     default_mcs_rates,
     dran_equivalent_demand,
@@ -27,10 +31,17 @@ from .complexity import (
     servers_required,
     snr_thresholds,
 )
-from .config import load_scenario, save_scenario, scenario_hash
-from .costs import Architecture, total_cost
+from .config import (
+    check_sweep_overrides,
+    load_complexity_settings,
+    load_scenario,
+    load_sweep_section,
+    save_scenario,
+    scenario_hash,
+)
+from .costs import Architecture, datacenter_cost
 from .dimensioning import invert_for_bs_intensity, spectral_efficiency_target
-from .errors import CrancostError
+from .errors import ConfigError, CrancostError
 from .geometry import Window
 from .simulate import compare_to_closed_form, estimate_mean_dc_cost, realization_rows, simulate_realization
 from .sweeps import ARCHITECTURE_VARIANTS, SweepSpec, TOOL_VERSION, render, run_sweep
@@ -46,14 +57,16 @@ _EXIT_CODES = {
 }
 
 
-def _default_threads() -> int:
-    env = os.environ.get("CRANCOST_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+def _threads(args) -> int:
+    """Worker count from --threads, else a non-empty CRANCOST_THREADS, else 1."""
+    raw = args.threads if args.threads is not None else os.environ.get("CRANCOST_THREADS") or "1"
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"thread count must be an integer >= 1, got {raw!r}", key="threads")
+    return threads
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -63,7 +76,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="json")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--reps", type=int, default=2000)
-    parser.add_argument("--threads", type=int, default=None, help="worker count (env CRANCOST_THREADS)")
+    parser.add_argument("--threads", default=None, help="worker count >= 1 (env CRANCOST_THREADS)")
 
 
 def _write(text: str, out: str | None) -> None:
@@ -75,29 +88,10 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _load(args):
-    scenario = load_scenario(args.config, preset=args.preset)
-    if getattr(args, "architecture", None):
-        # late override so a single config file can serve both modes;
-        # re-dimension intensity and processing cost for the new mode
-        from dataclasses import replace
-
-        from .config import derive_bs_intensity, derive_processing_base
-
-        arch = Architecture(args.architecture)
-        gamma = scenario.gamma_offset_db if arch is Architecture.CLOUD_RAN else 0.0
-        lambda_1 = derive_bs_intensity(scenario.lambda_0, gamma)
-        links = replace(
-            scenario.links,
-            processing_base=derive_processing_base(arch, gamma, scenario.lambda_0, lambda_1),
-        )
-        scenario = replace(
-            scenario,
-            architecture=arch,
-            gamma_offset_db=gamma,
-            lambda_1c=lambda_1 / (1.0 + scenario.lambda_1m),
-            links=links,
-        )
-    return scenario
+    # evaluate's --architecture replaces [architecture] mode before derivation,
+    # so the config's explicit lambda1c and a23_processing still apply
+    mode = getattr(args, "architecture", None)
+    return load_scenario(args.config, preset=args.preset, architecture=Architecture(mode) if mode else None)
 
 
 def _breakdown_payload(scenario, breakdown) -> dict:
@@ -114,7 +108,7 @@ def _breakdown_payload(scenario, breakdown) -> dict:
 
 def cmd_evaluate(args) -> int:
     scenario = _load(args)
-    breakdown = total_cost(scenario)
+    breakdown = datacenter_cost(scenario)
     payload = _breakdown_payload(scenario, breakdown)
     if args.format == "json":
         _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
@@ -135,12 +129,11 @@ def _parse_values(raw: str) -> tuple[float, ...]:
 
 
 def cmd_sweep(args) -> int:
+    if args.config:
+        check_sweep_overrides(args.config)
     scenario = _load(args)
     axis, values, architectures = args.axis, args.values, args.architectures
     if (axis is None or values is None) and args.config:
-        from .config import load_sweep_section
-        from .errors import ConfigError
-
         section = load_sweep_section(args.config)
         if section is None:
             raise ConfigError("no [sweep] section in config and --axis/--values not given", key="sweep")
@@ -150,25 +143,25 @@ def cmd_sweep(args) -> int:
         if architectures is None and cfg_archs:
             architectures = ",".join(cfg_archs)
     if axis is None or values is None:
-        from .errors import ConfigError
-
         raise ConfigError("sweep needs --axis and --values (flags or a [sweep] config section)")
     spec = SweepSpec(
         axis=axis,
         values=_parse_values(values),
         architectures=tuple(architectures.split(",")) if architectures else tuple(ARCHITECTURE_VARIANTS),
     )
-    threads = args.threads if args.threads is not None else _default_threads()
-    result = run_sweep(spec, scenario, threads=threads)
+    result = run_sweep(spec, scenario, threads=args.threads)
     text = render(result, args.format)
     _write(text, args.out)
     return 0
 
 
+def _provenance(args) -> dict:
+    return {"seed": args.seed, "reps": args.reps, "tool_version": TOOL_VERSION}
+
+
 def cmd_simulate(args) -> int:
     scenario = _load(args)
     window = Window(args.window, args.window, wrap=not args.no_wrap)
-    threads = args.threads if args.threads is not None else _default_threads()
     if args.dump_realization is not None:
         real = simulate_realization(scenario, window, args.seed)
         with open(args.dump_realization, "w", encoding="utf-8", newline="") as fh:
@@ -176,7 +169,7 @@ def cmd_simulate(args) -> int:
             writer.writerow(["layer", "x", "y", "parent_index", "subtree_count"])
             for row in realization_rows(real):
                 writer.writerow([row[0], f"{row[1]:.6g}", f"{row[2]:.6g}", row[3], row[4]])
-    est = estimate_mean_dc_cost(scenario, window, args.reps, args.seed, threads=threads)
+    est = estimate_mean_dc_cost(scenario, window, args.reps, args.seed, threads=args.threads)
     payload = {
         "scenario_hash": scenario_hash(scenario),
         "window_km": [window.width, window.height],
@@ -186,6 +179,7 @@ def cmd_simulate(args) -> int:
         "std_error": est.std_error,
         "per_term_means": est.per_term_means,
         "per_term_std_errors": est.per_term_std_errors,
+        **_provenance(args),
     }
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
@@ -194,8 +188,7 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     scenario = _load(args)
     window = Window(args.window, args.window, wrap=not args.no_wrap)
-    threads = args.threads if args.threads is not None else _default_threads()
-    report = compare_to_closed_form(scenario, window, args.reps, args.seed, threads=threads)
+    report = compare_to_closed_form(scenario, window, args.reps, args.seed, threads=args.threads)
     payload = {
         "scenario_hash": scenario_hash(scenario),
         "passed": report.passed,
@@ -203,6 +196,7 @@ def cmd_compare(args) -> int:
         "discard_rate": report.estimate.discard_rate,
         "window_note": report.window_note,
         "rows": report.rows(),
+        **_provenance(args),
     }
     if args.format == "json":
         _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
@@ -218,10 +212,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_complexity(args) -> int:
-    from dataclasses import replace
-
-    from .config import load_complexity_settings
-
     settings = load_complexity_settings(args.config) if args.config else load_complexity_settings(text="")
     pool_sizes = [int(v) for v in _parse_values(args.pool_sizes)]
     offsets = [float(v) for v in _parse_values(args.offsets)]
@@ -337,6 +327,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.threads = _threads(args)
         return args.func(args)
     except CrancostError as exc:
         sys.stderr.write(json.dumps({"error": exc.category, "message": str(exc)}) + "\n")

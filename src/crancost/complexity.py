@@ -34,7 +34,6 @@ __all__ = [
     "RayleighFadingSnrSampler",
     "NearestBsSnrSampler",
     "dran_processing_preset",
-    "total_processing_demand",
     "outage_demand",
     "dran_equivalent_demand",
     "servers_required",
@@ -317,8 +316,7 @@ class FrameConstants:
     One user occupies at most 45 physical resource blocks of 12 subcarriers
     x 7 symbols in a 0.5 ms subframe; a turbo decoder needs up to 1000 FLOP
     per bit-iteration; one quad-socket server sustains 4 x 96 GFLOP/s and
-    costs $20,000. ``downlink_uplift`` scales an uplink-decoder demand to a
-    whole-stack demand (downlink plus upper layers add about 40%).
+    costs $20,000.
     """
 
     subframe_s: float = 0.5e-3
@@ -328,7 +326,6 @@ class FrameConstants:
     flop_per_bit_iter: float = 1000.0
     server_flops: float = 4 * 96e9
     server_cost: float = 20000.0
-    downlink_uplift: float = 1.4
 
     def __post_init__(self):
         for name in (
@@ -369,11 +366,6 @@ def servers_required(d_outage: float, frame: FrameConstants = FrameConstants()) 
     d_abs = d_outage * frame.channel_uses_per_s
     d_flops = d_abs * frame.flop_per_bit_iter
     return ProcessingDemand(d_outage=d_outage, d_abs=d_abs, d_flops=d_flops, d_unit=d_flops / frame.server_flops)
-
-
-def total_processing_demand(d_outage_uplink: float, frame: FrameConstants = FrameConstants()) -> ProcessingDemand:
-    """Whole-stack demand: uplink decoder demand scaled by the downlink uplift."""
-    return servers_required(d_outage_uplink * frame.downlink_uplift, frame)
 
 
 def processing_cost_rate(

@@ -3,9 +3,10 @@
 The config format is flat key-value text with one section per concern
 (architecture, geometry, costs, radio, complexity, simulation, sweep); keys
 follow the model symbols (lambda0, lambda1c, sigma2, gamma_offset_db, ...).
-Unset keys fall back to the bundled default preset, under which the
-link-adaptation offset selects the matching processing-cost fit and
-base-station intensity.
+Unset keys fall back to the bundled default preset. :func:`redimension` is
+the one place where an architecture and link-adaptation offset select the
+base-station intensity and the matching processing-cost fit; the preset,
+the sweeps and ``load_scenario`` all go through it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .complexity import (
     make_snr_sampler,
     processing_cost_rate,
 )
-from .costs import Architecture, EquipmentCosts, LinkCost, LinkCostParams, Scenario
+from .costs import Architecture, LinkCost, Scenario
 from .dimensioning import (
     PAPER_LTE_10MHZ,
     RadioParams,
@@ -36,7 +37,9 @@ __all__ = [
     "PRESETS",
     "RADIO_PRESETS",
     "default_scenario",
+    "redimension",
     "load_scenario",
+    "check_sweep_overrides",
     "load_radio_params",
     "load_complexity_settings",
     "load_sweep_section",
@@ -69,45 +72,50 @@ def derive_processing_base(
     return processing_cost_rate(preset.slope, preset.intercept, lambda_1, _SERVER_COST, lambda_0)
 
 
+def redimension(
+    scenario: Scenario,
+    architecture: Architecture,
+    gamma_offset_db: float,
+    radio: RadioParams = PAPER_LTE_10MHZ,
+) -> Scenario:
+    """The scenario re-dimensioned for an architecture and link-adaptation offset.
+
+    The base-station intensity lambda_1 meeting the offset-adjusted rate target
+    at ``scenario.lambda_0`` splits into ``lambda_1c = lambda_1 / (1 +
+    lambda_1m)`` clusters, and the per-user processing cost follows from the
+    architecture's servers-per-station fit at that lambda_1. Distributed
+    deployments always run at zero offset. Every other field is kept.
+    """
+    if architecture is Architecture.DRAN:
+        gamma_offset_db = 0.0
+    lambda_1 = derive_bs_intensity(scenario.lambda_0, gamma_offset_db, radio)
+    processing = derive_processing_base(architecture, gamma_offset_db, scenario.lambda_0, lambda_1)
+    return replace(
+        scenario,
+        architecture=architecture,
+        gamma_offset_db=gamma_offset_db,
+        lambda_1c=lambda_1 / (1.0 + scenario.lambda_1m),
+        links=replace(scenario.links, processing_base=processing),
+    )
+
+
 def default_scenario(
     architecture: Architecture = Architecture.CLOUD_RAN,
     gamma_offset_db: float = 0.0,
     lambda_0: float = 170.0,
     lambda_1m: float = 4.0,
     radio: RadioParams = PAPER_LTE_10MHZ,
-    **overrides,
 ) -> Scenario:
     """The bundled default scenario, fully resolved.
 
-    170 users/km^2 at 10 Mbps each; the base-station intensity comes from the
-    dimensioning inversion at the offset-adjusted rate target and splits into
-    clusters of one macro plus ``lambda_1m`` expected micros with cluster
-    variance 0.5. Backhaul is an equal mix of microwave and fiber nodes
-    averaging 5/km^2 (two microwave nodes stand in for one fiber node, hence
-    the 2:1 intensity ratio). Distributed deployments always run at zero
-    offset.
+    170 users/km^2 at 10 Mbps each; the base-station intensity comes from
+    :func:`redimension` and splits into clusters of one macro plus
+    ``lambda_1m`` expected micros with cluster variance 0.5. Backhaul is an
+    equal mix of microwave and fiber nodes averaging 5/km^2 (two microwave
+    nodes stand in for one fiber node, hence the 2:1 intensity ratio). These
+    and the price tables are the :class:`Scenario` defaults.
     """
-    if architecture is Architecture.DRAN:
-        gamma_offset_db = 0.0
-    lambda_1 = derive_bs_intensity(lambda_0, gamma_offset_db, radio)
-    lambda_1c = lambda_1 / (1.0 + lambda_1m)
-    processing = derive_processing_base(architecture, gamma_offset_db, lambda_0, lambda_1)
-    links = LinkCostParams(processing_base=processing)
-    return Scenario(
-        lambda_0=lambda_0,
-        lambda_1c=lambda_1c,
-        lambda_1m=lambda_1m,
-        sigma=math.sqrt(0.5),
-        p_mw=0.5,
-        lambda_2_mw=20.0 / 3.0,
-        lambda_2_of=10.0 / 3.0,
-        lambda_3=3.0,
-        equipment=EquipmentCosts(),
-        links=links,
-        architecture=architecture,
-        gamma_offset_db=gamma_offset_db,
-        **overrides,
-    )
+    return redimension(Scenario(lambda_0=lambda_0, lambda_1m=lambda_1m), architecture, gamma_offset_db, radio)
 
 
 PRESETS = {"paper-default": default_scenario}
@@ -177,6 +185,10 @@ def _read_parser(path=None, text: str | None = None) -> configparser.ConfigParse
     return parser
 
 
+#: [radio] keys that override the named preset's fields
+_RADIO_KEYS = ("ptx_dbm", "noise_dbm", "bandwidth_hz", "control_overhead", "n_subcarriers")
+
+
 def load_radio_params(path=None, text: str | None = None, parser=None) -> RadioParams:
     """Radio constants from the [radio] section: a named preset plus overrides."""
     if parser is None:
@@ -189,17 +201,10 @@ def load_radio_params(path=None, text: str | None = None, parser=None) -> RadioP
         raise ConfigError(f"unknown radio preset {name!r}; available: {sorted(RADIO_PRESETS)}", key="preset")
     base = RADIO_PRESETS[name]
     updates = {}
-    for key, attr in (
-        ("ptx_dbm", "ptx_dbm"),
-        ("noise_dbm", "noise_dbm"),
-        ("bandwidth_hz", "bandwidth_hz"),
-        ("control_overhead", "control_overhead"),
-    ):
-        value = _getfloat(section, key)
+    for key in _RADIO_KEYS:
+        value = _getfloat(section, key, lo=1.0 if key == "n_subcarriers" else None)
         if value is not None:
-            updates[attr] = value
-    if "n_subcarriers" in section:
-        updates["n_subcarriers"] = int(_getfloat(section, "n_subcarriers", lo=1.0))
+            updates[key] = int(value) if key == "n_subcarriers" else value
     return replace(base, **updates) if updates else base
 
 
@@ -260,13 +265,36 @@ def load_sweep_section(path=None, text: str | None = None, parser=None):
     return axis, values, architectures
 
 
-def load_scenario(path=None, preset: str = "paper-default", text: str | None = None) -> Scenario:
+def check_sweep_overrides(path) -> None:
+    """Reject keys of the config file at ``path`` that a sweep would silently replace.
+
+    A sweep re-dimensions every architecture variant at the preset radio, so
+    ``lambda1c``, ``a23_processing`` and the ``[radio]`` overrides cannot take
+    effect there; each raises :class:`ConfigError` naming the key.
+    """
+    parser = _read_parser(path)
+    for section, keys in (("geometry", ("lambda1c",)), ("costs", ("a23_processing",)), ("radio", _RADIO_KEYS)):
+        for key in keys:
+            if parser.has_option(section, key):
+                raise ConfigError(
+                    f"[{section}] {key} has no effect in a sweep: every variant is re-dimensioned", key=key
+                )
+
+
+def load_scenario(
+    path=None,
+    preset: str = "paper-default",
+    text: str | None = None,
+    architecture: Architecture | None = None,
+) -> Scenario:
     """Resolve a Scenario from an INI file over a named preset.
 
     Any key absent from the file takes the preset's value; geometry,
     architecture and radio keys that feed derived quantities (base-station
     intensity, processing cost) are applied before derivation so the scenario
-    stays internally consistent.
+    stays internally consistent, and explicit ``lambda1c`` and
+    ``a23_processing`` keys are applied after it. ``architecture``, when
+    given, takes the place of ``[architecture] mode``.
     """
     parser = _read_parser(path, text)
 
@@ -276,9 +304,11 @@ def load_scenario(path=None, preset: str = "paper-default", text: str | None = N
     arch_section = parser["architecture"] if parser.has_section("architecture") else {}
     mode_raw = arch_section.get("mode", "cloud_ran").strip().lower()
     try:
-        architecture = Architecture(mode_raw)
+        mode = Architecture(mode_raw)
     except ValueError:
         raise ConfigError(f"unknown architecture {mode_raw!r}", key="mode") from None
+    if architecture is None:
+        architecture = mode
     gamma = _getfloat(arch_section, "gamma_offset_db") if arch_section else None
     if gamma is None:
         gamma = 0.0

@@ -18,29 +18,18 @@ from .errors import ParameterError
 
 __all__ = [
     "RadioParams",
-    "DemandSpec",
     "PAPER_LTE_10MHZ",
     "RATE_OFFSETS_DB",
     "dbm_to_watt",
-    "watt_to_dbm",
-    "power_params",
-    "formula_power_params",
     "spatial_avg_rate",
     "spatial_avg_rate_naive",
     "invert_for_bs_intensity",
-    "demand_to_spectral_efficiency",
     "spectral_efficiency_target",
 ]
 
 
 def dbm_to_watt(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def watt_to_dbm(watt: float) -> float:
-    if watt <= 0:
-        raise ParameterError("power must be > 0 to express in dBm")
-    return 10.0 * math.log10(watt) + 30.0
 
 
 @dataclass(frozen=True)
@@ -80,78 +69,9 @@ PAPER_LTE_10MHZ = RadioParams()
 RATE_OFFSETS_DB: dict[float, float] = {0.0: 0.0, 0.4: 0.01322, 0.9: 0.029751}
 
 #: Baseline spectral-efficiency target (bps/Hz) bundled with the LTE preset.
-#: This operator-calibrated constant is NOT derivable from
-#: demand_to_spectral_efficiency with the preset's bandwidth and overhead
-#: (10 Mbps over 10 MHz at 29% overhead gives ~1.41); the two paths are kept
-#: separate on purpose.
+#: An operator-calibrated constant: it is not the naive conversion of the
+#: 10 Mbps demand over 10 MHz at 29% overhead, which gives ~1.41.
 BASE_SPECTRAL_EFFICIENCY = 1.0847
-
-
-def power_params(n_subcarriers: int = 600, bandwidth_hz: float = 10e6) -> RadioParams:
-    """Radio constants for an LTE-style system: the calibrated preset values.
-
-    Returns P_tx = 46 dBm and noise = -146.22 dBm regardless of the textbook
-    link-budget formulas (see :func:`formula_power_params`, which disagrees);
-    the calibrated values are the ones under which the dimensioning round trip
-    reproduces the reference intensities.
-    """
-    if n_subcarriers <= 0 or bandwidth_hz <= 0:
-        raise ParameterError("subcarrier count and bandwidth must be > 0")
-    return RadioParams(
-        ptx_dbm=46.0,
-        noise_dbm=-146.22,
-        n_subcarriers=n_subcarriers,
-        bandwidth_hz=bandwidth_hz,
-    )
-
-
-def formula_power_params(n_subcarriers: int = 600, bandwidth_hz: float = 10e6) -> RadioParams:
-    """Radio constants from the printed link-budget formulas.
-
-    P_tx = 18.22 + 10 log10(subcarriers) + 30 dBm and
-    noise = -174 + 10 log10(bandwidth) dBm. These do NOT reproduce the
-    calibrated preset (76 dBm vs 46 dBm, -104 dBm vs -146.22 dBm); the
-    discrepancy is surfaced here rather than hidden. Use
-    :func:`power_params` for the preset.
-    """
-    if n_subcarriers <= 0 or bandwidth_hz <= 0:
-        raise ParameterError("subcarrier count and bandwidth must be > 0")
-    return RadioParams(
-        ptx_dbm=18.22 + 10.0 * math.log10(n_subcarriers) + 30.0,
-        noise_dbm=-174.0 + 10.0 * math.log10(bandwidth_hz),
-        n_subcarriers=n_subcarriers,
-        bandwidth_hz=bandwidth_hz,
-    )
-
-
-@dataclass(frozen=True)
-class DemandSpec:
-    """Per-user demand paired with the spectral-efficiency target it implies."""
-
-    demand_bps: float = 10e6
-    lambda_0: float = 170.0
-    gamma_offset_db: float = 0.0
-
-    def __post_init__(self):
-        if self.demand_bps <= 0:
-            raise ParameterError("demand must be > 0")
-        if self.lambda_0 <= 0:
-            raise ParameterError("user intensity must be > 0")
-
-    @property
-    def spectral_target(self) -> float:
-        """Preset target plus the decoder rate offset for this spec's demand.
-
-        Pinned to the calibrated 1.0847 bps/Hz baseline for the bundled
-        10 Mbps demand; the naive bandwidth conversion lives in
-        :func:`demand_to_spectral_efficiency` and intentionally disagrees.
-        """
-        return spectral_efficiency_target(self.gamma_offset_db)
-
-    def station_intensity(self, radio: "RadioParams" = None) -> float:
-        return invert_for_bs_intensity(
-            self.spectral_target, self.lambda_0, radio if radio is not None else PAPER_LTE_10MHZ
-        )
 
 
 def _rate_coefficient(lambda_0: float, radio: RadioParams) -> float:
@@ -206,21 +126,6 @@ def invert_for_bs_intensity(target: float, lambda_0: float, radio: RadioParams =
         raise ParameterError("user intensity must be > 0")
     coeff = _rate_coefficient(lambda_0, radio)
     return (target / coeff) ** 2
-
-
-def demand_to_spectral_efficiency(demand_bps: float, bandwidth_hz: float, control_overhead: float) -> float:
-    """Naive conversion demand / (bandwidth * (1 - overhead)).
-
-    Clearly labeled helper: this does NOT reproduce the bundled LTE preset
-    target of 1.0847 bps/Hz (it gives ~1.41 for 10 Mbps over 10 MHz at 29%
-    overhead), so the preset target is pinned separately in
-    :func:`spectral_efficiency_target`.
-    """
-    if demand_bps <= 0 or bandwidth_hz <= 0:
-        raise ParameterError("demand and bandwidth must be > 0")
-    if not 0.0 <= control_overhead < 1.0:
-        raise ParameterError("control overhead must lie in [0, 1)")
-    return demand_bps / (bandwidth_hz * (1.0 - control_overhead))
 
 
 def spectral_efficiency_target(gamma_offset_db: float) -> float:

@@ -1,9 +1,8 @@
 """Distributional quantities of the point-process layers.
 
-Closed-form contact moments for Poisson layers, the mixed-Poisson variant,
-and the cluster-process quantities (void probability, J-function,
-nearest-neighbor distribution, distance moments) that feed the user-to-base-
-station cost terms. The 2D integrals are reduced to 1D radial integrals by
+Closed-form contact moments for Poisson layers, and the cluster-process
+quantities (void probability, J-function, nearest-neighbor distribution,
+distance moments) that feed the user-to-base-station cost terms. The 2D integrals are reduced to 1D radial integrals by
 isotropy and evaluated with composite Gauss-Legendre rules on fixed grids: an
 outer grid over the radius r, uniform in u = sqrt(r / r_max) so that it is
 graded toward r = 0, and for every r an inner grid over the distance s to a
@@ -31,7 +30,6 @@ __all__ = [
     "QuadratureSettings",
     "DEFAULT_QUAD",
     "ppp_contact_moment",
-    "mixed_contact_moment",
     "gaussian_disc_mass",
     "void_probability",
     "j_function",
@@ -127,21 +125,6 @@ def ppp_contact_moment(beta: float, intensity: float) -> float:
     if beta < 0:
         raise ParameterError(f"beta must be >= 0, got {beta}")
     return math.gamma(beta / 2.0 + 1.0) / (math.pi * intensity) ** (beta / 2.0)
-
-
-def mixed_contact_moment(base: float, beta: float, p: float, lambda_mw: float, lambda_of: float) -> float:
-    """Contact moment against a two-point mixed-Poisson layer, scaled by a base cost.
-
-    Returns ``base * [p * ppp_contact_moment(beta, lambda_mw)
-    + (1-p) * ppp_contact_moment(beta, lambda_of)]``. This single form covers
-    both the capacity and the infrastructure cost terms between the
-    base-station and backhaul layers.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"p must lie in [0, 1], got {p}")
-    return base * (
-        p * ppp_contact_moment(beta, lambda_mw) + (1.0 - p) * ppp_contact_moment(beta, lambda_of)
-    )
 
 
 def gaussian_disc_mass(center_dist, sigma: float, radius):

@@ -1,4 +1,9 @@
-"""Parameter sweeps over the closed-form cost and plot-ready table emission."""
+"""Parameter sweeps over the closed-form cost and plot-ready table emission.
+
+Every sweep point is re-dimensioned with :func:`crancost.config.redimension`
+for its architecture variant at the preset radio, so a base scenario's
+station intensity and processing cost never carry over between variants.
+"""
 
 from __future__ import annotations
 
@@ -7,10 +12,12 @@ import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .config import derive_bs_intensity, derive_processing_base, scenario_hash
-from .costs import Architecture, CostBreakdown, Scenario, total_cost
+from . import costs
+# derive_* are not called here; perfbench's trace plan wraps them as attributes of this module
+from .config import derive_bs_intensity, derive_processing_base, redimension, scenario_hash
+from .costs import Architecture, CostBreakdown, Scenario
 from .errors import CrancostError, ParameterError
 from .spatial_stats import DEFAULT_QUAD, QuadratureSettings
 
@@ -85,33 +92,18 @@ class SweepResult:
     metadata: dict
 
 
-def _variant_base(base: Scenario, variant: str) -> Scenario:
-    """Re-dimension the base scenario for one architecture variant."""
-    architecture, gamma = ARCHITECTURE_VARIANTS[variant]
-    lambda_1 = derive_bs_intensity(base.lambda_0, gamma)
-    lambda_1c = lambda_1 / (1.0 + base.lambda_1m)
-    links = replace(
-        base.links,
-        processing_base=derive_processing_base(architecture, gamma, base.lambda_0, lambda_1),
-    )
-    return replace(
-        base,
-        architecture=architecture,
-        gamma_offset_db=gamma,
-        lambda_1c=lambda_1c,
-        links=links,
-    )
-
-
 def scenario_for_point(base: Scenario, variant: str, axis: str, value: float) -> Scenario:
     """Scenario at one sweep point.
 
-    The alpha axis rewrites the base-station cost scale; the lambda0 axis
-    re-derives the base-station intensity (and with it the processing cost)
-    before costing; sigma2 rescales the cluster spread; lambda3 and p are
-    direct substitutions.
+    The lambda0 axis replaces the user intensity before re-dimensioning, so
+    the station intensity and the processing cost follow it; the alpha axis
+    rewrites the base-station cost scale; sigma2 rescales the cluster spread;
+    lambda3 and p are direct substitutions.
     """
-    scen = _variant_base(base, variant)
+    architecture, gamma = ARCHITECTURE_VARIANTS[variant]
+    if axis == "lambda0":
+        return redimension(replace(base, lambda_0=value), architecture, gamma)
+    scen = redimension(base, architecture, gamma)
     if axis == "lambda3":
         return replace(scen, lambda_3=value)
     if axis == "alpha":
@@ -120,9 +112,6 @@ def scenario_for_point(base: Scenario, variant: str, axis: str, value: float) ->
         return replace(scen, p_mw=value)
     if axis == "sigma2":
         return replace(scen, sigma=math.sqrt(value))
-    if axis == "lambda0":
-        rebased = replace(scen, lambda_0=value)
-        return _variant_base(rebased, variant)
     raise ParameterError(f"unknown axis {axis!r}")
 
 
@@ -145,7 +134,7 @@ def run_sweep(
         _, gamma = ARCHITECTURE_VARIANTS[variant]
         try:
             scen = scenario_for_point(base, variant, spec.axis, value)
-            breakdown = total_cost(scen, quad)
+            breakdown = costs.datacenter_cost(scen, quad)
             return SweepRow(spec.axis, value, variant, gamma, breakdown, lambda_3=scen.lambda_3)
         except CrancostError as exc:
             return SweepRow(

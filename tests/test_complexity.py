@@ -23,7 +23,6 @@ from crancost.complexity import (
     processing_cost_rate,
     servers_required,
     snr_thresholds,
-    total_processing_demand,
 )
 from crancost.errors import ParameterError, SamplerDomainError
 
@@ -199,12 +198,6 @@ class TestServersRequired:
         assert d.d_abs == 3.7 * 45 * 12 * 7 / 0.5e-3
         assert d.d_flops == d.d_abs * 1000.0
         assert d.d_unit == d.d_flops / (4 * 96e9)
-
-    def test_downlink_uplift(self):
-        base = servers_required(1.0)
-        full = total_processing_demand(1.0)
-        assert full.d_outage == pytest.approx(1.4)
-        assert full.d_unit == pytest.approx(1.4 * base.d_unit, rel=1e-12)
 
 
 class TestProcessingCostRate:

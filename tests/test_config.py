@@ -7,12 +7,14 @@ import pytest
 from crancost.config import (
     default_scenario,
     load_scenario,
+    redimension,
     save_scenario,
     scenario_hash,
     scenario_to_config,
 )
 from crancost.costs import Architecture
 from crancost.errors import ConfigError
+from crancost.sweeps import ARCHITECTURE_VARIANTS
 
 
 class TestDefaultScenario:
@@ -49,6 +51,23 @@ class TestDefaultScenario:
         assert dran.gamma_offset_db == 0.0
         cloud = default_scenario(architecture=Architecture.CLOUD_RAN)
         assert dran.links.processing_base > cloud.links.processing_base
+
+
+class TestRedimension:
+    @pytest.mark.parametrize("variant", sorted(ARCHITECTURE_VARIANTS))
+    def test_default_scenario_is_a_fixed_point(self, variant):
+        architecture, gamma = ARCHITECTURE_VARIANTS[variant]
+        scen = default_scenario(architecture, gamma)
+        assert scenario_hash(redimension(scen, architecture, gamma)) == scenario_hash(scen)
+
+    def test_only_architecture_intensity_and_processing_change(self):
+        scen = load_scenario(text="[geometry]\nlambda3 = 1.5\np = 0.25\n[costs]\nc_macro = 60000\n")
+        dran = redimension(scen, Architecture.DRAN, 0.9)
+        reference = default_scenario(Architecture.DRAN)
+        assert dran.gamma_offset_db == 0.0
+        assert dran.lambda_1c == reference.lambda_1c
+        assert dran.links.processing_base == reference.links.processing_base
+        assert (dran.lambda_3, dran.p_mw, dran.equipment) == (1.5, 0.25, scen.equipment)
 
 
 class TestLoadScenario:
@@ -91,6 +110,16 @@ class TestLoadScenario:
         assert scen.lambda_1 == pytest.approx(88.2, abs=1.0)
         # processing base stays finite and per-user
         assert 0 < scen.links.processing_base < 2000
+
+    def test_architecture_argument_replaces_the_mode(self):
+        text = "[architecture]\nmode = cloud_ran\ngamma_offset_db = 0.4\n"
+        assert load_scenario(text=text, architecture=Architecture.DRAN) == default_scenario(Architecture.DRAN)
+
+    def test_explicit_keys_win_over_the_architecture_argument(self):
+        text = "[geometry]\nlambda1c = 5\n[costs]\na23_processing = 1\n"
+        scen = load_scenario(text=text, architecture=Architecture.DRAN)
+        assert scen.architecture is Architecture.DRAN
+        assert (scen.lambda_1c, scen.links.processing_base) == (5.0, 1.0)
 
     def test_cost_overrides_apply(self):
         scen = load_scenario(text="[costs]\nc_macro = 60000\nb12_of = 90000\na23_processing = 500\n")

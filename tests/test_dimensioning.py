@@ -9,39 +9,27 @@ from crancost.dimensioning import (
     RadioParams,
     RATE_OFFSETS_DB,
     dbm_to_watt,
-    demand_to_spectral_efficiency,
-    formula_power_params,
     invert_for_bs_intensity,
     large_x_asymptotic_rate,
-    power_params,
     spatial_avg_rate,
     spatial_avg_rate_naive,
     spectral_efficiency_target,
-    watt_to_dbm,
 )
 from crancost.errors import ParameterError
 
 
 class TestPowerParams:
     def test_preset_values(self):
-        radio = power_params()
+        radio = PAPER_LTE_10MHZ
         assert radio.ptx_dbm == 46.0
         assert radio.noise_dbm == -146.22
 
     def test_subcarrier_log_component(self):
         assert 10.0 * math.log10(600) == pytest.approx(27.78, abs=0.01)
 
-    def test_formula_variant_disagrees_with_preset(self):
-        # the printed link-budget formulas give different numbers; both are
-        # exposed, the preset is canonical
-        formula = formula_power_params()
-        assert formula.ptx_dbm == pytest.approx(76.0, abs=0.01)
-        assert formula.noise_dbm == pytest.approx(-104.0, abs=0.01)
-
     def test_dbm_watt_roundtrip(self):
         watt = dbm_to_watt(46.0)
         assert watt == pytest.approx(39.81, abs=0.01)
-        assert watt_to_dbm(watt) == pytest.approx(46.0, rel=1e-12)
 
 
 class TestSpatialAvgRate:
@@ -102,14 +90,8 @@ class TestInvertForBsIntensity:
             invert_for_bs_intensity(0.0, 170.0)
 
 
-def test_demand_conversion_is_separate_from_the_preset_target():
-    # the naive conversion gives ~1.41 bps/Hz, not the pinned 1.0847
-    naive = demand_to_spectral_efficiency(10e6, 10e6, 0.29)
-    assert naive == pytest.approx(1.408, abs=1e-3)
-    assert spectral_efficiency_target(0.0) == 1.0847
-
-
 def test_spectral_efficiency_targets_per_offset():
+    assert spectral_efficiency_target(0.0) == 1.0847
     assert spectral_efficiency_target(0.4) == pytest.approx(1.09792)
     assert spectral_efficiency_target(0.9) == pytest.approx(1.114451)
     with pytest.raises(ParameterError):
@@ -119,13 +101,3 @@ def test_spectral_efficiency_targets_per_offset():
 def test_rate_offsets_table():
     assert RATE_OFFSETS_DB[0.4] == 0.01322
     assert RATE_OFFSETS_DB[0.9] == 0.029751
-
-
-def test_demand_spec_drives_the_inversion():
-    from crancost.dimensioning import DemandSpec
-
-    spec = DemandSpec(gamma_offset_db=0.4)
-    assert spec.spectral_target == pytest.approx(1.09792)
-    assert spec.station_intensity() == pytest.approx(51.2, abs=0.5)
-    with pytest.raises(ParameterError):
-        DemandSpec(demand_bps=0.0)

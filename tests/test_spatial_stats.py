@@ -23,7 +23,6 @@ from crancost.spatial_stats import (
     cluster_nn_moment,
     gaussian_disc_mass,
     j_function,
-    mixed_contact_moment,
     nn_distance_cdf,
     ppp_contact_moment,
     void_probability,
@@ -72,32 +71,6 @@ class TestPppContactMoment:
             ppp_contact_moment(2.0, 0.0)
         with pytest.raises(ParameterError):
             ppp_contact_moment(-1.0, 1.0)
-
-
-class TestMixedContactMoment:
-    def test_degenerate_mixture_reduces_to_single_ppp(self):
-        got = mixed_contact_moment(7.0, 3.0, 0.0, 2.0, 5.0)
-        assert got == pytest.approx(7.0 * ppp_contact_moment(3.0, 5.0), rel=1e-12)
-
-    def test_equal_intensities(self):
-        # 5000 * Gamma(2) / (5 pi)
-        got = mixed_contact_moment(5000.0, 2.0, 0.5, 5.0, 5.0)
-        assert got == pytest.approx(318.31, abs=0.01)
-
-    def test_zeroth_moment_is_base(self):
-        assert mixed_contact_moment(1.0, 0.0, 0.3, 2.0, 9.0) == pytest.approx(1.0, rel=1e-12)
-
-    @given(
-        p=st.floats(0, 1),
-        lam_mw=st.floats(0.1, 50),
-        lam_of=st.floats(0.1, 50),
-        beta=st.floats(0, 4),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_swap_invariance(self, p, lam_mw, lam_of, beta):
-        a = mixed_contact_moment(1.0, beta, p, lam_mw, lam_of)
-        b = mixed_contact_moment(1.0, beta, 1.0 - p, lam_of, lam_mw)
-        assert a == pytest.approx(b, rel=1e-12)
 
 
 class TestGaussianDiscMass:

@@ -11,10 +11,12 @@ import pytest
 
 from crancost.cli import main
 from crancost.config import default_scenario
+from crancost.costs import Architecture, datacenter_cost
 from crancost.errors import ParameterError
 from crancost.sweeps import (
     ARCHITECTURE_VARIANTS,
     CSV_COLUMNS,
+    TOOL_VERSION,
     SweepResult,
     SweepSpec,
     emit,
@@ -185,6 +187,31 @@ class TestCli:
         dran = json.loads(out_d.read_text())
         assert cloud["total_per_km2"] < dran["total_per_km2"]
 
+    @pytest.mark.parametrize("mode,equipment_bs", [("cloud_ran", 108333.33), ("dran", 216666.67)])
+    def test_evaluate_architecture_flag_keeps_config_overrides(self, tmp_path, mode, equipment_bs):
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text(f"[architecture]\nmode = {mode}\n[geometry]\nlambda1c = 5\n[costs]\na23_processing = 1\n")
+        terms = []
+        for extra in ([], ["--architecture", mode]):
+            out = tmp_path / "eval.json"
+            assert main(["evaluate", "--config", str(cfg), "--out", str(out), *extra]) == 0
+            per_dc = json.loads(out.read_text())["per_data_center"]
+            terms.append((per_dc["equipment_bs"], per_dc["processing"]))
+        assert terms[0] == terms[1]
+        assert terms[0] == pytest.approx((equipment_bs, 56.67), abs=0.01)
+
+    def test_evaluate_dran_flag_on_a_cloud_config_rederives(self, tmp_path):
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text("[architecture]\nmode = cloud_ran\ngamma_offset_db = 0.4\n")
+        out = tmp_path / "eval.json"
+        assert main(["evaluate", "--config", str(cfg), "--architecture", "dran", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["gamma_offset_db"] == 0.0
+        expected = datacenter_cost(default_scenario(Architecture.DRAN)).processing
+        assert payload["per_data_center"]["processing"] == expected
+        cloud = datacenter_cost(default_scenario(Architecture.CLOUD_RAN, 0.4)).processing
+        assert expected != pytest.approx(cloud, rel=1e-3)
+
     def test_evaluate_dump_config_roundtrip(self, tmp_path):
         dumped = tmp_path / "resolved.ini"
         assert main(["evaluate", "--out", str(tmp_path / "e.json"), "--dump-config", str(dumped)]) == 0
@@ -232,6 +259,25 @@ class TestCli:
         assert len(rows) == 3
         assert {r["axis"] for r in rows} == {"alpha"}
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("geometry", "lambda1c", "5"),
+            ("costs", "a23_processing", "1"),
+            ("radio", "ptx_dbm", "40"),
+            ("radio", "noise_dbm", "-140"),
+            ("radio", "bandwidth_hz", "20e6"),
+            ("radio", "control_overhead", "0.2"),
+            ("radio", "n_subcarriers", "1200"),
+        ],
+    )
+    def test_sweep_rejects_keys_it_would_replace(self, tmp_path, capsys, section, key, value):
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        argv = ["sweep", "--config", str(cfg), "--axis", "alpha", "--values", "0", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        assert key in json.loads(capsys.readouterr().err)["message"]
+
     def test_sweep_without_axis_or_config_fails_cleanly(self, tmp_path):
         code = main(["sweep", "--out", str(tmp_path / "x.csv")])
         assert code == 2
@@ -269,6 +315,7 @@ class TestCli:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["n_reps"] == 4
+        assert (payload["seed"], payload["reps"], payload["tool_version"]) == (3, 4, TOOL_VERSION)
         with open(dump) as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["layer"] == "users"
@@ -281,6 +328,7 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert len(payload["rows"]) == 10
         assert isinstance(payload["passed"], bool)
+        assert (payload["seed"], payload["reps"], payload["tool_version"]) == (5, 30, TOOL_VERSION)
 
     def test_complexity_table(self, tmp_path):
         out = tmp_path / "cx.csv"
@@ -317,6 +365,16 @@ class TestCli:
         out = tmp_path / "sweep.json"
         code = main(["sweep", "--axis", "alpha", "--values", "0 1", "--out", str(out)])
         assert code == 0
+
+    @pytest.mark.parametrize("raw", ["0", "-1", "abc"])
+    def test_invalid_thread_count_is_a_config_error(self, tmp_path, monkeypatch, capsys, raw):
+        argv = ["sweep", "--axis", "alpha", "--values", "0", "--out", str(tmp_path / "x.csv")]
+        assert main([*argv, "--threads", raw]) == 2
+        monkeypatch.setenv("CRANCOST_THREADS", raw)
+        assert main(argv) == 2
+        errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [e["error"] for e in errors] == ["config", "config"]
+        assert all("threads" in e["message"] for e in errors)
 
     def test_io_error_exit_code(self, tmp_path):
         code = main(["evaluate", "--out", str(tmp_path / "missing_dir" / "x.json")])
