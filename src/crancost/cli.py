@@ -8,9 +8,11 @@ Subcommands:
   complexity  pooled vs distributed processing-demand table over pool sizes
   dimension   base-station intensity from the rate target
 
-Scenarios come from ``config.load_scenario``; evaluate's ``--architecture``
-is passed to it in place of the config's mode. The worker count
-(``--threads``, else ``CRANCOST_THREADS``) is checked before any command runs.
+Each subcommand takes only the shared options it reads. Scenarios come from
+``config.load_scenario``; evaluate's ``--architecture`` is passed to it in
+place of the config's mode. The commands with ``--threads`` (sweep,
+simulate, compare) check the worker count (``--threads``, else
+``CRANCOST_THREADS``) before they do anything else.
 """
 
 from __future__ import annotations
@@ -69,14 +71,21 @@ def _threads(args) -> int:
     return threads
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None, help="scenario INI file")
-    parser.add_argument("--preset", default="paper-default", help="base preset for unset keys")
+_SHARED_OPTIONS = {
+    "config": {"default": None, "help": "scenario INI file"},
+    "preset": {"default": "paper-default", "help": "base preset for unset keys"},
+    "format": {"choices": ("csv", "json"), "default": "json"},
+    "seed": {"type": int, "default": 0},
+    "reps": {"type": int, "default": 2000},
+    "threads": {"default": None, "help": "worker count >= 1 (env CRANCOST_THREADS)"},
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
+    """``--out`` plus the named shared options, those the subcommand reads."""
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="json")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--reps", type=int, default=2000)
-    parser.add_argument("--threads", default=None, help="worker count >= 1 (env CRANCOST_THREADS)")
+    for name in names:
+        parser.add_argument(f"--{name}", **_SHARED_OPTIONS[name])
 
 
 def _write(text: str, out: str | None) -> None:
@@ -129,6 +138,7 @@ def _parse_values(raw: str) -> tuple[float, ...]:
 
 
 def cmd_sweep(args) -> int:
+    threads = _threads(args)
     if args.config:
         check_sweep_overrides(args.config)
     scenario = _load(args)
@@ -149,7 +159,7 @@ def cmd_sweep(args) -> int:
         values=_parse_values(values),
         architectures=tuple(architectures.split(",")) if architectures else tuple(ARCHITECTURE_VARIANTS),
     )
-    result = run_sweep(spec, scenario, threads=args.threads)
+    result = run_sweep(spec, scenario, threads=threads)
     text = render(result, args.format)
     _write(text, args.out)
     return 0
@@ -160,6 +170,7 @@ def _provenance(args) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    threads = _threads(args)
     scenario = _load(args)
     window = Window(args.window, args.window, wrap=not args.no_wrap)
     if args.dump_realization is not None:
@@ -169,7 +180,7 @@ def cmd_simulate(args) -> int:
             writer.writerow(["layer", "x", "y", "parent_index", "subtree_count"])
             for row in realization_rows(real):
                 writer.writerow([row[0], f"{row[1]:.6g}", f"{row[2]:.6g}", row[3], row[4]])
-    est = estimate_mean_dc_cost(scenario, window, args.reps, args.seed, threads=args.threads)
+    est = estimate_mean_dc_cost(scenario, window, args.reps, args.seed, threads=threads)
     payload = {
         "scenario_hash": scenario_hash(scenario),
         "window_km": [window.width, window.height],
@@ -186,9 +197,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    threads = _threads(args)
     scenario = _load(args)
     window = Window(args.window, args.window, wrap=not args.no_wrap)
-    report = compare_to_closed_form(scenario, window, args.reps, args.seed, threads=args.threads)
+    report = compare_to_closed_form(scenario, window, args.reps, args.seed, threads=threads)
     payload = {
         "scenario_hash": scenario_hash(scenario),
         "passed": report.passed,
@@ -274,13 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("evaluate", help="one scenario -> cost breakdown")
-    _add_common(p_eval)
+    _add_options(p_eval, "config", "preset", "format")
     p_eval.add_argument("--architecture", choices=("dran", "cloud_ran"), default=None)
     p_eval.add_argument("--dump-config", default=None, help="write the resolved scenario INI here")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_sweep = sub.add_parser("sweep", help="cost along one axis")
-    _add_common(p_sweep)
+    _add_options(p_sweep, "config", "preset", "format", "threads")
     p_sweep.add_argument("--axis", default=None, choices=("lambda3", "alpha", "lambda0", "p", "sigma2"))
     p_sweep.add_argument("--values", default=None, help="space- or comma-separated numbers")
     p_sweep.add_argument(
@@ -291,20 +303,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo deployment estimate")
-    _add_common(p_sim)
+    _add_options(p_sim, "config", "preset", "seed", "reps", "threads")
     p_sim.add_argument("--window", type=float, default=10.0, help="square window side, km")
     p_sim.add_argument("--no-wrap", action="store_true", help="bounded window instead of toroidal")
     p_sim.add_argument("--dump-realization", default=None, help="CSV path for one realization's nodes")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="closed form vs Monte Carlo")
-    _add_common(p_cmp)
+    _add_options(p_cmp, "config", "preset", "format", "seed", "reps", "threads")
     p_cmp.add_argument("--window", type=float, default=10.0)
     p_cmp.add_argument("--no-wrap", action="store_true")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_cx = sub.add_parser("complexity", help="pooled vs distributed processing demand")
-    _add_common(p_cx)
+    _add_options(p_cx, "config", "format", "seed")
     p_cx.add_argument("--pool-sizes", default="1 2 5 10 20 50")
     p_cx.add_argument("--offsets", default="0 0.4 0.9")
     p_cx.add_argument("--eps-comp", type=float, default=None, help="outage target (default from config, 0.1)")
@@ -314,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cx.set_defaults(func=cmd_complexity)
 
     p_dim = sub.add_parser("dimension", help="base-station intensity from the rate target")
-    _add_common(p_dim)
+    _add_options(p_dim)
     p_dim.add_argument("--lambda0", type=float, default=170.0)
     p_dim.add_argument("--gamma-offset-db", type=float, default=0.0)
     p_dim.add_argument("--target", type=float, default=None, help="explicit bps/Hz target")
@@ -327,7 +339,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.threads = _threads(args)
         return args.func(args)
     except CrancostError as exc:
         sys.stderr.write(json.dumps({"error": exc.category, "message": str(exc)}) + "\n")

@@ -4,6 +4,14 @@ Per-codeword decoding effort in bit-iterations per channel use, MCS admission
 thresholds, Monte Carlo dimensioning of the pooled processing demand under a
 computational-outage target, the conversion chain from normalized demand to
 server counts, and the per-user data-processing cost rate.
+
+The outage Monte Carlo (:func:`outage_demand`) is the hot path of the
+complexity table. :meth:`McsTable.select` counts the admission thresholds
+each SNR meets, one vectorized comparison pass per MCS, in place of a binary
+search per draw. The nearest-base-station sampler and the workload evaluate
+their closed forms in one buffer with the same operations in the same order
+as the plain expressions, so every draw and workload keeps its exact value.
+A non-finite SNR draw raises :class:`SamplerDomainError`.
 """
 
 from __future__ import annotations
@@ -88,8 +96,18 @@ class McsTable:
         return self.rates.shape[0]
 
     def select(self, gamma: np.ndarray) -> np.ndarray:
-        """Highest MCS index whose admission threshold is met; -1 if below all."""
-        return np.searchsorted(self.gamma_admission, np.asarray(gamma, dtype=float), side="right") - 1
+        """Highest MCS index whose admission threshold is met; -1 if below all.
+
+        Counts the thresholds each SNR meets, one comparison pass per MCS: the
+        same index as ``searchsorted(side="right") - 1`` for every non-NaN
+        value, without a binary search per element. NaN meets no threshold.
+        """
+        gamma = np.asarray(gamma, dtype=float)
+        count = np.zeros(gamma.shape, dtype=np.int8 if len(self) < 128 else np.intp)
+        for threshold in self.gamma_admission:
+            count += gamma >= threshold
+        count -= 1
+        return count
 
 
 def default_mcs_rates(n: int = 15, lo: float = 0.15, hi: float = 5.55) -> np.ndarray:
@@ -131,20 +149,36 @@ def decoding_complexity(gamma: float, rate: float, params: DecoderParams = Decod
 
 
 def _complexity_vector(gamma: np.ndarray, mcs: McsTable, params: DecoderParams) -> np.ndarray:
-    """Vectorized workload with per-sample MCS selection."""
+    """Vectorized workload with per-sample MCS selection.
+
+    Evaluates the ``decoding_complexity`` expression with the same operations
+    in the same order, in place in one buffer, so every value keeps its bits.
+    """
+    peak = gamma.max()
+    if not math.isfinite(peak):
+        raise SamplerDomainError(f"sampler produced non-finite SNR {peak}")
     k = mcs.select(gamma)
     if np.any(k < 0):
-        bad = float(np.asarray(gamma)[k < 0].min())
+        bad = float(gamma[k < 0].min())
         raise SamplerDomainError(
             f"sampler produced SNR {bad:.4g} below the lowest admission threshold "
             f"{mcs.gamma_admission[0]:.4g}"
         )
-    rate = mcs.rates[k]
-    margin = np.log2(1.0 + gamma) - rate
-    # admission thresholds sit above capacity, so margins are strictly positive
-    const = math.log2((params.zeta - 2.0) / (params.k_scaling * params.zeta))
-    work = rate / math.log2(params.zeta - 1.0) * (const - 2.0 * np.log2(margin))
-    return np.maximum(work, 0.0)
+    # fancy indexing casts a small-integer index per element, which costs
+    # more than one cast to intp up front
+    rate = mcs.rates[k.astype(np.intp)]
+    # log2(1 + gamma) - rate; admission thresholds sit above capacity, so
+    # margins are strictly positive
+    work = np.add(1.0, gamma)
+    np.log2(work, out=work)
+    work -= rate
+    # rate / log2(zeta - 1) * (const - 2 * log2(margin))
+    np.log2(work, out=work)
+    work *= 2.0
+    np.subtract(math.log2((params.zeta - 2.0) / (params.k_scaling * params.zeta)), work, out=work)
+    rate /= math.log2(params.zeta - 1.0)
+    work *= rate
+    return np.maximum(work, 0.0, out=work)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +189,8 @@ class DegenerateSnrSampler:
     """Constant SNR; useful for exact spot checks."""
 
     def __init__(self, gamma: float):
-        if gamma <= 0:
-            raise ParameterError("gamma must be > 0")
+        if not 0.0 < gamma < math.inf:
+            raise ParameterError(f"gamma must be finite and > 0, got {gamma}")
         self.gamma = float(gamma)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -211,10 +245,21 @@ class NearestBsSnrSampler:
         self.pathloss_exp = float(pathloss_exp)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        # one buffer, the operations of the closed form in order:
+        # r = sqrt(-log(u) / (pi lambda_1)),
+        # 10 ** ((snr_median_db - 10 pathloss_exp log10(r / median_r)) / 10)
         median_r = math.sqrt(math.log(2.0) / (math.pi * self.lambda_1))
-        r = np.sqrt(-np.log(rng.random(size)) / (math.pi * self.lambda_1))
-        snr_db = self.snr_median_db - 10.0 * self.pathloss_exp * np.log10(r / median_r)
-        return 10.0 ** (snr_db / 10.0)
+        snr = rng.random(size)
+        np.log(snr, out=snr)
+        np.negative(snr, out=snr)
+        snr /= math.pi * self.lambda_1
+        np.sqrt(snr, out=snr)
+        snr /= median_r
+        np.log10(snr, out=snr)
+        snr *= 10.0 * self.pathloss_exp
+        np.subtract(self.snr_median_db, snr, out=snr)
+        snr /= 10.0
+        return np.power(10.0, snr, out=snr)
 
 
 _SAMPLERS = {
@@ -237,19 +282,24 @@ def make_snr_sampler(name: str = "nearest_bs", **params):
 def _truncated_draws(
     sampler, rng: np.random.Generator, size: int, floor: float, max_rounds: int = 1000
 ) -> np.ndarray:
-    """Rejection-sample until every SNR clears the lowest admission threshold."""
+    """Rejection-sample until every SNR clears the lowest admission threshold.
+
+    Each round redraws only the positions still below the floor, in index
+    order, and compares only the fresh values.
+    """
     draws = np.asarray(sampler.sample(rng, size), dtype=float)
-    below = draws < floor
+    below = np.flatnonzero(draws < floor)
     rounds = 0
-    while np.any(below):
+    while below.size:
         rounds += 1
         if rounds > max_rounds:
             raise SamplerDomainError(
                 "sampler keeps producing SNRs below the lowest admission threshold; "
                 "it is inconsistent with the MCS table"
             )
-        draws[below] = sampler.sample(rng, int(below.sum()))
-        below = draws < floor
+        fresh = np.asarray(sampler.sample(rng, below.size), dtype=float)
+        draws[below] = fresh
+        below = below[fresh < floor]
     return draws
 
 

@@ -268,17 +268,27 @@ def load_sweep_section(path=None, text: str | None = None, parser=None):
 def check_sweep_overrides(path) -> None:
     """Reject keys of the config file at ``path`` that a sweep would silently replace.
 
-    A sweep re-dimensions every architecture variant at the preset radio, so
-    ``lambda1c``, ``a23_processing`` and the ``[radio]`` overrides cannot take
-    effect there; each raises :class:`ConfigError` naming the key.
+    A sweep evaluates the architecture variants it is given, each
+    re-dimensioned at the preset radio, so ``[architecture] mode`` and
+    ``gamma_offset_db``, ``lambda1c``, ``a23_processing`` and the ``[radio]``
+    overrides cannot take effect there; each raises :class:`ConfigError`
+    naming the key.
     """
     parser = _read_parser(path)
-    for section, keys in (("geometry", ("lambda1c",)), ("costs", ("a23_processing",)), ("radio", _RADIO_KEYS)):
+    redimensioned = "every variant is re-dimensioned"
+    for section, keys, reason in (
+        (
+            "architecture",
+            ("mode", "gamma_offset_db"),
+            "the variants come from --architectures or [sweep] architectures",
+        ),
+        ("geometry", ("lambda1c",), redimensioned),
+        ("costs", ("a23_processing",), redimensioned),
+        ("radio", _RADIO_KEYS, redimensioned),
+    ):
         for key in keys:
             if parser.has_option(section, key):
-                raise ConfigError(
-                    f"[{section}] {key} has no effect in a sweep: every variant is re-dimensioned", key=key
-                )
+                raise ConfigError(f"[{section}] {key} has no effect in a sweep: {reason}", key=key)
 
 
 def load_scenario(

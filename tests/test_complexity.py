@@ -103,6 +103,49 @@ class TestSnrThresholds:
             snr_thresholds([2.0, 1.0])
 
 
+def _searchsorted_select(mcs, gamma):
+    """The binary-search reference for ``McsTable.select``."""
+    return np.searchsorted(mcs.gamma_admission, np.asarray(gamma, dtype=float), side="right") - 1
+
+
+class TestMcsSelect:
+    def test_matches_searchsorted_at_and_around_every_threshold(self):
+        mcs = snr_thresholds(default_mcs_rates())
+        t = mcs.gamma_admission
+        gamma = np.concatenate(
+            [t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), [0.0, t[0] / 2, 10 * t[-1], np.inf, -np.inf]]
+        )
+        k = mcs.select(gamma)
+        assert np.array_equal(k, _searchsorted_select(mcs, gamma))
+        assert k[: len(t)].tolist() == list(range(len(t)))
+        assert (k[len(t) : 2 * len(t)] == np.arange(-1, len(t) - 1)).all()
+
+    def test_below_all_and_above_the_top(self):
+        mcs = snr_thresholds(default_mcs_rates())
+        assert mcs.select([0.0, 1e-9, 1e9]).tolist() == [-1, -1, len(mcs) - 1]
+
+    def test_empty_and_scalar_inputs(self):
+        mcs = snr_thresholds(default_mcs_rates())
+        assert mcs.select(np.empty(0)).shape == (0,)
+        for gamma in (0.05, float(mcs.gamma_admission[3]), 2.5, 1e6):
+            k = mcs.select(gamma)
+            assert np.shape(k) == ()
+            assert k == _searchsorted_select(mcs, gamma)
+
+    def test_nan_meets_no_threshold(self):
+        mcs = snr_thresholds(default_mcs_rates())
+        assert mcs.select([np.nan, 3.0]).tolist() == [-1, _searchsorted_select(mcs, 3.0)]
+
+    @pytest.mark.parametrize("n_rates", [1, 15, 127, 128, 300])
+    def test_random_draws_on_tables_of_any_size(self, n_rates):
+        mcs = snr_thresholds(default_mcs_rates(n_rates))
+        sampler = make_snr_sampler("lognormal", median_db=5.0, sigma_db=15.0)
+        gamma = sampler.sample(np.random.default_rng(n_rates), 5000)
+        k = mcs.select(gamma)
+        assert np.array_equal(k, _searchsorted_select(mcs, gamma))
+        assert k.max() == len(mcs) - 1
+
+
 class TestOutageDemand:
     def test_degenerate_sampler_reduces_to_single_complexity(self):
         mcs = snr_thresholds([1.0])
@@ -144,6 +187,16 @@ class TestOutageDemand:
         with pytest.raises(SamplerDomainError):
             outage_demand(1, 0.1, DegenerateSnrSampler(1.0), mcs, n_mc=100, seed=1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_draws_are_a_domain_error(self, value):
+        class NonFiniteSampler:
+            def sample(self, rng, size):
+                return np.full(size, value)
+
+        mcs = snr_thresholds(default_mcs_rates())
+        with pytest.raises(SamplerDomainError, match="non-finite"):
+            outage_demand(2, 0.1, NonFiniteSampler(), mcs, n_mc=10, seed=1)
+
     def test_parameter_validation(self):
         mcs = snr_thresholds([1.0])
         sampler = DegenerateSnrSampler(3.0)
@@ -176,6 +229,32 @@ class TestDranEquivalentDemand:
         pooled = outage_demand(20, 0.1, sampler, mcs, n_mc=256, seed=1)
         standalone = dran_equivalent_demand(20, 0.1, sampler, mcs, n_mc=256, seed=1)
         assert pooled == pytest.approx(standalone, rel=1e-12)
+
+
+class TestPinnedDemands:
+    """Pooled and standalone demands recorded bit for bit from the searchsorted
+    implementation; the comparison-pass selection and the in-place arithmetic
+    must reproduce them exactly."""
+
+    @pytest.mark.parametrize(
+        "name,kwargs,offset,n,seed,n_mc,pooled,standalone",
+        [
+            ("nearest_bs", {}, 0.0, 7, 3, 400, "0x1.5640fec8b77a8p+5", "0x1.0ce636dcb8606p+6"),
+            ("nearest_bs", {}, 0.9, 50, 11, 200, "0x1.285b6267d5e5ap+7", "0x1.02638b63a30c1p+8"),
+            ("nearest_bs", {"lambda_1": 10.0}, 0.9, 7, 3, 400, "0x1.a21dc10085692p+4", "0x1.24ad1ad37fda9p+5"),
+            ("lognormal", {}, 0.0, 7, 3, 400, "0x1.9cc8813e3872ep+5", "0x1.349be58371bebp+6"),
+            ("lognormal", {}, 0.9, 50, 11, 200, "0x1.7d4c946d805dap+7", "0x1.4cbdf60615b66p+8"),
+            ("rayleigh_fading", {}, 0.0, 7, 3, 400, "0x1.95fb36d2faa1fp+5", "0x1.4385970de77d7p+6"),
+            ("rayleigh_fading", {}, 0.9, 50, 11, 200, "0x1.6f37cad7aaa10p+7", "0x1.161144d2d4663p+8"),
+        ],
+    )
+    def test_demands_are_bit_identical(self, name, kwargs, offset, n, seed, n_mc, pooled, standalone):
+        params = DecoderParams(gamma_offset_db=offset)
+        mcs = snr_thresholds(default_mcs_rates(), params)
+        sampler = make_snr_sampler(name, **kwargs)
+        args = (n, 0.1, sampler, mcs, params)
+        assert outage_demand(*args, n_mc=n_mc, seed=seed) == float.fromhex(pooled)
+        assert dran_equivalent_demand(*args, n_mc=n_mc, seed=seed) == float.fromhex(standalone)
 
 
 class TestServersRequired:
@@ -225,6 +304,12 @@ class TestProcessingCostRate:
             assert dran.slope == pytest.approx(DRAN_POOLING_FACTOR * preset.slope)
             assert dran.intercept == 0.0
             assert dran.slope > preset.slope
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
+def test_degenerate_sampler_rejects_non_positive_or_non_finite_snr(gamma):
+    with pytest.raises(ParameterError):
+        DegenerateSnrSampler(gamma)
 
 
 def test_sampler_registry_rejects_unknown_names():

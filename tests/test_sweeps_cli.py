@@ -4,8 +4,10 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -262,6 +264,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "section,key,value",
         [
+            ("architecture", "mode", "dran"),
+            ("architecture", "gamma_offset_db", "0.9"),
             ("geometry", "lambda1c", "5"),
             ("costs", "a23_processing", "1"),
             ("radio", "ptx_dbm", "40"),
@@ -276,7 +280,10 @@ class TestCli:
         cfg.write_text(f"[{section}]\n{key} = {value}\n")
         argv = ["sweep", "--config", str(cfg), "--axis", "alpha", "--values", "0", "--out", str(tmp_path / "x.csv")]
         assert main(argv) == 2
-        assert key in json.loads(capsys.readouterr().err)["message"]
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert key in message
+        if section == "architecture":
+            assert "--architectures" in message and "[sweep] architectures" in message
 
     def test_sweep_without_axis_or_config_fails_cleanly(self, tmp_path):
         code = main(["sweep", "--out", str(tmp_path / "x.csv")])
@@ -375,6 +382,40 @@ class TestCli:
         errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert [e["error"] for e in errors] == ["config", "config"]
         assert all("threads" in e["message"] for e in errors)
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("evaluate", "--seed", "1"),
+            ("evaluate", "--reps", "3"),
+            ("evaluate", "--threads", "2"),
+            ("sweep", "--seed", "1"),
+            ("simulate", "--format", "csv"),
+            ("complexity", "--preset", "paper-default"),
+            ("complexity", "--reps", "3"),
+            ("complexity", "--threads", "2"),
+            ("dimension", "--config", "scenario.ini"),
+            ("dimension", "--format", "csv"),
+            ("dimension", "--seed", "9"),
+        ],
+    )
+    def test_unread_flag_is_a_usage_error(self, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value])
+        assert exc.value.code == 2
+
+    def test_thread_count_is_only_checked_where_it_is_read(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CRANCOST_THREADS", "abc")
+        assert main(["evaluate", "--out", str(tmp_path / "e.json")]) == 0
+
+    def test_readme_example_config_evaluates(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        cfg = tmp_path / "readme.ini"
+        cfg.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+        out = tmp_path / "eval.json"
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert (payload["architecture"], payload["gamma_offset_db"]) == ("cloud_ran", 0.4)
 
     def test_io_error_exit_code(self, tmp_path):
         code = main(["evaluate", "--out", str(tmp_path / "missing_dir" / "x.json")])
