@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -133,8 +134,30 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _parse_values(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+def _parse_values(raw: str, option: str) -> tuple[float, ...]:
+    """The finite numbers of a space- or comma-separated list option; at least one is required."""
+    try:
+        values = tuple(float(tok) for tok in raw.replace(",", " ").split())
+    except ValueError:
+        values = ()
+    if not values or not all(map(math.isfinite, values)):
+        raise ConfigError(f"expected one or more finite numbers, got {raw!r}", key=option)
+    return values
+
+
+def _sampler(args, settings):
+    """The --sampler override built from --sampler-params, else the configured sampler."""
+    if args.sampler is None:
+        if args.sampler_params is not None:
+            raise ConfigError("needs --sampler to name the sampler it configures", key="sampler-params")
+        return settings.make_sampler()
+    try:
+        params = json.loads("{}" if args.sampler_params is None else args.sampler_params)
+        if not isinstance(params, dict):
+            raise ValueError(f"got {args.sampler_params!r}")
+    except ValueError as exc:  # json.JSONDecodeError included
+        raise ConfigError(f"sampler {args.sampler!r} needs a JSON object: {exc}", key="sampler-params") from None
+    return make_snr_sampler(args.sampler, **params)
 
 
 def cmd_sweep(args) -> int:
@@ -156,7 +179,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs --axis and --values (flags or a [sweep] config section)")
     spec = SweepSpec(
         axis=axis,
-        values=_parse_values(values),
+        values=_parse_values(values, "values"),
         architectures=tuple(architectures.split(",")) if architectures else tuple(ARCHITECTURE_VARIANTS),
     )
     result = run_sweep(spec, scenario, threads=threads)
@@ -225,8 +248,11 @@ def cmd_compare(args) -> int:
 
 def cmd_complexity(args) -> int:
     settings = load_complexity_settings(args.config) if args.config else load_complexity_settings(text="")
-    pool_sizes = [int(v) for v in _parse_values(args.pool_sizes)]
-    offsets = [float(v) for v in _parse_values(args.offsets)]
+    pool_sizes = _parse_values(args.pool_sizes, "pool-sizes")
+    if not all(n >= 1 and n == int(n) for n in pool_sizes):
+        raise ConfigError(f"expected integers >= 1, got {args.pool_sizes!r}", key="pool-sizes")
+    offsets = _parse_values(args.offsets, "offsets")
+    sampler = _sampler(args, settings)
     eps_comp = args.eps_comp if args.eps_comp is not None else settings.eps_comp
     n_mc = args.n_mc if args.n_mc is not None else settings.n_mc
     frame = FrameConstants()
@@ -234,11 +260,7 @@ def cmd_complexity(args) -> int:
     for gamma in offsets:
         params = replace(settings.decoder, gamma_offset_db=gamma)
         mcs = snr_thresholds(default_mcs_rates(), params)
-        if args.sampler is not None:
-            sampler = make_snr_sampler(args.sampler, **json.loads(args.sampler_params))
-        else:
-            sampler = settings.make_sampler()
-        for n in pool_sizes:
+        for n in map(int, pool_sizes):
             pooled = outage_demand(n, eps_comp, sampler, mcs, params, n_mc=n_mc, seed=args.seed)
             standalone = dran_equivalent_demand(
                 n, eps_comp, sampler, mcs, params, n_mc=n_mc, seed=args.seed
@@ -322,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cx.add_argument("--eps-comp", type=float, default=None, help="outage target (default from config, 0.1)")
     p_cx.add_argument("--n-mc", type=int, default=None, help="Monte Carlo draws (default from config, 20000)")
     p_cx.add_argument("--sampler", default=None, help="override the configured SNR sampler")
-    p_cx.add_argument("--sampler-params", default="{}", help="JSON dict of sampler parameters")
+    p_cx.add_argument("--sampler-params", default=None, help="JSON object of --sampler parameters")
     p_cx.set_defaults(func=cmd_complexity)
 
     p_dim = sub.add_parser("dimension", help="base-station intensity from the rate target")

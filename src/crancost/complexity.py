@@ -16,6 +16,7 @@ A non-finite SNR draw raises :class:`SamplerDomainError`.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -271,11 +272,23 @@ _SAMPLERS = {
 
 
 def make_snr_sampler(name: str = "nearest_bs", **params):
-    """Instantiate a named SNR sampler from a config-style spec."""
+    """Instantiate a named SNR sampler from a config-style spec.
+
+    Every parameter must be one the sampler takes and a finite number; an
+    unknown name or key, or any other value, is a :class:`ParameterError`
+    naming the sampler and the key.
+    """
     try:
         cls = _SAMPLERS[name]
     except KeyError:
         raise ParameterError(f"unknown SNR sampler {name!r}; available: {sorted(_SAMPLERS)}") from None
+    accepted = inspect.signature(cls).parameters
+    for key, value in params.items():
+        where = f"SNR sampler {name!r} parameter {key!r}"
+        if key not in accepted:
+            raise ParameterError(f"{where} is unknown; the sampler takes {sorted(accepted)}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ParameterError(f"{where} must be a finite number, got {value!r}")
     return cls(**params)
 
 

@@ -124,17 +124,6 @@ PRESETS = {"paper-default": default_scenario}
 # ---------------------------------------------------------------------------
 # INI serialization
 
-_GEOMETRY_KEYS = {
-    "lambda0": "lambda_0",
-    "lambda1c": "lambda_1c",
-    "lambda1m": "lambda_1m",
-    "sigma2": None,  # handled specially: stored as variance
-    "p": "p_mw",
-    "lambda2_mw": "lambda_2_mw",
-    "lambda2_of": "lambda_2_of",
-    "lambda3": "lambda_3",
-}
-
 _EQUIPMENT_KEYS = {
     "c_macro": "c_macro",
     "c_micro": "c_micro",
@@ -153,7 +142,10 @@ _LINK_FIELDS = {
 }
 
 
-def _getfloat(section, key: str, lo: float | None = None, hi: float | None = None) -> float | None:
+def _getfloat(
+    section, key: str, lo: float | None = None, hi: float | None = None, above: float | None = None
+) -> float | None:
+    """The finite number under ``key``, None if absent; ``lo``, ``hi`` inclusive, ``above`` exclusive."""
     if key not in section:
         return None
     raw = section[key]
@@ -165,9 +157,21 @@ def _getfloat(section, key: str, lo: float | None = None, hi: float | None = Non
         raise ConfigError("value must be finite", key=key)
     if lo is not None and value < lo:
         raise ConfigError(f"value {value} below minimum {lo}", key=key)
+    if above is not None and value <= above:
+        raise ConfigError(f"value {value} must be above {above}", key=key)
     if hi is not None and value > hi:
         raise ConfigError(f"value {value} above maximum {hi}", key=key)
     return value
+
+
+def _getint(section, key: str, lo: int) -> int | None:
+    """The integer under ``key``, None if absent; a fractional value is an error, not truncated."""
+    value = _getfloat(section, key, lo=lo)
+    if value is None:
+        return None
+    if value != int(value):
+        raise ConfigError(f"expected an integer, got {section[key]!r}", key=key)
+    return int(value)
 
 
 def _read_parser(path=None, text: str | None = None) -> configparser.ConfigParser:
@@ -202,9 +206,9 @@ def load_radio_params(path=None, text: str | None = None, parser=None) -> RadioP
     base = RADIO_PRESETS[name]
     updates = {}
     for key in _RADIO_KEYS:
-        value = _getfloat(section, key, lo=1.0 if key == "n_subcarriers" else None)
+        value = _getint(section, key, lo=1) if key == "n_subcarriers" else _getfloat(section, key)
         if value is not None:
-            updates[key] = int(value) if key == "n_subcarriers" else value
+            updates[key] = value
     return replace(base, **updates) if updates else base
 
 
@@ -229,7 +233,7 @@ def load_complexity_settings(path=None, text: str | None = None, parser=None) ->
         parser = _read_parser(path, text)
     section = parser["complexity"] if parser.has_section("complexity") else {}
     decoder = DecoderParams(
-        zeta=_getfloat(section, "zeta", lo=2.0) or 6.0,
+        zeta=_getfloat(section, "zeta", above=2.0) or 6.0,
         k_scaling=_getfloat(section, "k_scaling", lo=1e-9) or 0.2,
         eps_channel=_getfloat(section, "eps_channel", lo=1e-9, hi=1.0 - 1e-9) or 0.1,
         nu_db=_getfloat(section, "nu_db") if "nu_db" in section else 0.2,
@@ -241,7 +245,7 @@ def load_complexity_settings(path=None, text: str | None = None, parser=None) ->
         if key.startswith("sampler_"):
             sampler_params[key[len("sampler_"):]] = _getfloat(section, key)
     eps_comp = _getfloat(section, "eps_comp", lo=1e-9, hi=1.0 - 1e-9) or 0.1
-    n_mc = int(_getfloat(section, "n_mc", lo=1.0) or 20000)
+    n_mc = _getint(section, "n_mc", lo=1) or 20000
     return ComplexitySettings(decoder, sampler_name, sampler_params, eps_comp, n_mc)
 
 

@@ -261,35 +261,19 @@ def _kdtree(points: np.ndarray, window: Window) -> cKDTree:
     return cKDTree(points)
 
 
-_TIE_EPS = 1e-12
-
-
 def nearest_assign(lower: PointSet | np.ndarray, upper: PointSet | np.ndarray, window: Window) -> AssignmentMap:
     """Map every lower point to its nearest upper point under the window metric.
 
-    Ties (within floating tolerance) are broken toward the lowest upper
-    index so that assignments are reproducible.
+    One k=1 KD-tree query. An exact tie goes to whichever equidistant upper
+    point the tree returns, which is deterministic for given inputs; the
+    samplers are continuous, so ties have probability zero.
     """
     lower_pts = lower.points if isinstance(lower, PointSet) else np.asarray(lower, dtype=float)
     upper_pts = upper.points if isinstance(upper, PointSet) else np.asarray(upper, dtype=float)
     if upper_pts.shape[0] == 0:
         raise AssignmentError("cannot assign against an empty upper layer")
-    if lower_pts.shape[0] == 0:
-        return AssignmentMap(np.empty(0, dtype=int))
-    if upper_pts.shape[0] == 1:
-        return AssignmentMap(np.zeros(lower_pts.shape[0], dtype=int))
-
-    tree = _kdtree(upper_pts, window)
-    dist, idx = tree.query(lower_pts, k=2)
-    assigned = idx[:, 0].copy()
-    # resolve near-ties toward the lowest index among all equidistant uppers
-    tied = dist[:, 1] - dist[:, 0] <= _TIE_EPS * (1.0 + dist[:, 0])
-    for i in np.nonzero(tied)[0]:
-        radius = dist[i, 0] * (1.0 + 1e-9) + _TIE_EPS
-        candidates = tree.query_ball_point(lower_pts[i], radius)
-        if candidates:
-            assigned[i] = min(candidates)
-    return AssignmentMap(assigned.astype(int))
+    _, idx = _kdtree(upper_pts, window).query(lower_pts, k=1)
+    return AssignmentMap(idx)
 
 
 def assignment_distances(
@@ -301,6 +285,4 @@ def assignment_distances(
     """Window-metric distance from each lower point to its assigned upper point."""
     lower_pts = lower.points if isinstance(lower, PointSet) else np.asarray(lower, dtype=float)
     upper_pts = upper.points if isinstance(upper, PointSet) else np.asarray(upper, dtype=float)
-    if lower_pts.shape[0] == 0:
-        return np.empty(0)
     return window.distance(lower_pts, upper_pts[assignment.lower_to_upper])

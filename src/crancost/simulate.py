@@ -31,7 +31,6 @@ from .geometry import (
     sample_cluster_bs,
     sample_ppp,
 )
-from .spatial_stats import DEFAULT_QUAD, QuadratureSettings
 
 __all__ = [
     "DeploymentRealization",
@@ -46,6 +45,9 @@ __all__ = [
 
 # layer indices for the seed-derivation scheme
 _USERS, _BS, _BACKHAUL, _DC = 0, 1, 2, 3
+
+#: largest |z| per term (and overall) that :func:`compare_to_closed_form` passes
+Z_THRESHOLD = 3.0
 
 
 @dataclass
@@ -91,15 +93,8 @@ def simulate_realization(
     window: Window,
     seed: int,
     replication: int = 0,
-    user_link_coords: str = "absolute",
 ) -> DeploymentRealization:
-    """Sample one four-layer deployment and price it link by link.
-
-    ``user_link_coords`` selects the user-link distance: ``"absolute"`` uses
-    the user's distance to its base station; ``"as_printed"`` uses the
-    shifted-coordinate form |x - y - z| in the data-center frame, where y and
-    z are the base-station and backhaul offsets.
-    """
+    """Sample one four-layer deployment and price it link by link."""
     s = scenario
     users = sample_ppp(s.lambda_0, window, layer_rng(seed, replication, _USERS), Layer.USERS)
     stations = sample_cluster_bs(s.lambda_1c, s.lambda_1m, s.sigma, window, layer_rng(seed, replication, _BS))
@@ -107,7 +102,7 @@ def simulate_realization(
         s.p_mw, s.lambda_2_mw, s.lambda_2_of, window, layer_rng(seed, replication, _BACKHAUL)
     )
     centers = sample_ppp(s.lambda_3, window, layer_rng(seed, replication, _DC), Layer.DATA_CENTERS)
-    return price_layers(scenario, window, users, stations, backhaul, centers, user_link_coords)
+    return price_layers(scenario, window, users, stations, backhaul, centers)
 
 
 def price_layers(
@@ -117,7 +112,6 @@ def price_layers(
     stations: MarkedBaseStationSet,
     backhaul: BackhaulDraw,
     centers: PointSet,
-    user_link_coords: str = "absolute",
 ) -> DeploymentRealization:
     """Assign the layers by nearest neighbor and price every device and link.
 
@@ -125,11 +119,10 @@ def price_layers(
     equipment constant, its subtree's capacity demand priced over the actual
     backhaul-to-data-center distance, and the infrastructure of that link;
     base stations contribute their link costs toward their backhaul node, and
-    users toward their base station. The cluster equipment cost (one macro
-    plus its expected micros) is charged once per macro.
+    users toward their base station, each over its absolute distance to the
+    node it is assigned to. The cluster equipment cost (one macro plus its
+    expected micros) is charged once per macro.
     """
-    if user_link_coords not in ("absolute", "as_printed"):
-        raise ParameterError("user_link_coords must be 'absolute' or 'as_printed'")
     s = scenario
     n_dc = len(centers)
     n_backhaul = len(backhaul.nodes)
@@ -155,20 +148,7 @@ def price_layers(
 
     d_bh_dc = assignment_distances(backhaul.nodes.points, centers.points, backhaul_to_dc, window)
     d_bs_bh = assignment_distances(bs_points, backhaul.nodes.points, bs_to_backhaul, window)
-
-    if user_link_coords == "absolute" or len(users) == 0:
-        d_user = assignment_distances(users.points, bs_points, user_to_bs, window)
-    else:
-        # shifted-coordinate variant: in each data center's frame the user
-        # link is priced over |x - y - z| with y, z the station/backhaul
-        # offsets from that data center
-        bh_of_bs = bs_to_backhaul.lower_to_upper[user_to_bs.lower_to_upper]
-        dc_of_user = backhaul_to_dc.lower_to_upper[bh_of_bs]
-        dc_pts = centers.points[dc_of_user]
-        x_rel = window.deltas(users.points, dc_pts)
-        y_rel = window.deltas(bs_points[user_to_bs.lower_to_upper], dc_pts)
-        z_rel = window.deltas(backhaul.nodes.points[bh_of_bs], dc_pts)
-        d_user = np.linalg.norm(x_rel - y_rel - z_rel, axis=1)
+    d_user = assignment_distances(users.points, bs_points, user_to_bs, window)
 
     terms = {
         "equipment_backhaul": n_backhaul * s.c2,
@@ -197,16 +177,14 @@ def price_layers(
     )
 
 
-def _replication_terms(args) -> tuple[np.ndarray, float, bool]:
-    """Worker: per-term totals and the normalizer for one replication."""
-    scenario, window, seed, rep, normalizer, user_link_coords = args
+def _replication_terms(args) -> np.ndarray | None:
+    """Worker: per-term totals of one replication, None if it was discarded."""
+    scenario, window, seed, rep = args
     try:
-        real = simulate_realization(scenario, window, seed, rep, user_link_coords)
+        real = simulate_realization(scenario, window, seed, rep)
     except AssignmentError:
-        return np.zeros(len(COST_TERMS)), 0.0, False
-    denom = float(real.n_dc) if normalizer == "realized" else scenario.lambda_3 * window.area
-    totals = np.array([real.term_totals[name] for name in COST_TERMS])
-    return totals, denom, True
+        return None
+    return np.array([real.term_totals[name] for name in COST_TERMS])
 
 
 def estimate_mean_dc_cost(
@@ -214,33 +192,29 @@ def estimate_mean_dc_cost(
     window: Window,
     n_reps: int,
     seed: int,
-    normalizer: str = "expected",
     threads: int = 1,
-    user_link_coords: str = "absolute",
 ) -> CostEstimate:
     """Empirical mean cost per data center over independent replications.
 
-    Each replication contributes its total cost divided by a data-center
-    count. ``normalizer="expected"`` divides by lambda_3 * area, which is an
-    unbiased estimator of the per-data-center expectation;
-    ``normalizer="realized"`` divides by the realized count as sampled, which
-    carries a small upward 1/E[count] bias from Jensen's inequality.
-    Under-provisioned realizations (an empty upper layer) are discarded and
-    counted. Deterministic given the seed, independent of thread count.
+    Each replication contributes its per-term totals divided by the expected
+    data-center count lambda_3 * area, an unbiased estimator of the
+    per-data-center expectation (dividing by the realized count would carry
+    an upward 1/E[count] bias from Jensen's inequality). Under-provisioned
+    realizations (an empty upper layer) are discarded and counted.
+    Deterministic given the seed, independent of thread count.
     """
     if n_reps < 2:
         raise ParameterError("n_reps must be >= 2")
-    if normalizer not in ("expected", "realized"):
-        raise ParameterError("normalizer must be 'expected' or 'realized'")
-    jobs = [(scenario, window, seed, rep, normalizer, user_link_coords) for rep in range(n_reps)]
+    jobs = [(scenario, window, seed, rep) for rep in range(n_reps)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_replication_terms, jobs, chunksize=max(1, n_reps // (4 * threads))))
     else:
         results = [_replication_terms(job) for job in jobs]
 
-    kept = [(totals / denom) for totals, denom, ok in results if ok]
-    n_discarded = sum(1 for _, _, ok in results if not ok)
+    n_expected_dc = scenario.lambda_3 * window.area
+    kept = [totals / n_expected_dc for totals in results if totals is not None]
+    n_discarded = n_reps - len(kept)
     if not kept:
         raise EstimationError("every replication was discarded; the window is under-provisioned")
     per_rep = np.vstack(kept)  # (n_kept, n_terms), in replication order
@@ -316,14 +290,15 @@ def compare_to_closed_form(
     window: Window,
     n_reps: int,
     seed: int,
-    quad: QuadratureSettings = DEFAULT_QUAD,
-    threshold: float = 3.0,
-    normalizer: str = "expected",
     threads: int = 1,
 ) -> ComparisonReport:
-    """Run the oracle and score each breakdown term against the closed form."""
-    closed = datacenter_cost(scenario, quad)
-    est = estimate_mean_dc_cost(scenario, window, n_reps, seed, normalizer=normalizer, threads=threads)
+    """Run the oracle and score each breakdown term against the closed form.
+
+    A term passes when its z-score is within :data:`Z_THRESHOLD` standard
+    errors.
+    """
+    closed = datacenter_cost(scenario)
+    est = estimate_mean_dc_cost(scenario, window, n_reps, seed, threads=threads)
     z_scores = {
         name: _z(est.per_term_means[name], closed.as_dict()[name], est.per_term_std_errors[name])
         for name in COST_TERMS
@@ -340,7 +315,7 @@ def compare_to_closed_form(
         estimate=est,
         z_scores=z_scores,
         overall_z=overall,
-        threshold=threshold,
+        threshold=Z_THRESHOLD,
         window_note=note,
     )
 

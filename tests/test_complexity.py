@@ -317,6 +317,21 @@ def test_sampler_registry_rejects_unknown_names():
         make_snr_sampler("cauchy")
 
 
+@pytest.mark.parametrize(
+    "name,params,key",
+    [
+        ("nearest_bs", {"bogus": 1}, "bogus"),
+        ("degenerate", {"gamma": "x"}, "gamma"),
+        ("lognormal", {"sigma_db": None}, "sigma_db"),
+        ("rayleigh_fading", {"mean_db": True}, "mean_db"),
+        ("nearest_bs", {"lambda_1": math.inf}, "lambda_1"),
+    ],
+)
+def test_sampler_registry_rejects_unknown_keys_and_non_numbers(name, params, key):
+    with pytest.raises(ParameterError, match=f"'{name}' parameter '{key}'"):
+        make_snr_sampler(name, **params)
+
+
 def test_nearest_bs_sampler_spans_the_mcs_range():
     mcs = snr_thresholds(default_mcs_rates())
     sampler = make_snr_sampler("nearest_bs", lambda_1=50.0)

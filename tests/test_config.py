@@ -166,6 +166,14 @@ class TestRadioSection:
         scen_weak = load_scenario(text="[radio]\nptx_dbm = 0\nnoise_dbm = 40\n")
         assert scen_weak.lambda_1c != pytest.approx(scen_default.lambda_1c, rel=1e-6)
 
+    def test_subcarrier_count_must_be_an_integer(self):
+        from crancost.config import load_radio_params
+
+        assert load_radio_params(text="[radio]\nn_subcarriers = 1200\n").n_subcarriers == 1200
+        with pytest.raises(ConfigError) as exc:
+            load_radio_params(text="[radio]\nn_subcarriers = 1200.5\n")
+        assert exc.value.key == "n_subcarriers"
+
 
 class TestComplexitySection:
     def test_defaults(self):
@@ -188,6 +196,28 @@ class TestComplexitySection:
         sampler = settings.make_sampler()
         assert sampler.median_db == 15.0
         assert sampler.sigma_db == 4.0
+
+    @pytest.mark.parametrize(
+        "line,key",
+        [
+            ("zeta = 2", "zeta"),
+            ("zeta = 1.5", "zeta"),
+            ("n_mc = 10.7", "n_mc"),
+            ("n_mc = 0", "n_mc"),
+            ("sampler_gamma = x", "sampler_gamma"),
+        ],
+    )
+    def test_invalid_values_are_config_errors_naming_the_key(self, line, key):
+        from crancost.config import load_complexity_settings
+
+        with pytest.raises(ConfigError) as exc:
+            load_complexity_settings(text=f"[complexity]\n{line}\n")
+        assert exc.value.key == key
+
+    def test_integral_n_mc_is_accepted(self):
+        from crancost.config import load_complexity_settings
+
+        assert load_complexity_settings(text="[complexity]\nn_mc = 64.0\n").n_mc == 64
 
 
 class TestSweepSection:

@@ -189,11 +189,22 @@ class TestNearestAssign:
         amap = nearest_assign(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 2.0]]), Window(5, 5, wrap=False))
         assert amap.lower_to_upper.tolist() == [0]
 
-    def test_tie_breaks_to_lowest_index(self):
+    def test_tie_goes_to_an_equidistant_point(self):
         upper = np.array([[3.0, 3.0], [0.0, 1.0], [4.0, 4.0], [1.0, 0.0]])
-        amap = nearest_assign(np.array([[0.0, 0.0]]), upper, Window(5, 5, wrap=False))
-        # indices 1 and 3 are both at distance 1
-        assert amap.lower_to_upper.tolist() == [1]
+        lower = np.array([[0.0, 0.0]])
+        window = Window(5, 5, wrap=False)
+        amap = nearest_assign(lower, upper, window)
+        # indices 1 and 3 are both at distance 1, the minimum
+        assert amap.lower_to_upper.tolist() in ([1], [3])
+        d = assignment_distances(lower, upper, amap, window)
+        assert d.tolist() == [window.distance(lower, upper).min()]
+        assert np.array_equal(nearest_assign(lower, upper, window).lower_to_upper, amap.lower_to_upper)
+
+    @pytest.mark.parametrize("window", [TORUS10, Window(10, 10, wrap=False)])
+    def test_single_upper_point_takes_every_lower_point(self, window):
+        lower = np.random.default_rng(4).uniform(0, 10, (12, 2))
+        amap = nearest_assign(lower, np.array([[2.5, 7.5]]), window)
+        assert amap.lower_to_upper.tolist() == [0] * 12
 
     def test_empty_upper_layer_is_an_error(self):
         with pytest.raises(AssignmentError):

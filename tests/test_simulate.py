@@ -118,16 +118,6 @@ class TestSimulateRealization:
             for seed in range(50):
                 simulate_realization(scen, tiny, seed=seed)
 
-    def test_as_printed_user_distance_variant_differs(self):
-        scen = default_scenario()
-        absolute = simulate_realization(scen, TORUS10, seed=8, user_link_coords="absolute")
-        shifted = simulate_realization(scen, TORUS10, seed=8, user_link_coords="as_printed")
-        assert absolute.term_totals["capacity_user_bs"] != pytest.approx(
-            shifted.term_totals["capacity_user_bs"], rel=1e-6
-        )
-        # layer samples themselves are identical; only the pricing changes
-        assert np.array_equal(absolute.users.points, shifted.users.points)
-
     def test_translation_invariance_on_torus(self):
         """Shifting every layer by the same offset leaves the cost unchanged."""
         from crancost.geometry import BackhaulDraw, MarkedBaseStationSet, PointSet
@@ -181,12 +171,65 @@ class TestEstimateMeanDcCost:
         with pytest.raises(EstimationError):
             estimate_mean_dc_cost(scen, Window(1.0, 1.0), 5, seed=0)
 
-    def test_realized_normalizer_close_to_expected(self):
-        scen = default_scenario()
-        w = Window(8.0, 8.0)
-        a = estimate_mean_dc_cost(scen, w, 60, seed=4, normalizer="expected")
-        b = estimate_mean_dc_cost(scen, w, 60, seed=4, normalizer="realized")
-        assert b.mean == pytest.approx(a.mean, rel=0.05)
+    @pytest.mark.parametrize(
+        "architecture,window,seed,expected",
+        [
+            (
+                Architecture.CLOUD_RAN,
+                Window(4.0, 4.0),
+                11,
+                {
+                    "equipment_backhaul": "0x1.33613c71c71c8p+18",
+                    "processing": "0x1.215a82a077035p+15",
+                    "capacity_dc": "0x1.937d0b83756e8p+15",
+                    "infra_dc": "0x1.a1ada24fb07c8p+13",
+                    "equipment_bs": "0x1.991238e38e38fp+17",
+                    "capacity_bs_backhaul": "0x1.14aec1ca65156p+15",
+                    "infra_bs_backhaul": "0x1.262b9739bd7d2p+17",
+                    "capacity_user_bs": "0x1.8744e3e50e76bp+4",
+                    "infra_user_bs": "0x1.cd31c2d4852ddp+11",
+                },
+            ),
+            (
+                Architecture.CLOUD_RAN,
+                Window(5.0, 5.0, wrap=False),
+                12,
+                {
+                    "equipment_backhaul": "0x1.475d8e38e38e5p+18",
+                    "processing": "0x1.1f46eaadf353fp+15",
+                    "capacity_dc": "0x1.79a38c0a82f9fp+15",
+                    "infra_dc": "0x1.95f10e0a9beacp+13",
+                    "equipment_bs": "0x1.adaa71c71c71cp+17",
+                    "capacity_bs_backhaul": "0x1.2ac9aad83f499p+15",
+                    "infra_bs_backhaul": "0x1.311be4623e325p+17",
+                    "capacity_user_bs": "0x1.701fc88657220p+5",
+                    "infra_user_bs": "0x1.2504957d7b7a1p+12",
+                },
+            ),
+            (
+                Architecture.DRAN,
+                Window(4.0, 4.0),
+                13,
+                {
+                    "equipment_backhaul": "0x1.235bac71c71c8p+18",
+                    "processing": "0x1.afc59edd4fdf3p+15",
+                    "capacity_dc": "0x1.cae0be3daea71p+15",
+                    "infra_dc": "0x1.1fcfeeb1f7269p+14",
+                    "equipment_bs": "0x1.af1c955555555p+18",
+                    "capacity_bs_backhaul": "0x1.72381225970f3p+15",
+                    "infra_bs_backhaul": "0x1.f9f01a23ef46fp+17",
+                    "capacity_user_bs": "0x1.66adc2f013003p+4",
+                    "infra_user_bs": "0x1.bc703d07f0e0bp+11",
+                },
+            ),
+        ],
+        ids=["torus", "bounded", "dran"],
+    )
+    def test_per_term_means_are_pinned(self, architecture, window, seed, expected):
+        """Sampling, assignment and pricing reproduce recorded means to the last bit."""
+        est = estimate_mean_dc_cost(default_scenario(architecture), window, 6, seed=seed)
+        assert (est.n_reps, est.n_discarded) == (6, 0)
+        assert {name: mean.hex() for name, mean in est.per_term_means.items()} == expected
 
     def test_worker_count_does_not_change_results(self):
         scen = default_scenario()

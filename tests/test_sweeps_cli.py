@@ -301,6 +301,51 @@ class TestCli:
         # degenerate sampler at gamma = 3: workload bounded by the single-MCS value
         assert rows[0]["pooled_per_station"] == pytest.approx(rows[0]["distributed_per_station"])
 
+    @pytest.mark.parametrize(
+        "flags,category,words",
+        [
+            (["--sampler", "nearest_bs", "--sampler-params", '{"bogus": 1}'], "parameter", ["nearest_bs", "bogus"]),
+            (["--sampler", "degenerate", "--sampler-params", '{"gamma": "x"}'], "parameter", ["degenerate", "gamma"]),
+            (["--sampler", "degenerate", "--sampler-params", "{gamma"], "config", ["degenerate", "sampler-params"]),
+            (["--sampler", "degenerate", "--sampler-params", "[3.0]"], "config", ["degenerate", "sampler-params"]),
+            (["--sampler-params", '{"lambda_1": 10}'], "config", ["--sampler", "sampler-params"]),
+        ],
+    )
+    def test_complexity_sampler_params_errors_are_typed(self, tmp_path, capsys, flags, category, words):
+        argv = ["complexity", "--pool-sizes", "1", "--offsets", "0", "--out", str(tmp_path / "cx.json")]
+        assert main([*argv, *flags]) == {"config": 2, "parameter": 3}[category]
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == category
+        assert all(word in error["message"] for word in words)
+
+    def test_complexity_config_sampler_key_error_is_typed(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text("[complexity]\nsampler = degenerate\nsampler_bogus = 1\n")
+        argv = ["complexity", "--config", str(cfg), "--pool-sizes", "1", "--offsets", "0"]
+        assert main([*argv, "--out", str(tmp_path / "cx.json")]) == 3
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert "degenerate" in message and "bogus" in message
+
+    @pytest.mark.parametrize(
+        "option,value",
+        [
+            ("--pool-sizes", ""),
+            ("--pool-sizes", "1.7"),
+            ("--pool-sizes", "0"),
+            ("--pool-sizes", "1 -2"),
+            ("--pool-sizes", "two"),
+            ("--offsets", ""),
+            ("--offsets", "0 x"),
+            ("--offsets", "nan"),
+        ],
+    )
+    def test_complexity_list_options_are_checked(self, tmp_path, capsys, option, value):
+        argv = ["complexity", "--pool-sizes", "1", "--offsets", "0", "--format", "csv"]
+        assert main([*argv, option, value, "--out", str(tmp_path / "cx.csv")]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "config"
+        assert option[2:] in error["message"]
+
     def test_simulate_and_dump_realization(self, tmp_path):
         out = tmp_path / "sim.json"
         dump = tmp_path / "nodes.csv"
