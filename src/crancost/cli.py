@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -39,6 +38,8 @@ from .config import (
     load_complexity_settings,
     load_scenario,
     load_sweep_section,
+    parse_names,
+    parse_values,
     save_scenario,
     scenario_hash,
 )
@@ -74,7 +75,6 @@ def _threads(args) -> int:
 
 _SHARED_OPTIONS = {
     "config": {"default": None, "help": "scenario INI file"},
-    "preset": {"default": "paper-default", "help": "base preset for unset keys"},
     "format": {"choices": ("csv", "json"), "default": "json"},
     "seed": {"type": int, "default": 0},
     "reps": {"type": int, "default": 2000},
@@ -101,7 +101,7 @@ def _load(args):
     # evaluate's --architecture replaces [architecture] mode before derivation,
     # so the config's explicit lambda1c and a23_processing still apply
     mode = getattr(args, "architecture", None)
-    return load_scenario(args.config, preset=args.preset, architecture=Architecture(mode) if mode else None)
+    return load_scenario(args.config, architecture=Architecture(mode) if mode else None)
 
 
 def _breakdown_payload(scenario, breakdown) -> dict:
@@ -134,17 +134,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _parse_values(raw: str, option: str) -> tuple[float, ...]:
-    """The finite numbers of a space- or comma-separated list option; at least one is required."""
-    try:
-        values = tuple(float(tok) for tok in raw.replace(",", " ").split())
-    except ValueError:
-        values = ()
-    if not values or not all(map(math.isfinite, values)):
-        raise ConfigError(f"expected one or more finite numbers, got {raw!r}", key=option)
-    return values
-
-
 def _sampler(args, settings):
     """The --sampler override built from --sampler-params, else the configured sampler."""
     if args.sampler is None:
@@ -165,23 +154,20 @@ def cmd_sweep(args) -> int:
     if args.config:
         check_sweep_overrides(args.config)
     scenario = _load(args)
-    axis, values, architectures = args.axis, args.values, args.architectures
+    axis = args.axis
+    values = None if args.values is None else parse_values(args.values, "values")
+    architectures = None if args.architectures is None else parse_names(args.architectures)
     if (axis is None or values is None) and args.config:
         section = load_sweep_section(args.config)
         if section is None:
             raise ConfigError("no [sweep] section in config and --axis/--values not given", key="sweep")
         cfg_axis, cfg_values, cfg_archs = section
         axis = axis or cfg_axis
-        values = values if values is not None else " ".join(repr(v) for v in cfg_values)
-        if architectures is None and cfg_archs:
-            architectures = ",".join(cfg_archs)
+        values = values if values is not None else cfg_values
+        architectures = architectures if architectures is not None else cfg_archs
     if axis is None or values is None:
         raise ConfigError("sweep needs --axis and --values (flags or a [sweep] config section)")
-    spec = SweepSpec(
-        axis=axis,
-        values=_parse_values(values, "values"),
-        architectures=tuple(architectures.split(",")) if architectures else tuple(ARCHITECTURE_VARIANTS),
-    )
+    spec = SweepSpec(axis=axis, values=values, architectures=architectures or tuple(ARCHITECTURE_VARIANTS))
     result = run_sweep(spec, scenario, threads=threads)
     text = render(result, args.format)
     _write(text, args.out)
@@ -248,10 +234,10 @@ def cmd_compare(args) -> int:
 
 def cmd_complexity(args) -> int:
     settings = load_complexity_settings(args.config) if args.config else load_complexity_settings(text="")
-    pool_sizes = _parse_values(args.pool_sizes, "pool-sizes")
+    pool_sizes = parse_values(args.pool_sizes, "pool-sizes")
     if not all(n >= 1 and n == int(n) for n in pool_sizes):
         raise ConfigError(f"expected integers >= 1, got {args.pool_sizes!r}", key="pool-sizes")
-    offsets = _parse_values(args.offsets, "offsets")
+    offsets = parse_values(args.offsets, "offsets")
     sampler = _sampler(args, settings)
     eps_comp = args.eps_comp if args.eps_comp is not None else settings.eps_comp
     n_mc = args.n_mc if args.n_mc is not None else settings.n_mc
@@ -308,13 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("evaluate", help="one scenario -> cost breakdown")
-    _add_options(p_eval, "config", "preset", "format")
+    _add_options(p_eval, "config", "format")
     p_eval.add_argument("--architecture", choices=("dran", "cloud_ran"), default=None)
     p_eval.add_argument("--dump-config", default=None, help="write the resolved scenario INI here")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_sweep = sub.add_parser("sweep", help="cost along one axis")
-    _add_options(p_sweep, "config", "preset", "format", "threads")
+    _add_options(p_sweep, "config", "format", "threads")
     p_sweep.add_argument("--axis", default=None, choices=("lambda3", "alpha", "lambda0", "p", "sigma2"))
     p_sweep.add_argument("--values", default=None, help="space- or comma-separated numbers")
     p_sweep.add_argument(
@@ -325,14 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo deployment estimate")
-    _add_options(p_sim, "config", "preset", "seed", "reps", "threads")
+    _add_options(p_sim, "config", "seed", "reps", "threads")
     p_sim.add_argument("--window", type=float, default=10.0, help="square window side, km")
     p_sim.add_argument("--no-wrap", action="store_true", help="bounded window instead of toroidal")
     p_sim.add_argument("--dump-realization", default=None, help="CSV path for one realization's nodes")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="closed form vs Monte Carlo")
-    _add_options(p_cmp, "config", "preset", "format", "seed", "reps", "threads")
+    _add_options(p_cmp, "config", "format", "seed", "reps", "threads")
     p_cmp.add_argument("--window", type=float, default=10.0)
     p_cmp.add_argument("--no-wrap", action="store_true")
     p_cmp.set_defaults(func=cmd_compare)

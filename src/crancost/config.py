@@ -1,12 +1,13 @@
-"""Scenario configuration: presets, INI files, round-trip serialization.
+"""Scenario configuration: the default scenario, INI files, round-trip serialization.
 
 The config format is flat key-value text with one section per concern
-(architecture, geometry, costs, radio, complexity, simulation, sweep); keys
-follow the model symbols (lambda0, lambda1c, sigma2, gamma_offset_db, ...).
-Unset keys fall back to the bundled default preset. :func:`redimension` is
-the one place where an architecture and link-adaptation offset select the
-base-station intensity and the matching processing-cost fit; the preset,
-the sweeps and ``load_scenario`` all go through it.
+(architecture, geometry, costs, complexity, simulation, sweep); keys follow
+the model symbols (lambda0, lambda1c, sigma2, gamma_offset_db, ...). Unset
+keys fall back to :func:`default_scenario`; an unknown section or key is a
+:class:`ConfigError`. :func:`redimension` is the one place where an
+architecture and link-adaptation offset select the base-station intensity
+and the matching processing-cost fit; the default scenario, the sweeps and
+``load_scenario`` all go through it.
 """
 
 from __future__ import annotations
@@ -25,40 +26,30 @@ from .complexity import (
     processing_cost_rate,
 )
 from .costs import Architecture, LinkCost, Scenario
-from .dimensioning import (
-    PAPER_LTE_10MHZ,
-    RadioParams,
-    invert_for_bs_intensity,
-    spectral_efficiency_target,
-)
+from .dimensioning import invert_for_bs_intensity, spectral_efficiency_target
 from .errors import ConfigError, CrancostError
 
 __all__ = [
-    "PRESETS",
-    "RADIO_PRESETS",
     "default_scenario",
     "redimension",
     "load_scenario",
     "check_sweep_overrides",
-    "load_radio_params",
     "load_complexity_settings",
     "load_sweep_section",
+    "parse_values",
+    "parse_names",
     "save_scenario",
     "scenario_to_config",
     "scenario_hash",
 ]
 
-RADIO_PRESETS: dict[str, RadioParams] = {
-    "paper-lte-10mhz": PAPER_LTE_10MHZ,
-}
-
 #: server hardware price used to turn server counts into processing cost
 _SERVER_COST = 20000.0
 
 
-def derive_bs_intensity(lambda_0: float, gamma_offset_db: float, radio: RadioParams = PAPER_LTE_10MHZ) -> float:
+def derive_bs_intensity(lambda_0: float, gamma_offset_db: float) -> float:
     """Base-station intensity meeting the offset-adjusted rate target."""
-    return invert_for_bs_intensity(spectral_efficiency_target(gamma_offset_db), lambda_0, radio)
+    return invert_for_bs_intensity(spectral_efficiency_target(gamma_offset_db), lambda_0)
 
 
 def derive_processing_base(
@@ -72,12 +63,7 @@ def derive_processing_base(
     return processing_cost_rate(preset.slope, preset.intercept, lambda_1, _SERVER_COST, lambda_0)
 
 
-def redimension(
-    scenario: Scenario,
-    architecture: Architecture,
-    gamma_offset_db: float,
-    radio: RadioParams = PAPER_LTE_10MHZ,
-) -> Scenario:
+def redimension(scenario: Scenario, architecture: Architecture, gamma_offset_db: float) -> Scenario:
     """The scenario re-dimensioned for an architecture and link-adaptation offset.
 
     The base-station intensity lambda_1 meeting the offset-adjusted rate target
@@ -88,7 +74,7 @@ def redimension(
     """
     if architecture is Architecture.DRAN:
         gamma_offset_db = 0.0
-    lambda_1 = derive_bs_intensity(scenario.lambda_0, gamma_offset_db, radio)
+    lambda_1 = derive_bs_intensity(scenario.lambda_0, gamma_offset_db)
     processing = derive_processing_base(architecture, gamma_offset_db, scenario.lambda_0, lambda_1)
     return replace(
         scenario,
@@ -104,7 +90,6 @@ def default_scenario(
     gamma_offset_db: float = 0.0,
     lambda_0: float = 170.0,
     lambda_1m: float = 4.0,
-    radio: RadioParams = PAPER_LTE_10MHZ,
 ) -> Scenario:
     """The bundled default scenario, fully resolved.
 
@@ -115,10 +100,7 @@ def default_scenario(
     nodes stand in for one fiber node, hence the 2:1 intensity ratio). These
     and the price tables are the :class:`Scenario` defaults.
     """
-    return redimension(Scenario(lambda_0=lambda_0, lambda_1m=lambda_1m), architecture, gamma_offset_db, radio)
-
-
-PRESETS = {"paper-default": default_scenario}
+    return redimension(Scenario(lambda_0=lambda_0, lambda_1m=lambda_1m), architecture, gamma_offset_db)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +121,17 @@ _LINK_FIELDS = {
     "bs_backhaul_of": ("a12_of", "beta12_of", "b12_of", "theta12_of"),
     "backhaul_dc_mw": ("a23_mw", "beta23_mw", "b23_mw", "theta23_mw"),
     "backhaul_dc_of": ("a23_of", "beta23_of", "b23_of", "theta23_of"),
+}
+
+#: the keys each section accepts; [complexity] also takes the sampler_<param>
+#: keys, which make_snr_sampler checks against the named sampler
+_SECTION_KEYS = {
+    "architecture": ("mode", "gamma_offset_db"),
+    "geometry": ("lambda0", "lambda1c", "lambda1m", "sigma2", "p", "lambda2_mw", "lambda2_of", "lambda3"),
+    "costs": (*_EQUIPMENT_KEYS, *(key for keys in _LINK_FIELDS.values() for key in keys), "a23_processing"),
+    "complexity": ("zeta", "k_scaling", "eps_channel", "nu_db", "sampler", "eps_comp", "n_mc"),
+    "simulation": ("user_bs_distance", "c2_convention"),
+    "sweep": ("axis", "values", "architectures"),
 }
 
 
@@ -186,30 +179,15 @@ def _read_parser(path=None, text: str | None = None) -> configparser.ConfigParse
         raise ConfigError(f"config file not found: {path}")
     except configparser.Error as exc:
         raise ConfigError(f"config file failed to parse: {exc}")
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}]")
+    for name in parser.sections():
+        if name not in _SECTION_KEYS:
+            raise ConfigError(f"unknown section [{name}]; known: {', '.join(_SECTION_KEYS)}")
+        for key in parser[name]:
+            if key not in _SECTION_KEYS[name] and not (name == "complexity" and key.startswith("sampler_")):
+                raise ConfigError(f"unknown key in [{name}]; known: {', '.join(_SECTION_KEYS[name])}", key=key)
     return parser
-
-
-#: [radio] keys that override the named preset's fields
-_RADIO_KEYS = ("ptx_dbm", "noise_dbm", "bandwidth_hz", "control_overhead", "n_subcarriers")
-
-
-def load_radio_params(path=None, text: str | None = None, parser=None) -> RadioParams:
-    """Radio constants from the [radio] section: a named preset plus overrides."""
-    if parser is None:
-        parser = _read_parser(path, text)
-    if not parser.has_section("radio"):
-        return PAPER_LTE_10MHZ
-    section = parser["radio"]
-    name = section.get("preset", "paper-lte-10mhz").strip()
-    if name not in RADIO_PRESETS:
-        raise ConfigError(f"unknown radio preset {name!r}; available: {sorted(RADIO_PRESETS)}", key="preset")
-    base = RADIO_PRESETS[name]
-    updates = {}
-    for key in _RADIO_KEYS:
-        value = _getint(section, key, lo=1) if key == "n_subcarriers" else _getfloat(section, key)
-        if value is not None:
-            updates[key] = value
-    return replace(base, **updates) if updates else base
 
 
 class ComplexitySettings:
@@ -227,19 +205,17 @@ class ComplexitySettings:
         return make_snr_sampler(self.sampler_name, **self.sampler_params)
 
 
-def load_complexity_settings(path=None, text: str | None = None, parser=None) -> ComplexitySettings:
+def load_complexity_settings(path=None, text: str | None = None) -> ComplexitySettings:
     """Decoder parameters and sampler spec (name + sampler_* keys) from config."""
-    if parser is None:
-        parser = _read_parser(path, text)
+    parser = _read_parser(path, text)
     section = parser["complexity"] if parser.has_section("complexity") else {}
     decoder = DecoderParams(
         zeta=_getfloat(section, "zeta", above=2.0) or 6.0,
         k_scaling=_getfloat(section, "k_scaling", lo=1e-9) or 0.2,
         eps_channel=_getfloat(section, "eps_channel", lo=1e-9, hi=1.0 - 1e-9) or 0.1,
         nu_db=_getfloat(section, "nu_db") if "nu_db" in section else 0.2,
-        gamma_offset_db=_getfloat(section, "gamma_offset_db") if "gamma_offset_db" in section else 0.0,
     )
-    sampler_name = section.get("sampler", "nearest_bs").strip() if section else "nearest_bs"
+    sampler_name = section.get("sampler", "nearest_bs").strip()
     sampler_params = {}
     for key in section:
         if key.startswith("sampler_"):
@@ -249,34 +225,41 @@ def load_complexity_settings(path=None, text: str | None = None, parser=None) ->
     return ComplexitySettings(decoder, sampler_name, sampler_params, eps_comp, n_mc)
 
 
-def load_sweep_section(path=None, text: str | None = None, parser=None):
+def parse_values(raw: str, key: str) -> tuple[float, ...]:
+    """The finite numbers of a space- or comma-separated list; at least one is required."""
+    try:
+        values = tuple(float(tok) for tok in raw.replace(",", " ").split())
+    except ValueError:
+        values = ()
+    if not values or not all(map(math.isfinite, values)):
+        raise ConfigError(f"expected one or more finite numbers, got {raw!r}", key=key)
+    return values
+
+
+def parse_names(raw: str) -> tuple[str, ...]:
+    """The entries of a comma-separated list, stripped, empty entries skipped."""
+    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+
+
+def load_sweep_section(path=None, text: str | None = None):
     """(axis, values, architectures) from the [sweep] section, or None if absent."""
-    if parser is None:
-        parser = _read_parser(path, text)
+    parser = _read_parser(path, text)
     if not parser.has_section("sweep"):
         return None
     section = parser["sweep"]
     if "axis" not in section or "values" not in section:
         raise ConfigError("sweep section needs both 'axis' and 'values'", key="sweep")
-    axis = section["axis"].strip()
-    try:
-        values = tuple(float(tok) for tok in section["values"].replace(",", " ").split())
-    except ValueError:
-        raise ConfigError("values must be numbers", key="values") from None
-    architectures = None
-    if "architectures" in section:
-        architectures = tuple(tok.strip() for tok in section["architectures"].split(",") if tok.strip())
-    return axis, values, architectures
+    architectures = parse_names(section["architectures"]) if "architectures" in section else None
+    return section["axis"].strip(), parse_values(section["values"], "values"), architectures
 
 
 def check_sweep_overrides(path) -> None:
     """Reject keys of the config file at ``path`` that a sweep would silently replace.
 
-    A sweep evaluates the architecture variants it is given, each
-    re-dimensioned at the preset radio, so ``[architecture] mode`` and
-    ``gamma_offset_db``, ``lambda1c``, ``a23_processing`` and the ``[radio]``
-    overrides cannot take effect there; each raises :class:`ConfigError`
-    naming the key.
+    A sweep re-dimensions every architecture variant it is given, so
+    ``[architecture] mode`` and ``gamma_offset_db``, ``lambda1c`` and
+    ``a23_processing`` cannot take effect there; each raises
+    :class:`ConfigError` naming the key.
     """
     parser = _read_parser(path)
     redimensioned = "every variant is re-dimensioned"
@@ -288,32 +271,23 @@ def check_sweep_overrides(path) -> None:
         ),
         ("geometry", ("lambda1c",), redimensioned),
         ("costs", ("a23_processing",), redimensioned),
-        ("radio", _RADIO_KEYS, redimensioned),
     ):
         for key in keys:
             if parser.has_option(section, key):
                 raise ConfigError(f"[{section}] {key} has no effect in a sweep: {reason}", key=key)
 
 
-def load_scenario(
-    path=None,
-    preset: str = "paper-default",
-    text: str | None = None,
-    architecture: Architecture | None = None,
-) -> Scenario:
-    """Resolve a Scenario from an INI file over a named preset.
+def load_scenario(path=None, text: str | None = None, architecture: Architecture | None = None) -> Scenario:
+    """Resolve a Scenario from an INI file over :func:`default_scenario`.
 
-    Any key absent from the file takes the preset's value; geometry,
-    architecture and radio keys that feed derived quantities (base-station
+    Any key absent from the file takes the default scenario's value;
+    geometry and architecture keys that feed derived quantities (base-station
     intensity, processing cost) are applied before derivation so the scenario
     stays internally consistent, and explicit ``lambda1c`` and
     ``a23_processing`` keys are applied after it. ``architecture``, when
     given, takes the place of ``[architecture] mode``.
     """
     parser = _read_parser(path, text)
-
-    if preset not in PRESETS:
-        raise ConfigError(f"unknown preset {preset!r}; available: {sorted(PRESETS)}", key="preset")
 
     arch_section = parser["architecture"] if parser.has_section("architecture") else {}
     mode_raw = arch_section.get("mode", "cloud_ran").strip().lower()
@@ -334,14 +308,12 @@ def load_scenario(
     geometry = parser["geometry"] if parser.has_section("geometry") else {}
     lambda_0 = _getfloat(geometry, "lambda0", lo=1e-12)
     lambda_1m = _getfloat(geometry, "lambda1m", lo=0.0)
-    radio = load_radio_params(parser=parser)
 
-    base = PRESETS[preset](
+    base = default_scenario(
         architecture=architecture,
         gamma_offset_db=gamma,
         lambda_0=lambda_0 if lambda_0 is not None else 170.0,
         lambda_1m=lambda_1m if lambda_1m is not None else 4.0,
-        radio=radio,
     )
 
     updates: dict = {}

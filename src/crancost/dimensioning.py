@@ -42,15 +42,10 @@ class RadioParams:
 
     ptx_dbm: float = 46.0
     noise_dbm: float = -146.22
-    n_subcarriers: int = 600
-    bandwidth_hz: float = 10e6
-    control_overhead: float = 0.29
 
     def __post_init__(self):
         if not math.isfinite(self.ptx_dbm) or not math.isfinite(self.noise_dbm):
             raise ParameterError("powers must be finite")
-        if not 0.0 <= self.control_overhead < 1.0:
-            raise ParameterError("control overhead must lie in [0, 1)")
 
     @property
     def ptx_watt(self) -> float:
@@ -61,7 +56,7 @@ class RadioParams:
         return dbm_to_watt(self.noise_dbm)
 
 
-#: LTE 10 MHz preset; addressable from config files as "paper-lte-10mhz".
+#: LTE 10 MHz link budget that the station intensity is dimensioned at.
 PAPER_LTE_10MHZ = RadioParams()
 
 #: Spectral-efficiency penalty (bps/Hz) of running the decoder at a given
@@ -113,8 +108,8 @@ def large_x_asymptotic_rate(lambda_0: float, lambda_1: float) -> float:
     return 2.0 * math.sqrt(lambda_1 / lambda_0)
 
 
-def invert_for_bs_intensity(target: float, lambda_0: float, radio: RadioParams = PAPER_LTE_10MHZ) -> float:
-    """Base-station intensity achieving the target spectral efficiency.
+def invert_for_bs_intensity(target: float, lambda_0: float) -> float:
+    """Base-station intensity achieving the target spectral efficiency at :data:`PAPER_LTE_10MHZ`.
 
     Since the rate is C * sqrt(lambda_1) with C independent of lambda_1, the
     inverse is (target / C)^2; the round trip through
@@ -124,7 +119,7 @@ def invert_for_bs_intensity(target: float, lambda_0: float, radio: RadioParams =
         raise ParameterError(f"target spectral efficiency must be > 0, got {target}")
     if lambda_0 <= 0:
         raise ParameterError("user intensity must be > 0")
-    coeff = _rate_coefficient(lambda_0, radio)
+    coeff = _rate_coefficient(lambda_0, PAPER_LTE_10MHZ)
     return (target / coeff) ** 2
 
 

@@ -1,8 +1,8 @@
 """Parameter sweeps over the closed-form cost and plot-ready table emission.
 
 Every sweep point is re-dimensioned with :func:`crancost.config.redimension`
-for its architecture variant at the preset radio, so a base scenario's
-station intensity and processing cost never carry over between variants.
+for its architecture variant, so a base scenario's station intensity and
+processing cost never carry over between variants.
 """
 
 from __future__ import annotations

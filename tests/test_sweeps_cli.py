@@ -268,11 +268,6 @@ class TestCli:
             ("architecture", "gamma_offset_db", "0.9"),
             ("geometry", "lambda1c", "5"),
             ("costs", "a23_processing", "1"),
-            ("radio", "ptx_dbm", "40"),
-            ("radio", "noise_dbm", "-140"),
-            ("radio", "bandwidth_hz", "20e6"),
-            ("radio", "control_overhead", "0.2"),
-            ("radio", "n_subcarriers", "1200"),
         ],
     )
     def test_sweep_rejects_keys_it_would_replace(self, tmp_path, capsys, section, key, value):
@@ -284,6 +279,17 @@ class TestCli:
         assert key in message
         if section == "architecture":
             assert "--architectures" in message and "[sweep] architectures" in message
+
+    def test_sweep_lists_parse_alike_from_flags_and_config(self, tmp_path):
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text("[sweep]\naxis = p\nvalues = 0, 0.5\narchitectures = dran, cloud_ran@0db\n")
+        from_config, from_flags = tmp_path / "config.csv", tmp_path / "flags.csv"
+        assert main(["sweep", "--config", str(cfg), "--format", "csv", "--out", str(from_config)]) == 0
+        flags = ["--axis", "p", "--values", "0, 0.5", "--architectures", "dran, cloud_ran@0db"]
+        assert main(["sweep", *flags, "--format", "csv", "--out", str(from_flags)]) == 0
+        assert from_flags.read_text() == from_config.read_text()
+        with open(from_flags) as fh:
+            assert [r["architecture"] for r in csv.DictReader(fh)] == ["dran", "cloud_ran@0db"] * 2
 
     def test_sweep_without_axis_or_config_fails_cleanly(self, tmp_path):
         code = main(["sweep", "--out", str(tmp_path / "x.csv")])
@@ -436,6 +442,7 @@ class TestCli:
             ("evaluate", "--threads", "2"),
             ("sweep", "--seed", "1"),
             ("simulate", "--format", "csv"),
+            ("evaluate", "--preset", "paper-default"),
             ("complexity", "--preset", "paper-default"),
             ("complexity", "--reps", "3"),
             ("complexity", "--threads", "2"),
