@@ -8,11 +8,13 @@ Subcommands:
   complexity  pooled vs distributed processing-demand table over pool sizes
   dimension   base-station intensity from the rate target
 
-Each subcommand takes only the shared options it reads. Scenarios come from
-``config.load_scenario``; evaluate's ``--architecture`` is passed to it in
-place of the config's mode. The commands with ``--threads`` (sweep,
-simulate, compare) check the worker count (``--threads``, else
-``CRANCOST_THREADS``) before they do anything else.
+Each subcommand takes only the shared options it reads. A ``--config``
+file is parsed once per command by ``config.read_config``, which checks
+every section whatever the command reads of it; evaluate's
+``--architecture`` takes the place of the config's before re-dimensioning.
+The commands with ``--threads`` (sweep, simulate, compare) check the worker
+count (``--threads``, else ``CRANCOST_THREADS``) before they do anything
+else.
 """
 
 from __future__ import annotations
@@ -33,16 +35,7 @@ from .complexity import (
     servers_required,
     snr_thresholds,
 )
-from .config import (
-    check_sweep_overrides,
-    load_complexity_settings,
-    load_scenario,
-    load_sweep_section,
-    parse_names,
-    parse_values,
-    save_scenario,
-    scenario_hash,
-)
+from .config import load_scenario, parse_names, parse_values, read_config, save_scenario, scenario_hash
 from .costs import Architecture, datacenter_cost
 from .dimensioning import invert_for_bs_intensity, spectral_efficiency_target
 from .errors import ConfigError, CrancostError
@@ -79,6 +72,8 @@ _SHARED_OPTIONS = {
     "seed": {"type": int, "default": 0},
     "reps": {"type": int, "default": 2000},
     "threads": {"default": None, "help": "worker count >= 1 (env CRANCOST_THREADS)"},
+    "window": {"type": float, "default": 10.0, "help": "square window side, km"},
+    "no-wrap": {"action": "store_true", "help": "bounded window instead of toroidal"},
 }
 
 
@@ -98,37 +93,28 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _load(args):
-    # evaluate's --architecture replaces [architecture] mode before derivation,
-    # so the config's explicit lambda1c and a23_processing still apply
+    # evaluate's --architecture replaces the config's before re-dimensioning
     mode = getattr(args, "architecture", None)
     return load_scenario(args.config, architecture=Architecture(mode) if mode else None)
-
-
-def _breakdown_payload(scenario, breakdown) -> dict:
-    return {
-        "scenario_hash": scenario_hash(scenario),
-        "architecture": scenario.architecture.value,
-        "gamma_offset_db": scenario.gamma_offset_db,
-        "lambda_3": scenario.lambda_3,
-        "per_data_center": breakdown.as_dict(),
-        "c_phi3": breakdown.c_phi3,
-        "total_per_km2": breakdown.total_per_km2,
-    }
 
 
 def cmd_evaluate(args) -> int:
     scenario = _load(args)
     breakdown = datacenter_cost(scenario)
-    payload = _breakdown_payload(scenario, breakdown)
     if args.format == "json":
+        payload = {
+            "scenario_hash": scenario_hash(scenario),
+            "architecture": scenario.architecture.value,
+            "gamma_offset_db": scenario.gamma_offset_db,
+            "lambda_3": scenario.lambda_3,
+            "per_data_center": breakdown.as_dict(),
+            "c_phi3": breakdown.c_phi3,
+            "total_per_km2": breakdown.total_per_km2,
+        }
         _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
-        lines = ["term,per_data_center"]
-        for k, v in breakdown.as_dict().items():
-            lines.append(f"{k},{v:.6g}")
-        lines.append(f"c_phi3,{breakdown.c_phi3:.6g}")
-        lines.append(f"total_per_km2,{breakdown.total_per_km2:.6g}")
-        _write("\n".join(lines) + "\n", args.out)
+        terms = {**breakdown.as_dict(), "c_phi3": breakdown.c_phi3, "total_per_km2": breakdown.total_per_km2}
+        _write("term,per_data_center\n" + "".join(f"{k},{v:.6g}\n" for k, v in terms.items()), args.out)
     if args.dump_config:
         save_scenario(scenario, args.dump_config)
     return 0
@@ -151,26 +137,18 @@ def _sampler(args, settings):
 
 def cmd_sweep(args) -> int:
     threads = _threads(args)
-    if args.config:
-        check_sweep_overrides(args.config)
-    scenario = _load(args)
-    axis = args.axis
-    values = None if args.values is None else parse_values(args.values, "values")
-    architectures = None if args.architectures is None else parse_names(args.architectures)
-    if (axis is None or values is None) and args.config:
-        section = load_sweep_section(args.config)
-        if section is None:
-            raise ConfigError("no [sweep] section in config and --axis/--values not given", key="sweep")
-        cfg_axis, cfg_values, cfg_archs = section
-        axis = axis or cfg_axis
-        values = values if values is not None else cfg_values
-        architectures = architectures if architectures is not None else cfg_archs
+    config = read_config(args.config)
+    scenario = config.sweep_scenario()
+    # [sweep] stands in when --axis or --values is absent; a flag given wins over its key
+    section = (config.sweep or {}) if args.axis is None or args.values is None else {}
+    axis = args.axis or section.get("axis")
+    values = section.get("values") if args.values is None else parse_values(args.values, "values")
+    architectures = section.get("architectures") if args.architectures is None else parse_names(args.architectures)
     if axis is None or values is None:
-        raise ConfigError("sweep needs --axis and --values (flags or a [sweep] config section)")
+        raise ConfigError("sweep needs --axis and --values, as flags or in a [sweep] config section", key="sweep")
     spec = SweepSpec(axis=axis, values=values, architectures=architectures or tuple(ARCHITECTURE_VARIANTS))
     result = run_sweep(spec, scenario, threads=threads)
-    text = render(result, args.format)
-    _write(text, args.out)
+    _write(render(result, args.format), args.out)
     return 0
 
 
@@ -233,7 +211,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_complexity(args) -> int:
-    settings = load_complexity_settings(args.config) if args.config else load_complexity_settings(text="")
+    settings = read_config(args.config).complexity
     pool_sizes = parse_values(args.pool_sizes, "pool-sizes")
     if not all(n >= 1 and n == int(n) for n in pool_sizes):
         raise ConfigError(f"expected integers >= 1, got {args.pool_sizes!r}", key="pool-sizes")
@@ -311,16 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo deployment estimate")
-    _add_options(p_sim, "config", "seed", "reps", "threads")
-    p_sim.add_argument("--window", type=float, default=10.0, help="square window side, km")
-    p_sim.add_argument("--no-wrap", action="store_true", help="bounded window instead of toroidal")
+    _add_options(p_sim, "config", "seed", "reps", "threads", "window", "no-wrap")
     p_sim.add_argument("--dump-realization", default=None, help="CSV path for one realization's nodes")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="closed form vs Monte Carlo")
-    _add_options(p_cmp, "config", "format", "seed", "reps", "threads")
-    p_cmp.add_argument("--window", type=float, default=10.0)
-    p_cmp.add_argument("--no-wrap", action="store_true")
+    _add_options(p_cmp, "config", "format", "seed", "reps", "threads", "window", "no-wrap")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_cx = sub.add_parser("complexity", help="pooled vs distributed processing demand")

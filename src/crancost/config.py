@@ -2,49 +2,51 @@
 
 The config format is flat key-value text with one section per concern
 (architecture, geometry, costs, complexity, simulation, sweep); keys follow
-the model symbols (lambda0, lambda1c, sigma2, gamma_offset_db, ...). Unset
-keys fall back to :func:`default_scenario`; an unknown section or key is a
-:class:`ConfigError`. :func:`redimension` is the one place where an
-architecture and link-adaptation offset select the base-station intensity
-and the matching processing-cost fit; the default scenario, the sweeps and
-``load_scenario`` all go through it.
+the model symbols. One ordered table, ``_SCHEMA``, maps each key to the
+attribute it sets and the values it accepts; it alone drives reading, the
+known-key check, writing and the keys a sweep rejects. :func:`read_config`
+parses a file once and checks every section: an unknown section or key, or a
+bad value anywhere, is a :class:`ConfigError` naming the key. Unset keys keep
+the :class:`Scenario` and :class:`ComplexitySettings` defaults.
+:func:`redimension` is the one place where an architecture and offset select
+the base-station intensity and the matching processing-cost fit.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import math
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
+from functools import reduce
+from itertools import groupby
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from .complexity import (
     DecoderParams,
+    FrameConstants,
     PROCESSING_PRESETS,
     dran_processing_preset,
     make_snr_sampler,
     processing_cost_rate,
 )
-from .costs import Architecture, LinkCost, Scenario
+from .costs import C2_CONVENTIONS, USER_BS_DISTANCES, Architecture, Scenario
 from .dimensioning import invert_for_bs_intensity, spectral_efficiency_target
-from .errors import ConfigError, CrancostError
+from .errors import ConfigError
 
 __all__ = [
     "default_scenario",
     "redimension",
+    "read_config",
     "load_scenario",
-    "check_sweep_overrides",
     "load_complexity_settings",
-    "load_sweep_section",
     "parse_values",
     "parse_names",
     "save_scenario",
     "scenario_to_config",
     "scenario_hash",
 ]
-
-#: server hardware price used to turn server counts into processing cost
-_SERVER_COST = 20000.0
 
 
 def derive_bs_intensity(lambda_0: float, gamma_offset_db: float) -> float:
@@ -60,7 +62,7 @@ def derive_processing_base(
         preset = PROCESSING_PRESETS[gamma_offset_db]
     else:
         preset = dran_processing_preset(gamma_offset_db)
-    return processing_cost_rate(preset.slope, preset.intercept, lambda_1, _SERVER_COST, lambda_0)
+    return processing_cost_rate(preset.slope, preset.intercept, lambda_1, FrameConstants.server_cost, lambda_0)
 
 
 def redimension(scenario: Scenario, architecture: Architecture, gamma_offset_db: float) -> Scenario:
@@ -88,8 +90,8 @@ def redimension(scenario: Scenario, architecture: Architecture, gamma_offset_db:
 def default_scenario(
     architecture: Architecture = Architecture.CLOUD_RAN,
     gamma_offset_db: float = 0.0,
-    lambda_0: float = 170.0,
-    lambda_1m: float = 4.0,
+    lambda_0: float = Scenario.lambda_0,
+    lambda_1m: float = Scenario.lambda_1m,
 ) -> Scenario:
     """The bundled default scenario, fully resolved.
 
@@ -103,126 +105,67 @@ def default_scenario(
     return redimension(Scenario(lambda_0=lambda_0, lambda_1m=lambda_1m), architecture, gamma_offset_db)
 
 
-# ---------------------------------------------------------------------------
-# INI serialization
-
-_EQUIPMENT_KEYS = {
-    "c_macro": "c_macro",
-    "c_micro": "c_micro",
-    "c_mw": "c_mw",
-    "c_of": "c_of",
-    "c_dc": "c_dc",
-    "alpha": "alpha",
-}
-
-_LINK_FIELDS = {
-    "user_bs": ("a01", "beta01", "b01", "theta01"),
-    "bs_backhaul_mw": ("a12_mw", "beta12_mw", "b12_mw", "theta12_mw"),
-    "bs_backhaul_of": ("a12_of", "beta12_of", "b12_of", "theta12_of"),
-    "backhaul_dc_mw": ("a23_mw", "beta23_mw", "b23_mw", "theta23_mw"),
-    "backhaul_dc_of": ("a23_of", "beta23_of", "b23_of", "theta23_of"),
-}
-
-#: the keys each section accepts; [complexity] also takes the sampler_<param>
-#: keys, which make_snr_sampler checks against the named sampler
-_SECTION_KEYS = {
-    "architecture": ("mode", "gamma_offset_db"),
-    "geometry": ("lambda0", "lambda1c", "lambda1m", "sigma2", "p", "lambda2_mw", "lambda2_of", "lambda3"),
-    "costs": (*_EQUIPMENT_KEYS, *(key for keys in _LINK_FIELDS.values() for key in keys), "a23_processing"),
-    "complexity": ("zeta", "k_scaling", "eps_channel", "nu_db", "sampler", "eps_comp", "n_mc"),
-    "simulation": ("user_bs_distance", "c2_convention"),
-    "sweep": ("axis", "values", "architectures"),
-}
-
-
-def _getfloat(
-    section, key: str, lo: float | None = None, hi: float | None = None, above: float | None = None
-) -> float | None:
-    """The finite number under ``key``, None if absent; ``lo``, ``hi`` inclusive, ``above`` exclusive."""
-    if key not in section:
-        return None
-    raw = section[key]
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"expected a number, got {raw!r}", key=key) from None
-    if not math.isfinite(value):
-        raise ConfigError("value must be finite", key=key)
-    if lo is not None and value < lo:
-        raise ConfigError(f"value {value} below minimum {lo}", key=key)
-    if above is not None and value <= above:
-        raise ConfigError(f"value {value} must be above {above}", key=key)
-    if hi is not None and value > hi:
-        raise ConfigError(f"value {value} above maximum {hi}", key=key)
-    return value
-
-
-def _getint(section, key: str, lo: int) -> int | None:
-    """The integer under ``key``, None if absent; a fractional value is an error, not truncated."""
-    value = _getfloat(section, key, lo=lo)
-    if value is None:
-        return None
-    if value != int(value):
-        raise ConfigError(f"expected an integer, got {section[key]!r}", key=key)
-    return int(value)
-
-
-def _read_parser(path=None, text: str | None = None) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
-    try:
-        if text is not None:
-            parser.read_string(text)
-        elif path is not None:
-            with open(path, "r", encoding="utf-8") as fh:
-                parser.read_file(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except configparser.Error as exc:
-        raise ConfigError(f"config file failed to parse: {exc}")
-    if parser.defaults():
-        raise ConfigError(f"unknown section [{parser.default_section}]")
-    for name in parser.sections():
-        if name not in _SECTION_KEYS:
-            raise ConfigError(f"unknown section [{name}]; known: {', '.join(_SECTION_KEYS)}")
-        for key in parser[name]:
-            if key not in _SECTION_KEYS[name] and not (name == "complexity" and key.startswith("sampler_")):
-                raise ConfigError(f"unknown key in [{name}]; known: {', '.join(_SECTION_KEYS[name])}", key=key)
-    return parser
-
-
+@dataclass
 class ComplexitySettings:
-    """Decoder model and SNR-sampler spec resolved from the [complexity] section."""
+    """Decoder model, SNR-sampler spec and outage Monte Carlo settings of the [complexity] section."""
 
-    def __init__(self, decoder: DecoderParams, sampler_name: str, sampler_params: dict,
-                 eps_comp: float, n_mc: int):
-        self.decoder = decoder
-        self.sampler_name = sampler_name
-        self.sampler_params = sampler_params
-        self.eps_comp = eps_comp
-        self.n_mc = n_mc
+    decoder: DecoderParams = DecoderParams()
+    sampler_name: str = "nearest_bs"
+    sampler_params: dict = field(default_factory=dict)
+    eps_comp: float = 0.1
+    n_mc: int = 20000
 
     def make_sampler(self):
         return make_snr_sampler(self.sampler_name, **self.sampler_params)
 
 
-def load_complexity_settings(path=None, text: str | None = None) -> ComplexitySettings:
-    """Decoder parameters and sampler spec (name + sampler_* keys) from config."""
-    parser = _read_parser(path, text)
-    section = parser["complexity"] if parser.has_section("complexity") else {}
-    decoder = DecoderParams(
-        zeta=_getfloat(section, "zeta", above=2.0) or 6.0,
-        k_scaling=_getfloat(section, "k_scaling", lo=1e-9) or 0.2,
-        eps_channel=_getfloat(section, "eps_channel", lo=1e-9, hi=1.0 - 1e-9) or 0.1,
-        nu_db=_getfloat(section, "nu_db") if "nu_db" in section else 0.2,
-    )
-    sampler_name = section.get("sampler", "nearest_bs").strip()
-    sampler_params = {}
-    for key in section:
-        if key.startswith("sampler_"):
-            sampler_params[key[len("sampler_"):]] = _getfloat(section, key)
-    eps_comp = _getfloat(section, "eps_comp", lo=1e-9, hi=1.0 - 1e-9) or 0.1
-    n_mc = _getint(section, "n_mc", lo=1) or 20000
-    return ComplexitySettings(decoder, sampler_name, sampler_params, eps_comp, n_mc)
+# ---------------------------------------------------------------------------
+# The schema
+
+
+class _Kind(NamedTuple):
+    """How a key's text becomes a field value and back."""
+
+    parse: Callable[[str, str], object]  # (text, key) -> value; a ConfigError names the key
+    show: Callable[[object], str] = repr
+
+
+def _number(lo=None, hi=None, above=None, among=None, integer=False) -> _Kind:
+    """A finite number; ``lo``, ``hi`` inclusive, ``above`` exclusive, ``among`` the allowed values."""
+
+    def parse(raw: str, key: str):
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ConfigError(f"expected a number, got {raw!r}", key=key) from None
+        if not math.isfinite(value):
+            raise ConfigError("value must be finite", key=key)
+        if lo is not None and value < lo:
+            raise ConfigError(f"value {value} below minimum {lo}", key=key)
+        if above is not None and value <= above:
+            raise ConfigError(f"value {value} must be above {above}", key=key)
+        if hi is not None and value > hi:
+            raise ConfigError(f"value {value} above maximum {hi}", key=key)
+        if among is not None and value not in among:
+            raise ConfigError(f"value {value} must be one of {sorted(among)}", key=key)
+        if integer and value != int(value):
+            raise ConfigError(f"expected an integer, got {raw!r}", key=key)
+        return int(value) if integer else value
+
+    return _Kind(parse)
+
+
+def _choice(values, show=str) -> _Kind:
+    """One of ``values``, written ``show(value)`` and read without regard to case."""
+    by_text = {show(value): value for value in values}
+
+    def parse(raw: str, key: str):
+        try:
+            return by_text[raw.strip().lower()]
+        except KeyError:
+            raise ConfigError(f"expected one of {', '.join(by_text)}, got {raw.strip()!r}", key=key) from None
+
+    return _Kind(parse, show)
 
 
 def parse_values(raw: str, key: str) -> tuple[float, ...]:
@@ -241,178 +184,205 @@ def parse_names(raw: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
 
 
-def load_sweep_section(path=None, text: str | None = None):
-    """(axis, values, architectures) from the [sweep] section, or None if absent."""
-    parser = _read_parser(path, text)
-    if not parser.has_section("sweep"):
-        return None
-    section = parser["sweep"]
-    if "axis" not in section or "values" not in section:
-        raise ConfigError("sweep section needs both 'axis' and 'values'", key="sweep")
-    architectures = parse_names(section["architectures"]) if "architectures" in section else None
-    return section["axis"].strip(), parse_values(section["values"], "values"), architectures
+_NUMBER = _number()
+_NONNEG = _number(lo=0.0)
+_FRACTION = _number(lo=0.0, hi=1.0)
+_POSITIVE = _number(lo=1e-12)
+_OPEN_UNIT = _number(lo=1e-9, hi=1.0 - 1e-9)
+_TEXT = _Kind(lambda raw, key: raw.strip(), str)
+#: the scenario holds the cluster spread sigma; its key is the variance
+_VARIANCE = _Kind(lambda raw, key: math.sqrt(_POSITIVE.parse(raw, key)), lambda sigma: repr(sigma**2))
 
 
-def check_sweep_overrides(path) -> None:
-    """Reject keys of the config file at ``path`` that a sweep would silently replace.
+class _Key(NamedTuple):
+    """One schema row: a config key and the attribute it sets."""
 
-    A sweep re-dimensions every architecture variant it is given, so
-    ``[architecture] mode`` and ``gamma_offset_db``, ``lambda1c`` and
-    ``a23_processing`` cannot take effect there; each raises
-    :class:`ConfigError` naming the key.
+    section: str
+    key: str
+    path: str  # dotted attribute path; an empty one, or one ending in ".", ends in the key itself
+    kind: _Kind
+    #: how :func:`redimension` treats the attribute: as its "argument", or as
+    #: "derived", where an explicit key wins except in a sweep, which
+    #: re-dimensions every variant and so rejects the key
+    role: str | None = None
+
+    @property
+    def names(self) -> list[str]:
+        path = self.path + self.key if self.path.endswith(".") or not self.path else self.path
+        return path.split(".")
+
+
+def _replaced(obj, names: list[str], value):
+    """``obj`` with the attribute at the path ``names`` set to ``value``."""
+    head, *rest = names
+    return replace(obj, **{head: _replaced(getattr(obj, head), rest, value) if rest else value})
+
+
+#: the scenario keys, in the order --dump-config writes them
+_SCENARIO_KEYS = (
+    _Key("architecture", "mode", "architecture", _choice(Architecture, attrgetter("value")), "argument"),
+    _Key("architecture", "gamma_offset_db", "", _number(among=PROCESSING_PRESETS), "argument"),
+    _Key("geometry", "lambda0", "lambda_0", _POSITIVE),
+    _Key("geometry", "lambda1c", "lambda_1c", _NONNEG, "derived"),
+    _Key("geometry", "lambda1m", "lambda_1m", _NONNEG),
+    _Key("geometry", "sigma2", "sigma", _VARIANCE),
+    _Key("geometry", "p", "p_mw", _FRACTION),
+    _Key("geometry", "lambda2_mw", "lambda_2_mw", _NONNEG),
+    _Key("geometry", "lambda2_of", "lambda_2_of", _NONNEG),
+    _Key("geometry", "lambda3", "lambda_3", _NONNEG),
+    _Key("costs", "c_macro", "equipment.", _NONNEG),
+    _Key("costs", "c_micro", "equipment.", _NONNEG),
+    _Key("costs", "c_mw", "equipment.", _NONNEG),
+    _Key("costs", "c_of", "equipment.", _NONNEG),
+    _Key("costs", "c_dc", "equipment.", _NONNEG),
+    _Key("costs", "alpha", "equipment.", _FRACTION),
+    _Key("costs", "a01", "links.user_bs.a", _NONNEG),
+    _Key("costs", "beta01", "links.user_bs.beta", _NONNEG),
+    _Key("costs", "b01", "links.user_bs.b", _NONNEG),
+    _Key("costs", "theta01", "links.user_bs.theta", _NONNEG),
+    _Key("costs", "a12_mw", "links.bs_backhaul_mw.a", _NONNEG),
+    _Key("costs", "beta12_mw", "links.bs_backhaul_mw.beta", _NONNEG),
+    _Key("costs", "b12_mw", "links.bs_backhaul_mw.b", _NONNEG),
+    _Key("costs", "theta12_mw", "links.bs_backhaul_mw.theta", _NONNEG),
+    _Key("costs", "a12_of", "links.bs_backhaul_of.a", _NONNEG),
+    _Key("costs", "beta12_of", "links.bs_backhaul_of.beta", _NONNEG),
+    _Key("costs", "b12_of", "links.bs_backhaul_of.b", _NONNEG),
+    _Key("costs", "theta12_of", "links.bs_backhaul_of.theta", _NONNEG),
+    _Key("costs", "a23_mw", "links.backhaul_dc_mw.a", _NONNEG),
+    _Key("costs", "beta23_mw", "links.backhaul_dc_mw.beta", _NONNEG),
+    _Key("costs", "b23_mw", "links.backhaul_dc_mw.b", _NONNEG),
+    _Key("costs", "theta23_mw", "links.backhaul_dc_mw.theta", _NONNEG),
+    _Key("costs", "a23_of", "links.backhaul_dc_of.a", _NONNEG),
+    _Key("costs", "beta23_of", "links.backhaul_dc_of.beta", _NONNEG),
+    _Key("costs", "b23_of", "links.backhaul_dc_of.b", _NONNEG),
+    _Key("costs", "theta23_of", "links.backhaul_dc_of.theta", _NONNEG),
+    _Key("costs", "a23_processing", "links.processing_base", _NONNEG, "derived"),
+    _Key("simulation", "user_bs_distance", "", _choice(USER_BS_DISTANCES)),
+    _Key("simulation", "c2_convention", "", _choice(C2_CONVENTIONS)),
+)
+
+#: why a sweep rejects a key, by its role
+_SWEEP_REJECTS = {
+    "argument": "the variants come from --architectures or [sweep] architectures",
+    "derived": "every variant is re-dimensioned",
+}
+
+_SCHEMA = (
+    *_SCENARIO_KEYS,
+    _Key("complexity", "zeta", "decoder.", _number(above=2.0)),
+    _Key("complexity", "k_scaling", "decoder.", _number(lo=1e-9)),
+    _Key("complexity", "eps_channel", "decoder.", _OPEN_UNIT),
+    _Key("complexity", "nu_db", "decoder.", _NUMBER),
+    _Key("complexity", "sampler", "sampler_name", _TEXT),
+    _Key("complexity", "eps_comp", "", _OPEN_UNIT),
+    _Key("complexity", "n_mc", "", _number(lo=1, integer=True)),
+    _Key("sweep", "axis", "", _TEXT),
+    _Key("sweep", "values", "", _Kind(parse_values)),
+    _Key("sweep", "architectures", "", _Kind(lambda raw, key: parse_names(raw))),
+)
+
+_SECTIONS = {section: {row.key: row for row in rows} for section, rows in groupby(_SCHEMA, attrgetter("section"))}
+
+
+# ---------------------------------------------------------------------------
+# Reading
+
+
+class ConfigFile:
+    """A config file read once, every key of every section parsed and checked.
+
+    ``complexity`` holds the [complexity] settings; ``sweep`` maps the
+    [sweep] keys to their values, or is None without that section.
     """
-    parser = _read_parser(path)
-    redimensioned = "every variant is re-dimensioned"
-    for section, keys, reason in (
-        (
-            "architecture",
-            ("mode", "gamma_offset_db"),
-            "the variants come from --architectures or [sweep] architectures",
-        ),
-        ("geometry", ("lambda1c",), redimensioned),
-        ("costs", ("a23_processing",), redimensioned),
-    ):
-        for key in keys:
-            if parser.has_option(section, key):
-                raise ConfigError(f"[{section}] {key} has no effect in a sweep: {reason}", key=key)
+
+    def __init__(self, values: dict, sampler_params: dict, has_sweep: bool):
+        self._scenario = {row: value for row, value in values.items() if row in _SCENARIO_KEYS}
+        self.complexity = ComplexitySettings(sampler_params=sampler_params)
+        for row, value in values.items():
+            if row.section == "complexity":
+                self.complexity = _replaced(self.complexity, row.names, value)
+        sweep = {row.key: value for row, value in values.items() if row.section == "sweep"}
+        self.sweep = sweep if has_sweep else None
+        if self.sweep is not None and not {"axis", "values"} <= self.sweep.keys():
+            raise ConfigError("sweep section needs both 'axis' and 'values'", key="sweep")
+
+    def scenario(self, architecture: Architecture | None = None) -> Scenario:
+        """The file's scenario over the :class:`Scenario` defaults, re-dimensioned.
+
+        ``architecture``, when given, replaces the file's architecture before
+        :func:`redimension`; an explicit key for an attribute it derives wins.
+        """
+        scenario = Scenario()
+        for row, value in self._scenario.items():
+            scenario = _replaced(scenario, row.names, value)
+        scenario = redimension(scenario, architecture or scenario.architecture, scenario.gamma_offset_db)
+        for row, value in self._scenario.items():
+            if row.role == "derived":
+                scenario = _replaced(scenario, row.names, value)
+        return scenario
+
+    def sweep_scenario(self) -> Scenario:
+        """The base scenario of a sweep; a key the sweep would replace is a :class:`ConfigError`."""
+        for row in self._scenario:
+            if row.role is not None:
+                reason = _SWEEP_REJECTS[row.role]
+                raise ConfigError(f"[{row.section}] {row.key} has no effect in a sweep: {reason}", key=row.key)
+        return self.scenario()
+
+
+def read_config(path=None, text: str | None = None) -> ConfigFile:
+    """Parse and check the config file at ``path`` (or the INI ``text``); neither means no config."""
+    parser = configparser.ConfigParser()
+    try:
+        if text is not None:
+            parser.read_string(text)
+        elif path is not None:
+            with open(path, "r", encoding="utf-8") as fh:
+                parser.read_file(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}")
+    except configparser.Error as exc:
+        raise ConfigError(f"config file failed to parse: {exc}")
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}]")
+    values, sampler_params = {}, {}
+    for name in parser.sections():
+        if name not in _SECTIONS:
+            raise ConfigError(f"unknown section [{name}]; known: {', '.join(_SECTIONS)}")
+        known = _SECTIONS[name]
+        for key, raw in parser[name].items():
+            if key in known:
+                values[known[key]] = known[key].kind.parse(raw, key)
+            elif name == "complexity" and key.startswith("sampler_"):
+                # make_snr_sampler checks sampler_<param> keys against the named sampler
+                sampler_params[key.removeprefix("sampler_")] = _NUMBER.parse(raw, key)
+            else:
+                raise ConfigError(f"unknown key in [{name}]; known: {', '.join(known)}", key=key)
+    return ConfigFile(values, sampler_params, parser.has_section("sweep"))
 
 
 def load_scenario(path=None, text: str | None = None, architecture: Architecture | None = None) -> Scenario:
-    """Resolve a Scenario from an INI file over :func:`default_scenario`.
+    """The scenario of a config file; see :meth:`ConfigFile.scenario`."""
+    return read_config(path, text).scenario(architecture)
 
-    Any key absent from the file takes the default scenario's value;
-    geometry and architecture keys that feed derived quantities (base-station
-    intensity, processing cost) are applied before derivation so the scenario
-    stays internally consistent, and explicit ``lambda1c`` and
-    ``a23_processing`` keys are applied after it. ``architecture``, when
-    given, takes the place of ``[architecture] mode``.
-    """
-    parser = _read_parser(path, text)
 
-    arch_section = parser["architecture"] if parser.has_section("architecture") else {}
-    mode_raw = arch_section.get("mode", "cloud_ran").strip().lower()
-    try:
-        mode = Architecture(mode_raw)
-    except ValueError:
-        raise ConfigError(f"unknown architecture {mode_raw!r}", key="mode") from None
-    if architecture is None:
-        architecture = mode
-    gamma = _getfloat(arch_section, "gamma_offset_db") if arch_section else None
-    if gamma is None:
-        gamma = 0.0
-    if gamma not in PROCESSING_PRESETS:
-        raise ConfigError(
-            f"gamma_offset_db must be one of {sorted(PROCESSING_PRESETS)}", key="gamma_offset_db"
-        )
+def load_complexity_settings(path=None, text: str | None = None) -> ComplexitySettings:
+    """The [complexity] settings of a config file, every other section checked too."""
+    return read_config(path, text).complexity
 
-    geometry = parser["geometry"] if parser.has_section("geometry") else {}
-    lambda_0 = _getfloat(geometry, "lambda0", lo=1e-12)
-    lambda_1m = _getfloat(geometry, "lambda1m", lo=0.0)
 
-    base = default_scenario(
-        architecture=architecture,
-        gamma_offset_db=gamma,
-        lambda_0=lambda_0 if lambda_0 is not None else 170.0,
-        lambda_1m=lambda_1m if lambda_1m is not None else 4.0,
-    )
-
-    updates: dict = {}
-    if geometry:
-        p = _getfloat(geometry, "p", lo=0.0, hi=1.0)
-        if p is not None:
-            updates["p_mw"] = p
-        for key, attr in (("lambda2_mw", "lambda_2_mw"), ("lambda2_of", "lambda_2_of"), ("lambda3", "lambda_3")):
-            value = _getfloat(geometry, key, lo=0.0)
-            if value is not None:
-                updates[attr] = value
-        sigma2 = _getfloat(geometry, "sigma2", lo=1e-12)
-        if sigma2 is not None:
-            updates["sigma"] = math.sqrt(sigma2)
-        lambda_1c = _getfloat(geometry, "lambda1c", lo=0.0)
-        if lambda_1c is not None:
-            updates["lambda_1c"] = lambda_1c
-
-    if parser.has_section("costs"):
-        costs = parser["costs"]
-        eq_updates = {}
-        for key, attr in _EQUIPMENT_KEYS.items():
-            value = _getfloat(costs, key, lo=0.0, hi=1.0 if key == "alpha" else None)
-            if value is not None:
-                eq_updates[attr] = value
-        equipment = replace(base.equipment, **eq_updates) if eq_updates else base.equipment
-
-        link_updates = {}
-        for field_name, (a_key, beta_key, b_key, theta_key) in _LINK_FIELDS.items():
-            current: LinkCost = getattr(base.links, field_name)
-            vals = {
-                "a": _getfloat(costs, a_key, lo=0.0),
-                "beta": _getfloat(costs, beta_key, lo=0.0),
-                "b": _getfloat(costs, b_key, lo=0.0),
-                "theta": _getfloat(costs, theta_key, lo=0.0),
-            }
-            present = {k: v for k, v in vals.items() if v is not None}
-            if present:
-                link_updates[field_name] = replace(current, **present)
-        processing = _getfloat(costs, "a23_processing", lo=0.0)
-        links = base.links
-        if link_updates or processing is not None:
-            if processing is not None:
-                link_updates["processing_base"] = processing
-            links = replace(base.links, **link_updates)
-        if eq_updates or link_updates:
-            updates["equipment"] = equipment
-            updates["links"] = links
-
-    if parser.has_section("simulation"):
-        sim = parser["simulation"]
-        if "user_bs_distance" in sim:
-            updates["user_bs_distance"] = sim["user_bs_distance"].strip()
-        if "c2_convention" in sim:
-            updates["c2_convention"] = sim["c2_convention"].strip()
-
-    try:
-        return replace(base, **updates) if updates else base
-    except CrancostError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+# ---------------------------------------------------------------------------
+# Writing
 
 
 def scenario_to_config(scenario: Scenario) -> str:
-    """Serialize a Scenario into the INI format accepted by load_scenario."""
-    parser = configparser.ConfigParser()
-    parser["architecture"] = {
-        "mode": scenario.architecture.value,
-        "gamma_offset_db": repr(scenario.gamma_offset_db),
-    }
-    parser["geometry"] = {
-        "lambda0": repr(scenario.lambda_0),
-        "lambda1c": repr(scenario.lambda_1c),
-        "lambda1m": repr(scenario.lambda_1m),
-        "sigma2": repr(scenario.sigma**2),
-        "p": repr(scenario.p_mw),
-        "lambda2_mw": repr(scenario.lambda_2_mw),
-        "lambda2_of": repr(scenario.lambda_2_of),
-        "lambda3": repr(scenario.lambda_3),
-    }
-    costs = {}
-    for key, attr in _EQUIPMENT_KEYS.items():
-        costs[key] = repr(getattr(scenario.equipment, attr))
-    for field_name, (a_key, beta_key, b_key, theta_key) in _LINK_FIELDS.items():
-        link: LinkCost = getattr(scenario.links, field_name)
-        costs[a_key] = repr(link.a)
-        costs[beta_key] = repr(link.beta)
-        costs[b_key] = repr(link.b)
-        costs[theta_key] = repr(link.theta)
-    costs["a23_processing"] = repr(scenario.links.processing_base)
-    parser["costs"] = costs
-    parser["simulation"] = {
-        "user_bs_distance": scenario.user_bs_distance,
-        "c2_convention": scenario.c2_convention,
-    }
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
+    """Serialize a Scenario into the INI format accepted by :func:`load_scenario`."""
+    lines = []
+    for section, rows in groupby(_SCENARIO_KEYS, attrgetter("section")):
+        lines.append(f"[{section}]")
+        lines += (f"{row.key} = {row.kind.show(reduce(getattr, row.names, scenario))}" for row in rows)
+        lines.append("")
+    return "\n".join(lines) + "\n"
 
 
 def save_scenario(scenario: Scenario, path) -> None:

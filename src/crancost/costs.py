@@ -22,6 +22,8 @@ from .spatial_stats import (
 )
 
 __all__ = [
+    "USER_BS_DISTANCES",
+    "C2_CONVENTIONS",
     "Architecture",
     "EquipmentCosts",
     "LinkCost",
@@ -34,6 +36,11 @@ __all__ = [
     "datacenter_cost",
     "total_cost",
 ]
+
+
+#: the accepted values of ``Scenario.user_bs_distance`` and ``Scenario.c2_convention``
+USER_BS_DISTANCES = ("contact", "palm")
+C2_CONVENTIONS = ("literal", "normalized")
 
 
 class Architecture(enum.Enum):
@@ -139,9 +146,9 @@ class Scenario:
             raise ParameterError("p_mw must lie in [0, 1]")
         if self.sigma <= 0:
             raise ParameterError("sigma must be > 0")
-        if self.user_bs_distance not in ("contact", "palm"):
+        if self.user_bs_distance not in USER_BS_DISTANCES:
             raise ParameterError("user_bs_distance must be 'contact' or 'palm'")
-        if self.c2_convention not in ("literal", "normalized"):
+        if self.c2_convention not in C2_CONVENTIONS:
             raise ParameterError("c2_convention must be 'literal' or 'normalized'")
 
     @property

@@ -115,10 +115,10 @@ def invert_for_bs_intensity(target: float, lambda_0: float) -> float:
     inverse is (target / C)^2; the round trip through
     :func:`spatial_avg_rate` is exact to floating precision.
     """
-    if target <= 0:
-        raise ParameterError(f"target spectral efficiency must be > 0, got {target}")
-    if lambda_0 <= 0:
-        raise ParameterError("user intensity must be > 0")
+    if not 0 < target < math.inf:
+        raise ParameterError(f"target spectral efficiency must be finite and > 0, got {target}")
+    if not 0 < lambda_0 < math.inf:
+        raise ParameterError(f"user intensity must be finite and > 0, got {lambda_0}")
     coeff = _rate_coefficient(lambda_0, PAPER_LTE_10MHZ)
     return (target / coeff) ** 2
 

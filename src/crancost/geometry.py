@@ -10,6 +10,7 @@ master seed through :func:`layer_rng`.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,8 @@ class Window:
     wrap: bool = True
 
     def __post_init__(self):
-        if not (self.width > 0 and self.height > 0):
-            raise ParameterError("window dimensions must be positive")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ParameterError(f"window dimensions must be finite and positive, got {self.width} x {self.height}")
 
     @property
     def area(self) -> float:

@@ -201,21 +201,23 @@ def _row_cells(row: SweepRow) -> dict[str, str]:
 
 
 def emit(result: SweepResult, format: str, path) -> None:
-    """Write the sweep table as CSV or JSON.
-
-    CSV columns are fixed; grouped cost columns are per km^2 (so they sum to
-    the total). JSON mirrors the rows and adds the metadata block. Output is
-    byte-identical across runs for the same inputs. Rows that failed evaluate
-    to "nan" cells in CSV and carry an "error" entry in JSON.
-    """
-    if format not in ("csv", "json"):
-        raise ParameterError(f"format must be 'csv' or 'json', got {format!r}")
+    """Write the table :func:`render` makes to ``path``."""
     text = render(result, format)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
 def render(result: SweepResult, format: str) -> str:
+    """The sweep table as CSV or JSON text.
+
+    CSV columns are fixed; grouped cost columns are per km^2 (so they sum to
+    the total). JSON mirrors the rows and adds the metadata block. Output is
+    byte-identical across runs for the same inputs. Rows that failed evaluate
+    to "nan" cells in CSV and carry an "error" entry in JSON. Any other
+    format is a :class:`ParameterError`.
+    """
+    if format not in ("csv", "json"):
+        raise ParameterError(f"format must be 'csv' or 'json', got {format!r}")
     if format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")

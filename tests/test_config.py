@@ -11,6 +11,7 @@ from crancost.config import (
     default_scenario,
     load_complexity_settings,
     load_scenario,
+    read_config,
     redimension,
     save_scenario,
     scenario_hash,
@@ -209,25 +210,17 @@ class TestComplexitySection:
 
 class TestSweepSection:
     def test_absent_returns_none(self):
-        from crancost.config import load_sweep_section
-
-        assert load_sweep_section(text="") is None
+        assert read_config(text="").sweep is None
 
     def test_parsed_fields(self):
-        from crancost.config import load_sweep_section
-
-        axis, values, archs = load_sweep_section(
+        sweep = read_config(
             text="[sweep]\naxis = lambda3\nvalues = 1 2 3\narchitectures = dran,cloud_ran@0db\n"
-        )
-        assert axis == "lambda3"
-        assert values == (1.0, 2.0, 3.0)
-        assert archs == ("dran", "cloud_ran@0db")
+        ).sweep
+        assert sweep == {"axis": "lambda3", "values": (1.0, 2.0, 3.0), "architectures": ("dran", "cloud_ran@0db")}
 
     def test_incomplete_section_rejected(self):
-        from crancost.config import load_sweep_section
-
         with pytest.raises(ConfigError):
-            load_sweep_section(text="[sweep]\naxis = lambda3\n")
+            read_config(text="[sweep]\naxis = lambda3\n")
 
 
 class TestRoundTrip:
@@ -250,6 +243,19 @@ class TestRoundTrip:
         c = scenario_hash(default_scenario(gamma_offset_db=0.4))
         assert a == b
         assert a != c
+
+    @pytest.mark.parametrize(
+        "variant,digest",
+        [
+            ("dran", "42eca70ce8ada543"),
+            ("cloud_ran@0db", "521c1b1557638c5c"),
+            ("cloud_ran@0.4db", "8b6353a7b2fcd6a8"),
+            ("cloud_ran@0.9db", "b9ccd0fd68e6e64a"),
+        ],
+    )
+    def test_default_variant_hashes_are_pinned(self, variant, digest):
+        # the digest covers every written key, its order and its text
+        assert scenario_hash(default_scenario(*ARCHITECTURE_VARIANTS[variant])) == digest
 
     def test_config_text_is_sectioned(self):
         text = scenario_to_config(default_scenario())

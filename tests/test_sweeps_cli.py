@@ -1,5 +1,6 @@
 """Tests for sweeps, table emission and the command-line interface."""
 
+import configparser
 import csv
 import json
 import math
@@ -153,7 +154,78 @@ class TestEmit:
         assert "error" in json.loads(render(result, "json"))["rows"][0]
 
 
+    def test_render_rejects_unknown_format(self, tmp_path):
+        spec = SweepSpec(axis="lambda3", values=(3.0,), architectures=("dran",))
+        result = run_sweep(spec, default_scenario())
+        with pytest.raises(ParameterError, match="xml"):
+            render(result, "xml")
+        with pytest.raises(ParameterError, match="xml"):
+            emit(result, "xml", tmp_path / "table.xml")
+        assert not (tmp_path / "table.xml").exists()
+
+
+#: a quick run of each command that takes --config, given a config of only [geometry] lambda3
+CONFIG_COMMANDS = {
+    "evaluate": ["evaluate"],
+    "simulate": ["simulate", "--window", "2", "--reps", "2"],
+    "compare": ["compare", "--window", "2", "--reps", "2"],
+    "sweep": ["sweep", "--axis", "alpha", "--values", "0", "--architectures", "dran"],
+    "complexity": ["complexity", "--pool-sizes", "1", "--offsets", "0", "--n-mc", "64"],
+}
+
+
 class TestCli:
+    @pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+    def test_every_command_parses_its_config_once(self, tmp_path, monkeypatch, command):
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text("[geometry]\nlambda3 = 2\n")
+        parses = []
+        for method in ("read_file", "read_string"):
+            original = getattr(configparser.ConfigParser, method)
+
+            def counted(self, *args, _original=original, **kwargs):
+                parses.append(args)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(configparser.ConfigParser, method, counted)
+        argv = [*CONFIG_COMMANDS[command], "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert len(parses) == 1
+
+    @pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("[sweep]\nvalues = abc\n", "values"),
+            ("[complexity]\nzeta = 1\n", "zeta"),
+            ("[simulation]\nuser_bs_distance = bogus\n", "user_bs_distance"),
+        ],
+    )
+    def test_a_bad_value_in_any_section_fails_every_command(self, tmp_path, capsys, command, text, key):
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text(text)
+        argv = [*CONFIG_COMMANDS[command], "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "config"
+        assert f"'{key}'" in error["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--lambda0", "--target"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_dimension_rejects_non_finite_inputs(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "dim.json"
+        assert main(["dimension", flag, value, "--out", str(out)]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "parameter"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("width", ["inf", "nan"])
+    def test_window_must_be_finite(self, tmp_path, capsys, command, width):
+        assert main([command, "--window", width, "--reps", "2", "--out", str(tmp_path / "x.json")]) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "parameter" and "window" in error["message"]
+
     def test_evaluate_json(self, tmp_path, capsys):
         out = tmp_path / "eval.json"
         code = main(["evaluate", "--out", str(out)])
@@ -468,6 +540,16 @@ class TestCli:
         assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert (payload["architecture"], payload["gamma_offset_db"]) == ("cloud_ran", 0.4)
+
+    def test_readme_example_dump_config_is_a_fixed_point(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        cfg = tmp_path / "readme.ini"
+        cfg.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+        first, second = tmp_path / "first.ini", tmp_path / "second.ini"
+        for source, dumped in ((cfg, first), (first, second)):
+            argv = ["evaluate", "--config", str(source), "--dump-config", str(dumped)]
+            assert main([*argv, "--out", str(tmp_path / "e.json")]) == 0
+        assert first.read_bytes() == second.read_bytes()
 
     def test_io_error_exit_code(self, tmp_path):
         code = main(["evaluate", "--out", str(tmp_path / "missing_dir" / "x.json")])
