@@ -29,7 +29,6 @@ from .costs import (
     datacenter_cost,
     equipment_cost_backhaul,
     equipment_cost_bs,
-    total_cost,
 )
 from .dimensioning import (
     RadioParams,
@@ -37,12 +36,9 @@ from .dimensioning import (
     spatial_avg_rate,
 )
 from .geometry import (
-    AssignmentMap,
     BackhaulDraw,
     BackhaulTech,
-    Layer,
     MarkedBaseStationSet,
-    PointSet,
     Window,
     nearest_assign,
     sample_backhaul,

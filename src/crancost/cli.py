@@ -14,7 +14,7 @@ every section whatever the command reads of it; evaluate's
 ``--architecture`` takes the place of the config's before re-dimensioning.
 The commands with ``--threads`` (sweep, simulate, compare) check the worker
 count (``--threads``, else ``CRANCOST_THREADS``) before they do anything
-else.
+else; those with ``--seed`` reject a negative seed as a config error.
 """
 
 from __future__ import annotations
@@ -64,6 +64,13 @@ def _threads(args) -> int:
     if threads < 1:
         raise ConfigError(f"thread count must be an integer >= 1, got {raw!r}", key="threads")
     return threads
+
+
+def _seed(args) -> int:
+    """--seed, which must be >= 0 to seed numpy's SeedSequence."""
+    if args.seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {args.seed}", key="seed")
+    return args.seed
 
 
 _SHARED_OPTIONS = {
@@ -139,8 +146,8 @@ def cmd_sweep(args) -> int:
     threads = _threads(args)
     config = read_config(args.config)
     scenario = config.sweep_scenario()
-    # [sweep] stands in when --axis or --values is absent; a flag given wins over its key
-    section = (config.sweep or {}) if args.axis is None or args.values is None else {}
+    # each flag given wins over its own [sweep] key
+    section = config.sweep or {}
     axis = args.axis or section.get("axis")
     values = section.get("values") if args.values is None else parse_values(args.values, "values")
     architectures = section.get("architectures") if args.architectures is None else parse_names(args.architectures)
@@ -158,16 +165,17 @@ def _provenance(args) -> dict:
 
 def cmd_simulate(args) -> int:
     threads = _threads(args)
+    seed = _seed(args)
     scenario = _load(args)
     window = Window(args.window, args.window, wrap=not args.no_wrap)
     if args.dump_realization is not None:
-        real = simulate_realization(scenario, window, args.seed)
+        real = simulate_realization(scenario, window, seed)
         with open(args.dump_realization, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["layer", "x", "y", "parent_index", "subtree_count"])
             for row in realization_rows(real):
                 writer.writerow([row[0], f"{row[1]:.6g}", f"{row[2]:.6g}", row[3], row[4]])
-    est = estimate_mean_dc_cost(scenario, window, args.reps, args.seed, threads=threads)
+    est = estimate_mean_dc_cost(scenario, window, args.reps, seed, threads=threads)
     payload = {
         "scenario_hash": scenario_hash(scenario),
         "window_km": [window.width, window.height],
@@ -185,9 +193,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     threads = _threads(args)
+    seed = _seed(args)
     scenario = _load(args)
     window = Window(args.window, args.window, wrap=not args.no_wrap)
-    report = compare_to_closed_form(scenario, window, args.reps, args.seed, threads=threads)
+    report = compare_to_closed_form(scenario, window, args.reps, seed, threads=threads)
     payload = {
         "scenario_hash": scenario_hash(scenario),
         "passed": report.passed,
@@ -211,6 +220,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_complexity(args) -> int:
+    seed = _seed(args)
     settings = read_config(args.config).complexity
     pool_sizes = parse_values(args.pool_sizes, "pool-sizes")
     if not all(n >= 1 and n == int(n) for n in pool_sizes):
@@ -225,10 +235,8 @@ def cmd_complexity(args) -> int:
         params = replace(settings.decoder, gamma_offset_db=gamma)
         mcs = snr_thresholds(default_mcs_rates(), params)
         for n in map(int, pool_sizes):
-            pooled = outage_demand(n, eps_comp, sampler, mcs, params, n_mc=n_mc, seed=args.seed)
-            standalone = dran_equivalent_demand(
-                n, eps_comp, sampler, mcs, params, n_mc=n_mc, seed=args.seed
-            )
+            pooled = outage_demand(n, eps_comp, sampler, mcs, params, n_mc=n_mc, seed=seed)
+            standalone = dran_equivalent_demand(n, eps_comp, sampler, mcs, params, n_mc=n_mc, seed=seed)
             rows.append(
                 {
                     "gamma_offset_db": gamma,

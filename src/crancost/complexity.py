@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SamplerDomainError
-from .geometry import as_generator
 
 __all__ = [
     "DecoderParams",
@@ -343,7 +342,7 @@ def outage_demand(
         raise ParameterError("eps_comp must lie in (0, 1)")
     if n_mc < 1:
         raise ParameterError("n_mc must be >= 1")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     draws = _truncated_draws(sampler, rng, n_mc * n_cloud, float(mcs.gamma_admission[0]))
     work = _complexity_vector(draws, mcs, params).reshape(n_mc, n_cloud)
     sums = work.sum(axis=1)
@@ -452,15 +451,13 @@ class ProcessingCostPreset:
 
     slope: float  # servers per base station
     intercept: float  # servers
-    lambda_1: float  # matching base-station intensity, per km^2
 
 
-#: Pooled (centralized) processing fits per link-adaptation offset, together
-#: with the base-station intensity each offset requires.
+#: Pooled (centralized) processing fits per link-adaptation offset.
 PROCESSING_PRESETS: dict[float, ProcessingCostPreset] = {
-    0.0: ProcessingCostPreset(slope=0.111, intercept=0.0051, lambda_1=50.0),
-    0.4: ProcessingCostPreset(slope=0.096, intercept=0.0036, lambda_1=51.2),
-    0.9: ProcessingCostPreset(slope=0.083, intercept=0.0027, lambda_1=52.8),
+    0.0: ProcessingCostPreset(slope=0.111, intercept=0.0051),
+    0.4: ProcessingCostPreset(slope=0.096, intercept=0.0036),
+    0.9: ProcessingCostPreset(slope=0.083, intercept=0.0027),
 }
 
 #: Standalone (distributed) provisioning has no pooling gain: each station is
@@ -475,4 +472,4 @@ DRAN_POOLING_FACTOR = 1.5
 def dran_processing_preset(gamma_offset_db: float = 0.0) -> ProcessingCostPreset:
     """Distributed-provisioning fit derived from the pooled preset."""
     base = PROCESSING_PRESETS[gamma_offset_db]
-    return ProcessingCostPreset(slope=DRAN_POOLING_FACTOR * base.slope, intercept=0.0, lambda_1=base.lambda_1)
+    return ProcessingCostPreset(slope=DRAN_POOLING_FACTOR * base.slope, intercept=0.0)

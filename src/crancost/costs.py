@@ -34,7 +34,6 @@ __all__ = [
     "equipment_cost_bs",
     "equipment_cost_backhaul",
     "datacenter_cost",
-    "total_cost",
 ]
 
 
@@ -364,12 +363,3 @@ def datacenter_cost(scenario: Scenario, quad: QuadratureSettings = DEFAULT_QUAD)
         c_phi3=c_phi3,
         total_per_km2=s.lambda_3 * (s.c_dc_effective + c_phi3),
     )
-
-
-def total_cost(scenario: Scenario, quad: QuadratureSettings = DEFAULT_QUAD) -> CostBreakdown:
-    """Network deployment cost per km^2: lambda_3 * (c_dc + c_phi3).
-
-    Identical breakdown to :func:`datacenter_cost`; distributed deployments
-    contribute no data-center equipment (c_dc = 0).
-    """
-    return datacenter_cost(scenario, quad)

@@ -2,7 +2,9 @@
 
 The observation window is a rectangle, toroidal by default so that empirical
 means taken over the window match the stationary closed forms without edge
-corrections. All sampling operations are pure functions of their parameters
+corrections. Every point layer is an ``(n, 2)`` float array of coordinates in
+km, and an assignment is the index array of each lower point's nearest upper
+point. All sampling operations are pure functions of their parameters
 and a seed; sub-streams for layers and replications are derived from one
 master seed through :func:`layer_rng`.
 """
@@ -19,28 +21,17 @@ from scipy.spatial import cKDTree
 from .errors import AssignmentError, ParameterError
 
 __all__ = [
-    "Layer",
     "BackhaulTech",
     "Window",
-    "PointSet",
     "MarkedBaseStationSet",
     "BackhaulDraw",
-    "AssignmentMap",
     "layer_rng",
-    "as_generator",
     "sample_ppp",
     "sample_backhaul",
     "sample_cluster_bs",
     "nearest_assign",
     "assignment_distances",
 ]
-
-
-class Layer(enum.Enum):
-    USERS = "users"
-    BASE_STATIONS = "base_stations"
-    BACKHAUL = "backhaul"
-    DATA_CENTERS = "data_centers"
 
 
 class BackhaulTech(enum.Enum):
@@ -97,77 +88,27 @@ class Window:
 
 
 @dataclass
-class PointSet:
-    """Planar point pattern tagged with the network layer it represents."""
+class MarkedBaseStationSet:
+    """Base-station layer: macro cluster centers plus Gaussian-scattered micros.
 
-    points: np.ndarray  # shape (n, 2), km
-    layer: Layer
+    ``points`` lists the ``n_macros`` macros first, then the micros;
+    ``parent_of[i]`` is the macro index that spawned micro ``i``.
+    """
 
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float).reshape(-1, 2)
+    points: np.ndarray  # (n_macros + n_micros, 2), km
+    n_macros: int
+    parent_of: np.ndarray  # (n_micros,) int
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
 
 @dataclass
-class MarkedBaseStationSet:
-    """Base-station layer: macro cluster centers plus Gaussian-scattered micros.
-
-    ``parent_of[i]`` is the macro index that spawned micro ``i``. The combined
-    pattern (:meth:`all_points`) lists macros first, then micros.
-    """
-
-    macros: PointSet
-    micros: PointSet
-    parent_of: np.ndarray  # (n_micros,) int
-
-    @property
-    def n_macros(self) -> int:
-        return len(self.macros)
-
-    @property
-    def n_micros(self) -> int:
-        return len(self.micros)
-
-    def all_points(self) -> np.ndarray:
-        if self.n_micros == 0:
-            return self.macros.points
-        return np.vstack([self.macros.points, self.micros.points])
-
-    def __len__(self) -> int:
-        return self.n_macros + self.n_micros
-
-
-@dataclass
 class BackhaulDraw:
     """One realization of the mixed-Poisson backhaul layer."""
 
-    nodes: PointSet
+    nodes: np.ndarray  # (n, 2), km
     realized: BackhaulTech
-
-
-@dataclass
-class AssignmentMap:
-    """Nearest-upper-point assignment for every lower point."""
-
-    lower_to_upper: np.ndarray  # (n_lower,) int
-
-    def __len__(self) -> int:
-        return self.lower_to_upper.shape[0]
-
-    def counts(self, n_upper: int, weights: np.ndarray | None = None) -> np.ndarray:
-        """Per-upper-point totals of assigned lower points (optionally weighted)."""
-        return np.bincount(self.lower_to_upper, weights=weights, minlength=n_upper)
-
-
-def as_generator(seed) -> np.random.Generator:
-    """Normalize an int / SeedSequence / Generator into a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.PCG64(seed))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
 def layer_rng(master_seed: int, replication: int, layer: int) -> np.random.Generator:
@@ -178,21 +119,19 @@ def layer_rng(master_seed: int, replication: int, layer: int) -> np.random.Gener
     independent of each other, while the whole simulation is reproducible from
     the single master seed.
     """
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(replication, layer))
-    return np.random.Generator(np.random.PCG64(ss))
+    return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(replication, layer)))
 
 
-def sample_ppp(intensity: float, window: Window, seed, layer: Layer = Layer.USERS) -> PointSet:
-    """Sample a homogeneous Poisson point process in the window.
+def sample_ppp(intensity: float, window: Window, seed) -> np.ndarray:
+    """Sample a homogeneous Poisson point process in the window as an (n, 2) array.
 
     The count is Poisson(intensity * area) and positions are i.i.d. uniform.
     """
     if intensity < 0:
         raise ParameterError(f"intensity must be >= 0, got {intensity}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     n = rng.poisson(intensity * window.area)
-    pts = rng.uniform(0.0, window.spans, size=(n, 2))
-    return PointSet(pts, layer)
+    return rng.uniform(0.0, window.spans, size=(n, 2))
 
 
 def sample_backhaul(p: float, lambda_mw: float, lambda_of: float, window: Window, seed) -> BackhaulDraw:
@@ -206,10 +145,9 @@ def sample_backhaul(p: float, lambda_mw: float, lambda_of: float, window: Window
         raise ParameterError(f"p must lie in [0, 1], got {p}")
     if lambda_mw < 0 or lambda_of < 0:
         raise ParameterError("backhaul intensities must be >= 0")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     is_mw = rng.random() < p
-    intensity = lambda_mw if is_mw else lambda_of
-    nodes = sample_ppp(intensity, window, rng, layer=Layer.BACKHAUL)
+    nodes = sample_ppp(lambda_mw if is_mw else lambda_of, window, rng)
     return BackhaulDraw(nodes, BackhaulTech.MW if is_mw else BackhaulTech.OF)
 
 
@@ -232,28 +170,22 @@ def sample_cluster_bs(
         raise ParameterError("cluster intensities must be >= 0")
     if sigma <= 0:
         raise ParameterError(f"kernel standard deviation must be > 0, got {sigma}")
-    rng = as_generator(seed)
-    macros = sample_ppp(lambda_1c, window, rng, layer=Layer.BASE_STATIONS)
+    rng = np.random.default_rng(seed)
+    macros = sample_ppp(lambda_1c, window, rng)
     n_mac = len(macros)
     if n_mac == 0 or lambda_1m == 0:
-        return MarkedBaseStationSet(
-            macros,
-            PointSet(np.empty((0, 2)), Layer.BASE_STATIONS),
-            np.empty(0, dtype=int),
-        )
+        return MarkedBaseStationSet(macros, n_mac, np.empty(0, dtype=int))
     offspring_counts = rng.poisson(lambda_1m, size=n_mac)
     parents = np.repeat(np.arange(n_mac), offspring_counts)
     displacements = rng.normal(0.0, sigma, size=(parents.shape[0], 2))
-    micro_pts = macros.points[parents] + displacements
+    micros = macros[parents] + displacements
     if window.wrap:
-        micro_pts = window.wrap_points(micro_pts)
+        micros = window.wrap_points(micros)
     else:
-        keep = window.contains(micro_pts)
-        micro_pts = micro_pts[keep]
+        keep = window.contains(micros)
+        micros = micros[keep]
         parents = parents[keep]
-    return MarkedBaseStationSet(
-        macros, PointSet(micro_pts, Layer.BASE_STATIONS), parents.astype(int)
-    )
+    return MarkedBaseStationSet(np.vstack([macros, micros]), n_mac, parents.astype(int))
 
 
 def _kdtree(points: np.ndarray, window: Window) -> cKDTree:
@@ -262,28 +194,19 @@ def _kdtree(points: np.ndarray, window: Window) -> cKDTree:
     return cKDTree(points)
 
 
-def nearest_assign(lower: PointSet | np.ndarray, upper: PointSet | np.ndarray, window: Window) -> AssignmentMap:
-    """Map every lower point to its nearest upper point under the window metric.
+def nearest_assign(lower: np.ndarray, upper: np.ndarray, window: Window) -> np.ndarray:
+    """Index of the nearest upper point for every lower point, under the window metric.
 
     One k=1 KD-tree query. An exact tie goes to whichever equidistant upper
     point the tree returns, which is deterministic for given inputs; the
     samplers are continuous, so ties have probability zero.
     """
-    lower_pts = lower.points if isinstance(lower, PointSet) else np.asarray(lower, dtype=float)
-    upper_pts = upper.points if isinstance(upper, PointSet) else np.asarray(upper, dtype=float)
-    if upper_pts.shape[0] == 0:
+    if len(upper) == 0:
         raise AssignmentError("cannot assign against an empty upper layer")
-    _, idx = _kdtree(upper_pts, window).query(lower_pts, k=1)
-    return AssignmentMap(idx)
+    _, idx = _kdtree(upper, window).query(lower, k=1)
+    return idx
 
 
-def assignment_distances(
-    lower: PointSet | np.ndarray,
-    upper: PointSet | np.ndarray,
-    assignment: AssignmentMap,
-    window: Window,
-) -> np.ndarray:
+def assignment_distances(lower: np.ndarray, upper: np.ndarray, assignment: np.ndarray, window: Window) -> np.ndarray:
     """Window-metric distance from each lower point to its assigned upper point."""
-    lower_pts = lower.points if isinstance(lower, PointSet) else np.asarray(lower, dtype=float)
-    upper_pts = upper.points if isinstance(upper, PointSet) else np.asarray(upper, dtype=float)
-    return window.distance(lower_pts, upper_pts[assignment.lower_to_upper])
+    return window.distance(lower, upper[assignment])

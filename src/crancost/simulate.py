@@ -17,12 +17,9 @@ import numpy as np
 from .costs import COST_TERMS, CostBreakdown, Scenario, datacenter_cost
 from .errors import AssignmentError, EstimationError, ParameterError
 from .geometry import (
-    AssignmentMap,
     BackhaulDraw,
     BackhaulTech,
-    Layer,
     MarkedBaseStationSet,
-    PointSet,
     Window,
     assignment_distances,
     layer_rng,
@@ -52,24 +49,24 @@ Z_THRESHOLD = 3.0
 
 @dataclass
 class DeploymentRealization:
-    """One sampled deployment with assignments, subtree counts and its cost."""
+    """One sampled deployment with assignments, subtree counts and its cost.
 
-    users: PointSet
+    ``user_to_bs[i]`` is the index of user ``i``'s base station in
+    ``base_stations.points``, and likewise one layer up.
+    """
+
+    users: np.ndarray
     base_stations: MarkedBaseStationSet
     backhaul: BackhaulDraw
-    data_centers: PointSet
-    user_to_bs: AssignmentMap
-    bs_to_backhaul: AssignmentMap
-    backhaul_to_dc: AssignmentMap
+    data_centers: np.ndarray
+    user_to_bs: np.ndarray
+    bs_to_backhaul: np.ndarray
+    backhaul_to_dc: np.ndarray
     users_per_bs: np.ndarray
     users_per_backhaul: np.ndarray
     users_per_dc: np.ndarray
     term_totals: dict[str, float]
     n_dc: int
-
-    @property
-    def total_cost(self) -> float:
-        return math.fsum(self.term_totals.values())
 
 
 @dataclass
@@ -96,22 +93,22 @@ def simulate_realization(
 ) -> DeploymentRealization:
     """Sample one four-layer deployment and price it link by link."""
     s = scenario
-    users = sample_ppp(s.lambda_0, window, layer_rng(seed, replication, _USERS), Layer.USERS)
+    users = sample_ppp(s.lambda_0, window, layer_rng(seed, replication, _USERS))
     stations = sample_cluster_bs(s.lambda_1c, s.lambda_1m, s.sigma, window, layer_rng(seed, replication, _BS))
     backhaul = sample_backhaul(
         s.p_mw, s.lambda_2_mw, s.lambda_2_of, window, layer_rng(seed, replication, _BACKHAUL)
     )
-    centers = sample_ppp(s.lambda_3, window, layer_rng(seed, replication, _DC), Layer.DATA_CENTERS)
+    centers = sample_ppp(s.lambda_3, window, layer_rng(seed, replication, _DC))
     return price_layers(scenario, window, users, stations, backhaul, centers)
 
 
 def price_layers(
     scenario: Scenario,
     window: Window,
-    users: PointSet,
+    users: np.ndarray,
     stations: MarkedBaseStationSet,
     backhaul: BackhaulDraw,
-    centers: PointSet,
+    centers: np.ndarray,
 ) -> DeploymentRealization:
     """Assign the layers by nearest neighbor and price every device and link.
 
@@ -125,30 +122,29 @@ def price_layers(
     """
     s = scenario
     n_dc = len(centers)
-    n_backhaul = len(backhaul.nodes)
-    bs_points = stations.all_points()
-    n_bs = bs_points.shape[0]
+    bs_points, backhaul_points = stations.points, backhaul.nodes
+    n_bs, n_backhaul = len(bs_points), len(backhaul_points)
     if n_dc == 0 or n_backhaul == 0 or n_bs == 0:
         raise AssignmentError(
             f"under-provisioned realization: {n_bs} base stations, "
             f"{n_backhaul} backhaul nodes, {n_dc} data centers"
         )
 
-    user_to_bs = nearest_assign(users.points, bs_points, window)
-    bs_to_backhaul = nearest_assign(bs_points, backhaul.nodes.points, window)
-    backhaul_to_dc = nearest_assign(backhaul.nodes.points, centers.points, window)
+    user_to_bs = nearest_assign(users, bs_points, window)
+    bs_to_backhaul = nearest_assign(bs_points, backhaul_points, window)
+    backhaul_to_dc = nearest_assign(backhaul_points, centers, window)
 
-    users_per_bs = user_to_bs.counts(n_bs)
-    users_per_backhaul = bs_to_backhaul.counts(n_backhaul, weights=users_per_bs)
-    users_per_dc = backhaul_to_dc.counts(n_dc, weights=users_per_backhaul)
+    users_per_bs = np.bincount(user_to_bs, minlength=n_bs)
+    users_per_backhaul = np.bincount(bs_to_backhaul, weights=users_per_bs, minlength=n_backhaul)
+    users_per_dc = np.bincount(backhaul_to_dc, weights=users_per_backhaul, minlength=n_dc)
 
     tech = backhaul.realized
     link_bs_bh = s.links.bs_backhaul_mw if tech is BackhaulTech.MW else s.links.bs_backhaul_of
     link_bh_dc = s.links.backhaul_dc_mw if tech is BackhaulTech.MW else s.links.backhaul_dc_of
 
-    d_bh_dc = assignment_distances(backhaul.nodes.points, centers.points, backhaul_to_dc, window)
-    d_bs_bh = assignment_distances(bs_points, backhaul.nodes.points, bs_to_backhaul, window)
-    d_user = assignment_distances(users.points, bs_points, user_to_bs, window)
+    d_bh_dc = assignment_distances(backhaul_points, centers, backhaul_to_dc, window)
+    d_bs_bh = assignment_distances(bs_points, backhaul_points, bs_to_backhaul, window)
+    d_user = assignment_distances(users, bs_points, user_to_bs, window)
 
     terms = {
         "equipment_backhaul": n_backhaul * s.c2,
@@ -328,17 +324,12 @@ def realization_rows(real: DeploymentRealization) -> list[tuple]:
     centers a parent of -1.
     """
     rows = []
-    bs_pts = real.base_stations.all_points()
-    for i, (x, y) in enumerate(real.users.points):
-        rows.append(("users", x, y, int(real.user_to_bs.lower_to_upper[i]), 1))
-    for i, (x, y) in enumerate(bs_pts):
-        rows.append(
-            ("base_stations", x, y, int(real.bs_to_backhaul.lower_to_upper[i]), int(real.users_per_bs[i]))
-        )
-    for i, (x, y) in enumerate(real.backhaul.nodes.points):
-        rows.append(
-            ("backhaul", x, y, int(real.backhaul_to_dc.lower_to_upper[i]), int(real.users_per_backhaul[i]))
-        )
-    for i, (x, y) in enumerate(real.data_centers.points):
+    for i, (x, y) in enumerate(real.users):
+        rows.append(("users", x, y, int(real.user_to_bs[i]), 1))
+    for i, (x, y) in enumerate(real.base_stations.points):
+        rows.append(("base_stations", x, y, int(real.bs_to_backhaul[i]), int(real.users_per_bs[i])))
+    for i, (x, y) in enumerate(real.backhaul.nodes):
+        rows.append(("backhaul", x, y, int(real.backhaul_to_dc[i]), int(real.users_per_backhaul[i])))
+    for i, (x, y) in enumerate(real.data_centers):
         rows.append(("data_centers", x, y, -1, int(real.users_per_dc[i])))
     return rows

@@ -23,7 +23,7 @@ from crancost.complexity import (
     snr_thresholds,
 )
 from crancost.config import default_scenario
-from crancost.costs import Architecture, datacenter_cost, total_cost
+from crancost.costs import Architecture, datacenter_cost
 from crancost.dimensioning import (
     invert_for_bs_intensity,
     large_x_asymptotic_rate,
@@ -109,10 +109,10 @@ def test_criterion_06_headline_savings_band():
     t0 = time.time()
     grid = [1.0 + 0.25 * k for k in range(9)]  # 1.0 .. 3.0
     cloud_by_lam3 = {
-        v: total_cost(replace(default_scenario(), lambda_3=v)).total_per_km2 for v in grid
+        v: datacenter_cost(replace(default_scenario(), lambda_3=v)).total_per_km2 for v in grid
     }
     lam3_star = min(cloud_by_lam3, key=cloud_by_lam3.get)
-    dran = total_cost(replace(default_scenario(architecture=Architecture.DRAN), lambda_3=lam3_star))
+    dran = datacenter_cost(replace(default_scenario(architecture=Architecture.DRAN), lambda_3=lam3_star))
     savings = 1.0 - cloud_by_lam3[lam3_star] / dran.total_per_km2
     assert 0.05 <= savings <= 0.20
     _report(
@@ -130,34 +130,34 @@ def test_criterion_07_figure_shape_properties():
 
     # (a) interior minimum of the centralized curve over lambda_3
     lam3_grid = [0.5 * k for k in range(1, 13)]
-    cloud_curve = [total_cost(replace(base_cloud, lambda_3=v)).total_per_km2 for v in lam3_grid]
+    cloud_curve = [datacenter_cost(replace(base_cloud, lambda_3=v)).total_per_km2 for v in lam3_grid]
     arg = cloud_curve.index(min(cloud_curve))
     assert 0 < arg < len(lam3_grid) - 1
-    dran_curve = [total_cost(replace(base_dran, lambda_3=v)).total_per_km2 for v in lam3_grid]
+    dran_curve = [datacenter_cost(replace(base_dran, lambda_3=v)).total_per_km2 for v in lam3_grid]
     assert all(c < d for v, c, d in zip(lam3_grid, cloud_curve, dran_curve) if 1.0 <= v <= 3.0)
 
     # (b) nondecreasing in the station-price scale, cheaper at alpha = 0.5
     alphas = [0.0, 0.25, 0.5, 0.75, 1.0]
     alpha_curve = [
-        total_cost(replace(base_cloud, equipment=replace(base_cloud.equipment, alpha=a))).total_per_km2
+        datacenter_cost(replace(base_cloud, equipment=replace(base_cloud.equipment, alpha=a))).total_per_km2
         for a in alphas
     ]
     assert all(b >= a - 1e-9 for a, b in zip(alpha_curve, alpha_curve[1:]))
-    assert alpha_curve[2] < total_cost(base_dran).total_per_km2
+    assert alpha_curve[2] < datacenter_cost(base_dran).total_per_km2
 
     # (c) relative savings do not decrease with user intensity
     from crancost.sweeps import scenario_for_point
 
     savings = []
     for lam0 in (100.0, 170.0, 300.0):
-        c = total_cost(scenario_for_point(base_cloud, "cloud_ran@0db", "lambda0", lam0)).total_per_km2
-        d = total_cost(scenario_for_point(base_cloud, "dran", "lambda0", lam0)).total_per_km2
+        c = datacenter_cost(scenario_for_point(base_cloud, "cloud_ran@0db", "lambda0", lam0)).total_per_km2
+        d = datacenter_cost(scenario_for_point(base_cloud, "dran", "lambda0", lam0)).total_per_km2
         savings.append(1.0 - c / d)
     assert all(b >= a - 1e-12 for a, b in zip(savings, savings[1:]))
 
     # (d) a technology mix undercuts either pure deployment
     for base in (base_cloud, base_dran):
-        by_p = {p: total_cost(replace(base, p_mw=p)).total_per_km2 for p in (0.0, 0.5, 1.0)}
+        by_p = {p: datacenter_cost(replace(base, p_mw=p)).total_per_km2 for p in (0.0, 0.5, 1.0)}
         assert by_p[0.5] <= by_p[0.0] and by_p[0.5] <= by_p[1.0]
 
     _report(
@@ -214,7 +214,7 @@ def _empirical_nn_ks(params: ClusterParams, side: float, n_rep: int, seed: int) 
     samples = []
     for i in range(n_rep):
         bs = sample_cluster_bs(params.lambda_1c, params.lambda_1m, params.sigma, w, layer_rng(seed, i, 1))
-        pts = bs.all_points()
+        pts = bs.points
         if len(pts) < 2:
             continue
         tree = cKDTree(pts, boxsize=w.spans)

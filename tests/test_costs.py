@@ -17,7 +17,6 @@ from crancost.costs import (
     datacenter_cost,
     equipment_cost_backhaul,
     equipment_cost_bs,
-    total_cost,
 )
 from crancost.errors import ParameterError
 
@@ -82,7 +81,7 @@ class TestDatacenterCost:
             equipment=replace(ZERO_EQUIPMENT, c_dc=40000.0),
             links=ZERO_LINKS,
         )
-        b = total_cost(scen)
+        b = datacenter_cost(scen)
         assert b.c_phi3 == 0.0
         assert b.total_per_km2 == pytest.approx(120000.0)
 
@@ -132,7 +131,7 @@ class TestDatacenterCost:
 
     def test_dran_forces_zero_datacenter_equipment(self):
         scen = Scenario(architecture=Architecture.DRAN)
-        b = total_cost(scen)
+        b = datacenter_cost(scen)
         assert scen.c_dc_effective == 0.0
         assert b.total_per_km2 == pytest.approx(scen.lambda_3 * b.c_phi3, rel=1e-12)
 
@@ -144,7 +143,7 @@ class TestDatacenterCost:
 
     def test_degree_one_homogeneity_in_currency_inputs(self):
         scen = Scenario(links=replace(LinkCostParams(), processing_base=653.54))
-        base = total_cost(scen).total_per_km2
+        base = datacenter_cost(scen).total_per_km2
         k = 2.0
         scaled = replace(
             scen,
@@ -173,11 +172,11 @@ class TestDatacenterCost:
                 processing_base=k * scen.links.processing_base,
             ),
         )
-        assert total_cost(scaled).total_per_km2 == pytest.approx(k * base, rel=1e-9)
+        assert datacenter_cost(scaled).total_per_km2 == pytest.approx(k * base, rel=1e-9)
 
     def test_nondecreasing_in_every_currency_input_and_alpha(self):
         scen = Scenario(links=replace(LinkCostParams(), processing_base=653.54))
-        base = total_cost(scen).total_per_km2
+        base = datacenter_cost(scen).total_per_km2
 
         bumps = []
         for attr in ("c_macro", "c_micro", "c_mw", "c_of", "c_dc", "alpha"):
@@ -204,15 +203,15 @@ class TestDatacenterCost:
             replace(scen, links=replace(scen.links, processing_base=scen.links.processing_base * 1.1))
         )
         for bumped_scen in bumps:
-            assert total_cost(bumped_scen).total_per_km2 >= base - 1e-9
+            assert datacenter_cost(bumped_scen).total_per_km2 >= base - 1e-9
 
     def test_full_configuration_reference_band(self):
         """Cloud deployment at lambda_3 = 3 costs a few million $/km^2 and
         undercuts the distributed deployment."""
         from crancost.config import default_scenario
 
-        cloud = total_cost(default_scenario(architecture=Architecture.CLOUD_RAN)).total_per_km2
-        dran = total_cost(default_scenario(architecture=Architecture.DRAN)).total_per_km2
+        cloud = datacenter_cost(default_scenario(architecture=Architecture.CLOUD_RAN)).total_per_km2
+        dran = datacenter_cost(default_scenario(architecture=Architecture.DRAN)).total_per_km2
         assert 1e6 < cloud < 1e7
         assert cloud < dran
 

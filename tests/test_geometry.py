@@ -11,7 +11,6 @@ from scipy import stats
 from crancost.errors import AssignmentError, ParameterError
 from crancost.geometry import (
     BackhaulTech,
-    Layer,
     Window,
     layer_rng,
     nearest_assign,
@@ -60,10 +59,8 @@ class TestWindow:
 
 
 class TestSamplePpp:
-    def test_zero_intensity_gives_empty_set(self):
-        ps = sample_ppp(0.0, UNIT, seed=1)
-        assert len(ps) == 0
-        assert ps.layer is Layer.USERS
+    def test_zero_intensity_gives_empty_array(self):
+        assert sample_ppp(0.0, UNIT, seed=1).shape == (0, 2)
 
     def test_negative_intensity_rejected(self):
         with pytest.raises(ParameterError):
@@ -72,7 +69,7 @@ class TestSamplePpp:
     def test_deterministic_given_seed(self):
         a = sample_ppp(50.0, UNIT, seed=7)
         b = sample_ppp(50.0, UNIT, seed=7)
-        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a, b)
 
     def test_mean_count_matches_intensity_times_area(self):
         # 170/km^2 on 1x1: over 10,000 seeds the sample mean sits within
@@ -131,7 +128,7 @@ class TestSampleBackhaul:
 class TestSampleClusterBs:
     def test_no_members_reduces_to_plain_ppp(self):
         bs = sample_cluster_bs(10.0, 0.0, 0.5, UNIT, seed=3)
-        assert bs.n_micros == 0
+        assert len(bs) == bs.n_macros
         assert len(bs.parent_of) == 0
 
     def test_total_intensity(self):
@@ -141,13 +138,13 @@ class TestSampleClusterBs:
 
     def test_kernel_collapse_pins_micros_to_parents(self):
         bs = sample_cluster_bs(20.0, 3.0, 1e-12, TORUS10, seed=11)
-        assert bs.n_micros > 0
-        gaps = TORUS10.distance(bs.micros.points, bs.macros.points[bs.parent_of])
+        assert len(bs) > bs.n_macros
+        gaps = TORUS10.distance(bs.points[bs.n_macros :], bs.points[bs.parent_of])
         assert np.max(gaps) < 1e-9
 
     def test_every_micro_has_a_parent(self):
         bs = sample_cluster_bs(5.0, 2.0, 0.3, TORUS10, seed=4)
-        assert bs.parent_of.shape[0] == bs.n_micros
+        assert bs.parent_of.shape[0] == len(bs) - bs.n_macros
         assert np.all((bs.parent_of >= 0) & (bs.parent_of < bs.n_macros))
 
     def test_sigma_must_be_positive(self):
@@ -159,9 +156,9 @@ class TestSampleClusterBs:
         # are dropped and everything left lies inside
         w = Window(2.0, 2.0, wrap=False)
         bs = sample_cluster_bs(8.0, 5.0, 1.5, w, seed=2)
-        assert np.all(w.contains(bs.micros.points))
+        assert np.all(w.contains(bs.points))
         wrapped = sample_cluster_bs(8.0, 5.0, 1.5, Window(2.0, 2.0, wrap=True), seed=2)
-        assert wrapped.n_micros >= bs.n_micros
+        assert len(wrapped) >= len(bs)
 
     def test_degenerate_cluster_matches_ppp_nn_distances(self):
         """lambda_1m = 0 is distributionally a PPP: two-sample KS on NN distances."""
@@ -178,33 +175,35 @@ class TestSampleClusterBs:
                 out.append(d[:, 1])
             return np.concatenate(out)
 
-        a = nn_distances(lambda s: sample_cluster_bs(3.0, 0.0, 0.5, TORUS10, seed=s).all_points(), 120, 0)
-        b = nn_distances(lambda s: sample_ppp(3.0, TORUS10, seed=s).points, 120, 5000)
+        a = nn_distances(lambda s: sample_cluster_bs(3.0, 0.0, 0.5, TORUS10, seed=s).points, 120, 0)
+        b = nn_distances(lambda s: sample_ppp(3.0, TORUS10, seed=s), 120, 5000)
         _, p_value = stats.ks_2samp(a, b)
         assert p_value > 0.01
 
 
 class TestNearestAssign:
     def test_unique_nearest(self):
-        amap = nearest_assign(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 2.0]]), Window(5, 5, wrap=False))
-        assert amap.lower_to_upper.tolist() == [0]
+        upper = np.array([[1.0, 0.0], [0.0, 2.0]])
+        assigned = nearest_assign(np.array([[0.0, 0.0]]), upper, Window(5, 5, wrap=False))
+        assert isinstance(assigned, np.ndarray)
+        assert assigned.tolist() == [0]
 
     def test_tie_goes_to_an_equidistant_point(self):
         upper = np.array([[3.0, 3.0], [0.0, 1.0], [4.0, 4.0], [1.0, 0.0]])
         lower = np.array([[0.0, 0.0]])
         window = Window(5, 5, wrap=False)
-        amap = nearest_assign(lower, upper, window)
+        assigned = nearest_assign(lower, upper, window)
         # indices 1 and 3 are both at distance 1, the minimum
-        assert amap.lower_to_upper.tolist() in ([1], [3])
-        d = assignment_distances(lower, upper, amap, window)
+        assert assigned.tolist() in ([1], [3])
+        d = assignment_distances(lower, upper, assigned, window)
         assert d.tolist() == [window.distance(lower, upper).min()]
-        assert np.array_equal(nearest_assign(lower, upper, window).lower_to_upper, amap.lower_to_upper)
+        assert np.array_equal(nearest_assign(lower, upper, window), assigned)
 
     @pytest.mark.parametrize("window", [TORUS10, Window(10, 10, wrap=False)])
     def test_single_upper_point_takes_every_lower_point(self, window):
         lower = np.random.default_rng(4).uniform(0, 10, (12, 2))
-        amap = nearest_assign(lower, np.array([[2.5, 7.5]]), window)
-        assert amap.lower_to_upper.tolist() == [0] * 12
+        assigned = nearest_assign(lower, np.array([[2.5, 7.5]]), window)
+        assert assigned.tolist() == [0] * 12
 
     def test_empty_upper_layer_is_an_error(self):
         with pytest.raises(AssignmentError):
@@ -214,11 +213,11 @@ class TestNearestAssign:
         rng = np.random.default_rng(123)
         lower = rng.uniform(0, 10, (100, 2))
         upper = rng.uniform(0, 10, (37, 2))
-        amap = nearest_assign(lower, upper, TORUS10)
+        assigned = nearest_assign(lower, upper, TORUS10)
         # exhaustive pairwise argmin oracle
         deltas = TORUS10.deltas(lower[:, None, :], upper[None, :, :])
         full = np.linalg.norm(deltas, axis=-1)
-        assert np.array_equal(amap.lower_to_upper, np.argmin(full, axis=1))
+        assert np.array_equal(assigned, np.argmin(full, axis=1))
 
     def test_idempotent(self):
         rng = np.random.default_rng(5)
@@ -226,7 +225,7 @@ class TestNearestAssign:
         upper = rng.uniform(0, 10, (9, 2))
         first = nearest_assign(lower, upper, TORUS10)
         second = nearest_assign(lower, upper, TORUS10)
-        assert np.array_equal(first.lower_to_upper, second.lower_to_upper)
+        assert np.array_equal(first, second)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -235,17 +234,17 @@ class TestNearestAssign:
         lower = rng.uniform(0, 10, (30, 2))
         upper = rng.uniform(0, 10, (7, 2))
         perm = rng.permutation(30)
-        direct = nearest_assign(lower, upper, TORUS10).lower_to_upper
-        permuted = nearest_assign(lower[perm], upper, TORUS10).lower_to_upper
+        direct = nearest_assign(lower, upper, TORUS10)
+        permuted = nearest_assign(lower[perm], upper, TORUS10)
         assert np.array_equal(direct[perm], permuted)
 
     def test_assignment_distances_match_metric(self):
         rng = np.random.default_rng(8)
         lower = rng.uniform(0, 10, (20, 2))
         upper = rng.uniform(0, 10, (5, 2))
-        amap = nearest_assign(lower, upper, TORUS10)
-        d = assignment_distances(lower, upper, amap, TORUS10)
-        expected = TORUS10.distance(lower, upper[amap.lower_to_upper])
+        assigned = nearest_assign(lower, upper, TORUS10)
+        d = assignment_distances(lower, upper, assigned, TORUS10)
+        expected = TORUS10.distance(lower, upper[assigned])
         assert np.allclose(d, expected)
 
 

@@ -16,10 +16,11 @@ from crancost.costs import (
     datacenter_cost,
 )
 from crancost.errors import AssignmentError, EstimationError, ParameterError
-from crancost.geometry import Window
+from crancost.geometry import BackhaulDraw, BackhaulTech, MarkedBaseStationSet, Window
 from crancost.simulate import (
     compare_to_closed_form,
     estimate_mean_dc_cost,
+    price_layers,
     realization_rows,
     simulate_realization,
 )
@@ -35,6 +36,16 @@ UNIT_LINKS = LinkCostParams(
     processing_base=1.0,
 )
 
+#: a lone macro at (2, 0), wired to a lone microwave backhaul node at (1, 0)
+#: and a lone data center at the origin
+ONE_MACRO = MarkedBaseStationSet(np.array([[2.0, 0.0]]), 1, np.empty(0, dtype=int))
+ONE_MW_NODE = BackhaulDraw(np.array([[1.0, 0.0]]), BackhaulTech.MW)
+ONE_CENTER = np.array([[0.0, 0.0]])
+
+
+def total(real) -> float:
+    return math.fsum(real.term_totals.values())
+
 
 class TestSimulateRealization:
     def test_hand_instance_cost_is_seven(self):
@@ -42,30 +53,13 @@ class TestSimulateRealization:
         1 km further still; unit bases, unit exponents, zero equipment:
         backhaul term 0 + 1*(1+1) + 1 = 3, station term 0 + 1 + 1 + (1+1) = 4.
         """
-        from crancost.geometry import (
-            BackhaulDraw,
-            BackhaulTech,
-            Layer,
-            MarkedBaseStationSet,
-            PointSet,
-        )
-        from crancost import simulate as sim
-
         scen = Scenario(
             equipment=EquipmentCosts(c_macro=0.0, c_micro=0.0, c_mw=0.0, c_of=0.0, c_dc=0.0),
             links=UNIT_LINKS,
         )
-        users = PointSet(np.array([[3.0, 0.0]]), Layer.USERS)
-        stations = MarkedBaseStationSet(
-            PointSet(np.array([[2.0, 0.0]]), Layer.BASE_STATIONS),
-            PointSet(np.empty((0, 2)), Layer.BASE_STATIONS),
-            np.empty(0, dtype=int),
-        )
-        backhaul = BackhaulDraw(PointSet(np.array([[1.0, 0.0]]), Layer.BACKHAUL), BackhaulTech.MW)
-        centers = PointSet(np.array([[0.0, 0.0]]), Layer.DATA_CENTERS)
-
-        priced = sim.price_layers(scen, TORUS10, users, stations, backhaul, centers)
-        assert priced.total_cost == pytest.approx(7.0, rel=1e-12)
+        users = np.array([[3.0, 0.0]])
+        priced = price_layers(scen, TORUS10, users, ONE_MACRO, ONE_MW_NODE, ONE_CENTER)
+        assert total(priced) == pytest.approx(7.0, rel=1e-12)
         assert priced.term_totals["capacity_dc"] == pytest.approx(1.0)  # N_z * A' * d^beta
         assert priced.term_totals["processing"] == pytest.approx(1.0)  # N_z * A''
         assert priced.term_totals["infra_dc"] == pytest.approx(1.0)
@@ -73,24 +67,14 @@ class TestSimulateRealization:
         assert priced.term_totals["infra_user_bs"] == pytest.approx(1.0)
 
     def test_empty_subtrees_price_backhaul_equipment_only(self):
-        from crancost.geometry import BackhaulDraw, BackhaulTech, Layer, MarkedBaseStationSet, PointSet
-        from crancost import simulate as sim
-
         scen = Scenario(
             equipment=EquipmentCosts(c_macro=0.0, c_micro=0.0, c_mw=50000.0, c_of=5000.0, c_dc=0.0),
             links=replace(UNIT_LINKS, processing_base=0.0),
             p_mw=1.0,
             lambda_2_mw=1.0,
         )
-        users = PointSet(np.empty((0, 2)), Layer.USERS)
-        stations = MarkedBaseStationSet(
-            PointSet(np.array([[2.0, 0.0]]), Layer.BASE_STATIONS),
-            PointSet(np.empty((0, 2)), Layer.BASE_STATIONS),
-            np.empty(0, dtype=int),
-        )
-        backhaul = BackhaulDraw(PointSet(np.array([[1.0, 0.0]]), Layer.BACKHAUL), BackhaulTech.MW)
-        centers = PointSet(np.array([[0.0, 0.0]]), Layer.DATA_CENTERS)
-        priced = sim.price_layers(scen, TORUS10, users, stations, backhaul, centers)
+        no_users = np.empty((0, 2))
+        priced = price_layers(scen, TORUS10, no_users, ONE_MACRO, ONE_MW_NODE, ONE_CENTER)
         # the lone backhaul node costs C2; the station still pays its links
         assert priced.term_totals["equipment_backhaul"] == pytest.approx(scen.c2)
         assert priced.term_totals["capacity_user_bs"] == 0.0
@@ -99,8 +83,8 @@ class TestSimulateRealization:
         scen = default_scenario()
         a = simulate_realization(scen, TORUS10, seed=5)
         b = simulate_realization(scen, TORUS10, seed=5)
-        assert a.total_cost == b.total_cost
-        assert np.array_equal(a.users.points, b.users.points)
+        assert total(a) == total(b)
+        assert np.array_equal(a.users, b.users)
 
     def test_subtree_counts_conserve_users(self):
         scen = default_scenario()
@@ -120,9 +104,6 @@ class TestSimulateRealization:
 
     def test_translation_invariance_on_torus(self):
         """Shifting every layer by the same offset leaves the cost unchanged."""
-        from crancost.geometry import BackhaulDraw, MarkedBaseStationSet, PointSet
-        from crancost import simulate as sim
-
         scen = default_scenario()
         real = simulate_realization(scen, TORUS10, seed=13)
         offset = np.array([3.7, 8.1])
@@ -130,18 +111,11 @@ class TestSimulateRealization:
         def shift(points):
             return TORUS10.wrap_points(points + offset)
 
-        users = PointSet(shift(real.users.points), real.users.layer)
-        stations = MarkedBaseStationSet(
-            PointSet(shift(real.base_stations.macros.points), real.base_stations.macros.layer),
-            PointSet(shift(real.base_stations.micros.points), real.base_stations.micros.layer),
-            real.base_stations.parent_of,
-        )
-        backhaul = BackhaulDraw(
-            PointSet(shift(real.backhaul.nodes.points), real.backhaul.nodes.layer), real.backhaul.realized
-        )
-        centers = PointSet(shift(real.data_centers.points), real.data_centers.layer)
-        shifted = sim.price_layers(scen, TORUS10, users, stations, backhaul, centers)
-        assert shifted.total_cost == pytest.approx(real.total_cost, rel=1e-9)
+        bs = real.base_stations
+        stations = MarkedBaseStationSet(shift(bs.points), bs.n_macros, bs.parent_of)
+        backhaul = BackhaulDraw(shift(real.backhaul.nodes), real.backhaul.realized)
+        shifted = price_layers(scen, TORUS10, shift(real.users), stations, backhaul, shift(real.data_centers))
+        assert total(shifted) == pytest.approx(total(real), rel=1e-9)
 
 
 class TestEstimateMeanDcCost:

@@ -139,7 +139,7 @@ class TestVoidProbability:
         hits = 0
         for i in range(n):
             bs = sample_cluster_bs(params.lambda_1c, params.lambda_1m, params.sigma, w, layer_rng(123, i, 1))
-            pts = bs.all_points()
+            pts = bs.points
             if len(pts) == 0 or np.min(w.distance(pts, center)) > 0.5:
                 hits += 1
         assert hits / n == pytest.approx(void_probability(0.5, params), abs=0.005)
@@ -204,7 +204,7 @@ def empirical_nn_cdf_grid(params, window_side, n_rep, seed, quantiles):
     ds = []
     for i in range(n_rep):
         bs = sample_cluster_bs(params.lambda_1c, params.lambda_1m, params.sigma, w, layer_rng(seed, i, 1))
-        pts = bs.all_points()
+        pts = bs.points
         if len(pts) < 2:
             continue
         tree = cKDTree(pts, boxsize=w.spans)
@@ -280,7 +280,7 @@ class TestClusterNnMoment:
             bs = sample_cluster_bs(
                 PAPERLIKE.lambda_1c, PAPERLIKE.lambda_1m, PAPERLIKE.sigma, w, layer_rng(17, i, 1)
             )
-            pts = bs.all_points()
+            pts = bs.points
             if len(pts) == 0:
                 continue
             tree = cKDTree(pts, boxsize=w.spans)
@@ -303,7 +303,7 @@ class TestClusterNnMoment:
             bs = sample_cluster_bs(
                 PAPERLIKE.lambda_1c, PAPERLIKE.lambda_1m, PAPERLIKE.sigma, w, layer_rng(19, i, 1)
             )
-            pts = bs.all_points()
+            pts = bs.points
             if len(pts) < 2:
                 continue
             tree = cKDTree(pts, boxsize=w.spans)

@@ -2,6 +2,7 @@
 
 import configparser
 import csv
+import hashlib
 import json
 import math
 import os
@@ -226,6 +227,14 @@ class TestCli:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "parameter" and "window" in error["message"]
 
+    @pytest.mark.parametrize("command", ["simulate", "compare", "complexity"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out.json"
+        assert main([command, "--seed", "-1", "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "config" and "'seed'" in error["message"]
+        assert not out.exists()
+
     def test_evaluate_json(self, tmp_path, capsys):
         out = tmp_path / "eval.json"
         code = main(["evaluate", "--out", str(out)])
@@ -363,6 +372,19 @@ class TestCli:
         with open(from_flags) as fh:
             assert [r["architecture"] for r in csv.DictReader(fh)] == ["dran", "cloud_ran@0db"] * 2
 
+    def test_sweep_flags_override_only_their_own_keys(self, tmp_path):
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text("[sweep]\naxis = p\nvalues = 0\narchitectures = dran\n")
+        out = tmp_path / "sweep.csv"
+        flags = ["--axis", "lambda0", "--values", "150 200"]
+        assert main(["sweep", "--config", str(cfg), *flags, "--format", "csv", "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["axis"], r["value"], r["architecture"]) for r in rows] == [
+            ("lambda0", "150", "dran"),
+            ("lambda0", "200", "dran"),
+        ]
+
     def test_sweep_without_axis_or_config_fails_cleanly(self, tmp_path):
         code = main(["sweep", "--out", str(tmp_path / "x.csv")])
         assert code == 2
@@ -450,6 +472,10 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert rows[0]["layer"] == "users"
         assert {r["layer"] for r in rows} == {"users", "base_stations", "backhaul", "data_centers"}
+        # pins the export byte for byte: row order, coordinates, parents and subtree counts
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
+            "fece5b5b618289564447b070918a9fd9192ef3b50fcd7574037475f1d11bb601"
+        )
 
     def test_compare_smoke(self, tmp_path):
         out = tmp_path / "cmp.json"
