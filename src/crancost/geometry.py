@@ -4,9 +4,9 @@ The observation window is a rectangle, toroidal by default so that empirical
 means taken over the window match the stationary closed forms without edge
 corrections. Every point layer is an ``(n, 2)`` float array of coordinates in
 km, and an assignment is the index array of each lower point's nearest upper
-point. All sampling operations are pure functions of their parameters
-and a seed; sub-streams for layers and replications are derived from one
-master seed through :func:`layer_rng`.
+point, returned with the array of distances to it. All sampling operations
+are pure functions of their parameters and a seed; sub-streams for layers and
+replications are derived from one master seed through :func:`layer_rng`.
 """
 
 from __future__ import annotations
@@ -76,10 +76,18 @@ class Window:
         return np.all((points >= 0.0) & (points < self.spans), axis=-1)
 
     def deltas(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Coordinate differences a-b under the window metric."""
+        """Coordinate differences a-b under the window metric.
+
+        On the torus this is the minimum-image difference
+        ``d - span * round(d / span)``. For points inside the window the shift
+        is one span only when ``|d|`` is about half a span or more, so the
+        subtraction is exact (Sterbenz) and distances match the KD-tree's
+        periodic metric to the last bit.
+        """
         d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
         if self.wrap:
-            d = np.remainder(d + self.spans / 2.0, self.spans) - self.spans / 2.0
+            spans = self.spans
+            d = d - spans * np.round(d / spans)
         return d
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -194,17 +202,20 @@ def _kdtree(points: np.ndarray, window: Window) -> cKDTree:
     return cKDTree(points)
 
 
-def nearest_assign(lower: np.ndarray, upper: np.ndarray, window: Window) -> np.ndarray:
-    """Index of the nearest upper point for every lower point, under the window metric.
+def nearest_assign(lower: np.ndarray, upper: np.ndarray, window: Window) -> tuple[np.ndarray, np.ndarray]:
+    """Index of, and distance to, the nearest upper point for every lower point.
 
-    One k=1 KD-tree query. An exact tie goes to whichever equidistant upper
-    point the tree returns, which is deterministic for given inputs; the
-    samplers are continuous, so ties have probability zero.
+    One k=1 KD-tree query gives both. The distance is the min-image distance
+    under the window metric, equal to the last bit to
+    :func:`assignment_distances` on the returned index. An exact tie goes to
+    whichever equidistant upper point the tree returns, which is deterministic
+    for given inputs; the samplers are continuous, so ties have probability
+    zero.
     """
     if len(upper) == 0:
         raise AssignmentError("cannot assign against an empty upper layer")
-    _, idx = _kdtree(upper, window).query(lower, k=1)
-    return idx
+    dist, idx = _kdtree(upper, window).query(lower, k=1)
+    return idx, dist
 
 
 def assignment_distances(lower: np.ndarray, upper: np.ndarray, assignment: np.ndarray, window: Window) -> np.ndarray:

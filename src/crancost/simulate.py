@@ -21,7 +21,7 @@ from .geometry import (
     BackhaulTech,
     MarkedBaseStationSet,
     Window,
-    assignment_distances,
+    assignment_distances,  # not called here; perfbench's trace plan wraps it as an attribute of this module
     layer_rng,
     nearest_assign,
     sample_backhaul,
@@ -116,9 +116,9 @@ def price_layers(
     equipment constant, its subtree's capacity demand priced over the actual
     backhaul-to-data-center distance, and the infrastructure of that link;
     base stations contribute their link costs toward their backhaul node, and
-    users toward their base station, each over its absolute distance to the
-    node it is assigned to. The cluster equipment cost (one macro plus its
-    expected micros) is charged once per macro.
+    users toward their base station. Each link is priced at the min-image
+    distance that its assignment query returns. The cluster equipment cost
+    (one macro plus its expected micros) is charged once per macro.
     """
     s = scenario
     n_dc = len(centers)
@@ -130,9 +130,9 @@ def price_layers(
             f"{n_backhaul} backhaul nodes, {n_dc} data centers"
         )
 
-    user_to_bs = nearest_assign(users, bs_points, window)
-    bs_to_backhaul = nearest_assign(bs_points, backhaul_points, window)
-    backhaul_to_dc = nearest_assign(backhaul_points, centers, window)
+    user_to_bs, d_user = nearest_assign(users, bs_points, window)
+    bs_to_backhaul, d_bs_bh = nearest_assign(bs_points, backhaul_points, window)
+    backhaul_to_dc, d_bh_dc = nearest_assign(backhaul_points, centers, window)
 
     users_per_bs = np.bincount(user_to_bs, minlength=n_bs)
     users_per_backhaul = np.bincount(bs_to_backhaul, weights=users_per_bs, minlength=n_backhaul)
@@ -141,10 +141,6 @@ def price_layers(
     tech = backhaul.realized
     link_bs_bh = s.links.bs_backhaul_mw if tech is BackhaulTech.MW else s.links.bs_backhaul_of
     link_bh_dc = s.links.backhaul_dc_mw if tech is BackhaulTech.MW else s.links.backhaul_dc_of
-
-    d_bh_dc = assignment_distances(backhaul_points, centers, backhaul_to_dc, window)
-    d_bs_bh = assignment_distances(bs_points, backhaul_points, bs_to_backhaul, window)
-    d_user = assignment_distances(users, bs_points, user_to_bs, window)
 
     terms = {
         "equipment_backhaul": n_backhaul * s.c2,

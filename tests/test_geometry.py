@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.spatial import cKDTree
 
 from crancost.errors import AssignmentError, ParameterError
 from crancost.geometry import (
@@ -184,26 +185,30 @@ class TestSampleClusterBs:
 class TestNearestAssign:
     def test_unique_nearest(self):
         upper = np.array([[1.0, 0.0], [0.0, 2.0]])
-        assigned = nearest_assign(np.array([[0.0, 0.0]]), upper, Window(5, 5, wrap=False))
+        assigned, dist = nearest_assign(np.array([[0.0, 0.0]]), upper, Window(5, 5, wrap=False))
         assert isinstance(assigned, np.ndarray)
         assert assigned.tolist() == [0]
+        assert dist.tolist() == [1.0]
 
-    def test_tie_goes_to_an_equidistant_point(self):
+    @pytest.mark.parametrize("window", [Window(5, 5, wrap=False), Window(5, 5)])
+    def test_tie_goes_to_an_equidistant_point(self, window):
         upper = np.array([[3.0, 3.0], [0.0, 1.0], [4.0, 4.0], [1.0, 0.0]])
         lower = np.array([[0.0, 0.0]])
-        window = Window(5, 5, wrap=False)
-        assigned = nearest_assign(lower, upper, window)
-        # indices 1 and 3 are both at distance 1, the minimum
+        assigned, dist = nearest_assign(lower, upper, window)
+        # indices 1 and 3 are both at distance 1, the minimum (also on the 5 km torus)
         assert assigned.tolist() in ([1], [3])
-        d = assignment_distances(lower, upper, assigned, window)
-        assert d.tolist() == [window.distance(lower, upper).min()]
-        assert np.array_equal(nearest_assign(lower, upper, window), assigned)
+        assert dist.tolist() == [window.distance(lower, upper).min()] == [1.0]
+        assert np.array_equal(dist, assignment_distances(lower, upper, assigned, window))
+        again, again_dist = nearest_assign(lower, upper, window)
+        assert np.array_equal(again, assigned) and np.array_equal(again_dist, dist)
 
     @pytest.mark.parametrize("window", [TORUS10, Window(10, 10, wrap=False)])
     def test_single_upper_point_takes_every_lower_point(self, window):
         lower = np.random.default_rng(4).uniform(0, 10, (12, 2))
-        assigned = nearest_assign(lower, np.array([[2.5, 7.5]]), window)
+        upper = np.array([[2.5, 7.5]])
+        assigned, dist = nearest_assign(lower, upper, window)
         assert assigned.tolist() == [0] * 12
+        assert np.array_equal(dist, assignment_distances(lower, upper, assigned, window))
 
     def test_empty_upper_layer_is_an_error(self):
         with pytest.raises(AssignmentError):
@@ -213,11 +218,12 @@ class TestNearestAssign:
         rng = np.random.default_rng(123)
         lower = rng.uniform(0, 10, (100, 2))
         upper = rng.uniform(0, 10, (37, 2))
-        assigned = nearest_assign(lower, upper, TORUS10)
+        assigned, dist = nearest_assign(lower, upper, TORUS10)
         # exhaustive pairwise argmin oracle
         deltas = TORUS10.deltas(lower[:, None, :], upper[None, :, :])
         full = np.linalg.norm(deltas, axis=-1)
         assert np.array_equal(assigned, np.argmin(full, axis=1))
+        assert np.array_equal(dist, full.min(axis=1))
 
     def test_idempotent(self):
         rng = np.random.default_rng(5)
@@ -225,7 +231,7 @@ class TestNearestAssign:
         upper = rng.uniform(0, 10, (9, 2))
         first = nearest_assign(lower, upper, TORUS10)
         second = nearest_assign(lower, upper, TORUS10)
-        assert np.array_equal(first, second)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -234,18 +240,29 @@ class TestNearestAssign:
         lower = rng.uniform(0, 10, (30, 2))
         upper = rng.uniform(0, 10, (7, 2))
         perm = rng.permutation(30)
-        direct = nearest_assign(lower, upper, TORUS10)
-        permuted = nearest_assign(lower[perm], upper, TORUS10)
+        direct, direct_dist = nearest_assign(lower, upper, TORUS10)
+        permuted, permuted_dist = nearest_assign(lower[perm], upper, TORUS10)
         assert np.array_equal(direct[perm], permuted)
+        assert np.array_equal(direct_dist[perm], permuted_dist)
 
-    def test_assignment_distances_match_metric(self):
+    @pytest.mark.parametrize("window", [TORUS10, Window(10, 10, wrap=False)])
+    def test_assignment_distances_match_metric(self, window):
         rng = np.random.default_rng(8)
-        lower = rng.uniform(0, 10, (20, 2))
-        upper = rng.uniform(0, 10, (5, 2))
-        assigned = nearest_assign(lower, upper, TORUS10)
-        d = assignment_distances(lower, upper, assigned, TORUS10)
-        expected = TORUS10.distance(lower, upper[assigned])
-        assert np.allclose(d, expected)
+        lower = rng.uniform(0, 10, (2000, 2))
+        upper = rng.uniform(0, 10, (60, 2))
+        assigned, dist = nearest_assign(lower, upper, window)
+        d = assignment_distances(lower, upper, assigned, window)
+        assert np.array_equal(d, window.distance(lower, upper[assigned]))
+        # the distance the query returns is the one a second pass would compute
+        assert np.array_equal(dist, d)
+
+    def test_window_metric_is_the_kdtree_periodic_metric_to_the_last_bit(self):
+        """The min-image difference is exact, so both routes round identically."""
+        rng = np.random.default_rng(2024)
+        lower = rng.uniform(0, 10, (20_000, 2))
+        upper = rng.uniform(0, 10, (300, 2))
+        dist, idx = cKDTree(upper, boxsize=TORUS10.spans).query(lower, k=1)
+        assert np.array_equal(TORUS10.distance(lower, upper[idx]), dist)
 
 
 def test_layer_rng_streams_are_independent_and_reproducible():

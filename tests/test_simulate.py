@@ -160,7 +160,7 @@ class TestEstimateMeanDcCost:
                     "equipment_bs": "0x1.991238e38e38fp+17",
                     "capacity_bs_backhaul": "0x1.14aec1ca65156p+15",
                     "infra_bs_backhaul": "0x1.262b9739bd7d2p+17",
-                    "capacity_user_bs": "0x1.8744e3e50e76bp+4",
+                    "capacity_user_bs": "0x1.8744e3e50e769p+4",
                     "infra_user_bs": "0x1.cd31c2d4852ddp+11",
                 },
             ),
