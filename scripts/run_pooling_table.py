@@ -10,7 +10,6 @@ import argparse
 
 from crancost.complexity import (
     DecoderParams,
-    FrameConstants,
     default_mcs_rates,
     dran_equivalent_demand,
     make_snr_sampler,
@@ -28,7 +27,6 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    frame = FrameConstants()
     print(f"{'offset dB':>9s} {'N':>4s} {'pooled/N':>10s} {'alone/N':>10s} {'servers':>9s} {'gain':>6s}")
     for gamma in args.offsets:
         params = DecoderParams(gamma_offset_db=gamma)
@@ -39,7 +37,7 @@ def main() -> None:
             alone = dran_equivalent_demand(n, 0.1, sampler, mcs, params, n_mc=args.n_mc, seed=args.seed)
             print(
                 f"{gamma:9.1f} {n:4d} {pooled / n:10.3f} {alone / n:10.3f} "
-                f"{servers_required(pooled, frame).d_unit:9.3f} {alone / pooled:6.2f}x"
+                f"{servers_required(pooled).d_unit:9.3f} {alone / pooled:6.2f}x"
             )
 
 

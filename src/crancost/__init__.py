@@ -54,7 +54,6 @@ from .simulate import (
 )
 from .spatial_stats import (
     ClusterParams,
-    QuadratureSettings,
     cluster_nn_moment,
     gaussian_disc_mass,
     j_function,
@@ -63,5 +62,4 @@ from .spatial_stats import (
     void_probability,
 )
 from .sweeps import SweepResult, SweepSpec, emit, run_sweep
-
-__version__ = "0.1.0"
+from .sweeps import TOOL_VERSION as __version__

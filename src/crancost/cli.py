@@ -27,7 +27,6 @@ import sys
 from dataclasses import replace
 
 from .complexity import (
-    FrameConstants,
     default_mcs_rates,
     dran_equivalent_demand,
     make_snr_sampler,
@@ -229,7 +228,6 @@ def cmd_complexity(args) -> int:
     sampler = _sampler(args, settings)
     eps_comp = args.eps_comp if args.eps_comp is not None else settings.eps_comp
     n_mc = args.n_mc if args.n_mc is not None else settings.n_mc
-    frame = FrameConstants()
     rows = []
     for gamma in offsets:
         params = replace(settings.decoder, gamma_offset_db=gamma)
@@ -243,8 +241,8 @@ def cmd_complexity(args) -> int:
                     "n_cloud": n,
                     "pooled_per_station": pooled / n,
                     "distributed_per_station": standalone / n,
-                    "pooled_servers": servers_required(pooled, frame).d_unit,
-                    "distributed_servers": servers_required(standalone, frame).d_unit,
+                    "pooled_servers": servers_required(pooled).d_unit,
+                    "distributed_servers": servers_required(standalone).d_unit,
                 }
             )
     if args.format == "json":

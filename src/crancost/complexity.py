@@ -59,14 +59,12 @@ class DecoderParams:
 
     zeta: message-passing connectivity (> 2)
     k_scaling: complexity scaling at the target channel outage
-    eps_channel: target channel outage probability
     nu_db: complexity calibration margin, dB
     gamma_offset_db: extra link-adaptation margin, dB
     """
 
     zeta: float = 6.0
     k_scaling: float = 0.2
-    eps_channel: float = 0.1
     nu_db: float = 0.2
     gamma_offset_db: float = 0.0
 
@@ -75,8 +73,6 @@ class DecoderParams:
             raise ParameterError("zeta must be > 2")
         if self.k_scaling <= 0:
             raise ParameterError("k_scaling must be > 0")
-        if not 0.0 < self.eps_channel < 1.0:
-            raise ParameterError("eps_channel must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -417,7 +413,7 @@ class ProcessingDemand:
     d_unit: float  # servers (fractional)
 
 
-def servers_required(d_outage: float, frame: FrameConstants = FrameConstants()) -> ProcessingDemand:
+def servers_required(d_outage: float) -> ProcessingDemand:
     """Convert a normalized demand into absolute load, FLOP/s and server count.
 
     Uses the exact chain 45*12*7/0.5ms = 7.56e6 channel uses per second (the
@@ -425,6 +421,7 @@ def servers_required(d_outage: float, frame: FrameConstants = FrameConstants()) 
     """
     if d_outage < 0:
         raise ParameterError("d_outage must be >= 0")
+    frame = FrameConstants()
     d_abs = d_outage * frame.channel_uses_per_s
     d_flops = d_abs * frame.flop_per_bit_iter
     return ProcessingDemand(d_outage=d_outage, d_abs=d_abs, d_flops=d_flops, d_unit=d_flops / frame.server_flops)

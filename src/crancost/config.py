@@ -271,7 +271,6 @@ _SCHEMA = (
     *_SCENARIO_KEYS,
     _Key("complexity", "zeta", "decoder.", _number(above=2.0)),
     _Key("complexity", "k_scaling", "decoder.", _number(lo=1e-9)),
-    _Key("complexity", "eps_channel", "decoder.", _OPEN_UNIT),
     _Key("complexity", "nu_db", "decoder.", _NUMBER),
     _Key("complexity", "sampler", "sampler_name", _TEXT),
     _Key("complexity", "eps_comp", "", _OPEN_UNIT),

@@ -13,13 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .spatial_stats import (
-    DEFAULT_QUAD,
-    ClusterParams,
-    QuadratureSettings,
-    cluster_nn_moment,
-    ppp_contact_moment,
-)
+from .spatial_stats import ClusterParams, cluster_nn_moment, ppp_contact_moment
 
 __all__ = [
     "USER_BS_DISTANCES",
@@ -275,7 +269,7 @@ def _tech_mixture(p: float, mw_value: float, of_value: float) -> float:
     return p * mw_value + (1.0 - p) * of_value
 
 
-def datacenter_cost(scenario: Scenario, quad: QuadratureSettings = DEFAULT_QUAD) -> CostBreakdown:
+def datacenter_cost(scenario: Scenario) -> CostBreakdown:
     """Expected cost of deploying one data center, decomposed by term.
 
     Capacity terms between independent layers carry plain technology weights
@@ -334,14 +328,14 @@ def datacenter_cost(scenario: Scenario, quad: QuadratureSettings = DEFAULT_QUAD)
     capacity_user_bs = (
         users_per_dc
         * links.user_bs.a
-        * cluster_nn_moment(links.user_bs.beta, cluster, quad, distance=s.user_bs_distance)
+        * cluster_nn_moment(links.user_bs.beta, cluster, distance=s.user_bs_distance)
         if links.user_bs.a > 0
         else 0.0
     )
     infra_user_bs = (
         users_per_dc
         * links.user_bs.b
-        * cluster_nn_moment(links.user_bs.theta, cluster, quad, distance=s.user_bs_distance)
+        * cluster_nn_moment(links.user_bs.theta, cluster, distance=s.user_bs_distance)
         if links.user_bs.b > 0
         else 0.0
     )

@@ -10,8 +10,10 @@ cluster center. The inner Gaussian-disc mass uses the noncentral-chi-squared
 identity and is evaluated for the whole (r, s) grid in one broadcast call,
 so a distance moment costs one vectorized survival curve instead of nested
 adaptive quadrature. Every quantity is computed on a grid and on one with
-twice the panels; the difference is the error estimate checked against the
-tolerances.
+twice the panels; the difference is the error estimate. One rule, the module
+constant :data:`DEFAULT_QUAD`, accepts it: the error must not exceed
+max(abs_tol + rel_tol * |result|, 1e3 * abs_tol), where the second term is an
+absolute floor of 1e-5 at the default abs_tol of 1e-8.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .errors import ParameterError, QuadratureError
 
 __all__ = [
     "ClusterParams",
-    "QuadratureSettings",
     "DEFAULT_QUAD",
     "ppp_contact_moment",
     "gaussian_disc_mass",
@@ -64,41 +65,29 @@ class ClusterParams:
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Tolerances for the fixed-grid radial integrals.
+    """The acceptance rule and range of the fixed-grid radial integrals.
 
-    These defaults are part of the public contract; every operation accepts an
-    override. A result is accepted when it agrees with the same rule on a grid
-    of half the panels to within ``abs_tol + rel_tol * |result|``.
+    A result is accepted when it differs from the same rule on a grid of half
+    the panels by at most ``max(abs_tol + rel_tol * |result|, 1e3 * abs_tol)``;
+    the second term is an absolute floor, 1e-5 at the default ``abs_tol``.
     ``max_radius_factor`` truncates the integration range at that multiple of
     the relevant length scale (mean point spacing for distance moments, the
-    kernel width for the cluster integrals). ``max_subdivisions`` caps the
-    panel count of each coarse grid (12 outer, 6 inner by default); the fine
-    grid has twice as many.
+    kernel width for the cluster integrals). The coarse grids have 12 outer
+    and 6 inner panels; the fine grids twice as many.
     """
 
     abs_tol: float = 1e-8
     rel_tol: float = 1e-6
     max_radius_factor: float = 10.0
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ParameterError("quadrature tolerances must be > 0")
-        if self.max_subdivisions < 1:
-            raise ParameterError("max_subdivisions must be >= 1")
 
 
+#: the one quadrature rule; every function reads it when it runs
 DEFAULT_QUAD = QuadratureSettings()
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _R_PANELS = 12  # outer panels, uniform in u with r = r_max * u^2
 _S_PANELS = 6  # inner panels over the distance to a cluster center
-
-
-def _panel_counts(quad: QuadratureSettings) -> tuple[int, int]:
-    """Outer and inner panel counts of the coarse grid; the fine grid doubles both."""
-    return min(_R_PANELS, quad.max_subdivisions), min(_S_PANELS, quad.max_subdivisions)
 
 
 def _gauss_legendre(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,9 +97,10 @@ def _gauss_legendre(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (half * _GL_NODES + (a + b) / 2.0).ravel(), (half * _GL_WEIGHTS).ravel()
 
 
-def _converged(coarse: float, fine: float, quad: QuadratureSettings, what: str) -> float:
+def _converged(coarse: float, fine: float, what: str) -> float:
+    quad = DEFAULT_QUAD
     err = abs(coarse - fine)
-    if err > quad.abs_tol + quad.rel_tol * abs(fine) and err > 1e3 * quad.abs_tol:
+    if err > max(quad.abs_tol + quad.rel_tol * abs(fine), 1e3 * quad.abs_tol):
         raise QuadratureError(f"{what} did not converge", achieved_error=err)
     return fine
 
@@ -157,7 +147,7 @@ def gaussian_disc_mass(center_dist, sigma: float, radius):
 
 
 def _void_exponent_and_j(
-    r: np.ndarray, params: ClusterParams, quad: QuadratureSettings, s_panels: int, with_j: bool
+    r: np.ndarray, params: ClusterParams, s_panels: int, with_j: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Minus the log void probability and the J-function at the radii ``r`` (1-D, all > 0).
 
@@ -171,7 +161,7 @@ def _void_exponent_and_j(
     if lam_m == 0.0:
         return params.lambda_1c * area, (np.ones_like(r) if with_j else None)
     t, wt = _gauss_legendre(np.linspace(0.0, 1.0, s_panels + 1))
-    span = quad.max_radius_factor * sigma
+    span = DEFAULT_QUAD.max_radius_factor * sigma
     rr = r[:, None]
     s_void = rr + span * t
     s_j = (rr + span) * t
@@ -188,21 +178,20 @@ def _void_exponent_and_j(
     return exponent, w + (1.0 - w) * member_term
 
 
-def _at_radius(r: float, params: ClusterParams, quad: QuadratureSettings, what: str, value) -> float:
+def _at_radius(r: float, params: ClusterParams, what: str, value) -> float:
     """``value(minus log void probability, J)`` at one radius, checked coarse against fine."""
     if r < 0:
         raise ParameterError(f"r must be >= 0, got {r}")
     if r == 0.0:
         return value(0.0, 1.0)
-    _, s_panels = _panel_counts(quad)
     values = []
-    for k in (s_panels, 2 * s_panels):
-        exponent, j = _void_exponent_and_j(np.array([float(r)]), params, quad, k, True)
+    for k in (_S_PANELS, 2 * _S_PANELS):
+        exponent, j = _void_exponent_and_j(np.array([float(r)]), params, k, True)
         values.append(value(float(exponent[0]), float(j[0])))
-    return _converged(*values, quad, what)
+    return _converged(*values, what)
 
 
-def void_probability(r: float, params: ClusterParams, quad: QuadratureSettings = DEFAULT_QUAD) -> float:
+def void_probability(r: float, params: ClusterParams) -> float:
     """Probability that the cluster process leaves a ball of radius r empty.
 
     For the Thomas process this is exact:
@@ -210,10 +199,10 @@ def void_probability(r: float, params: ClusterParams, quad: QuadratureSettings =
     with m the Gaussian disc mass. The planar integral reduces to a radial one;
     inside the ball the bracket is 1 and contributes pi r^2 exactly.
     """
-    return _at_radius(r, params, quad, "void probability integral", lambda exponent, j: math.exp(-exponent))
+    return _at_radius(r, params, "void probability integral", lambda exponent, j: math.exp(-exponent))
 
 
-def j_function(r: float, params: ClusterParams, quad: QuadratureSettings = DEFAULT_QUAD) -> float:
+def j_function(r: float, params: ClusterParams) -> float:
     """J-function of the combined macro + micro base-station process.
 
     Mixture of the macro component (a PPP, whose J is identically 1) and the
@@ -223,23 +212,23 @@ def j_function(r: float, params: ClusterParams, quad: QuadratureSettings = DEFAU
     approximation for strongly clustered parameters (macros and their own
     offspring are not independent); see the package notes.
     """
-    return _at_radius(r, params, quad, "J-function integral", lambda exponent, j: j)
+    return _at_radius(r, params, "J-function integral", lambda exponent, j: j)
 
 
-def nn_distance_cdf(r: float, params: ClusterParams, quad: QuadratureSettings = DEFAULT_QUAD) -> float:
+def nn_distance_cdf(r: float, params: ClusterParams) -> float:
     """CDF of the distance from a typical base station to its nearest neighbor.
 
     G(r) = 1 - [void probability at r] * J(r); nondecreasing in r with
     G(0) = 0 and G(r) -> 1.
     """
     return 1.0 - _at_radius(
-        r, params, quad, "nearest-neighbor CDF integral", lambda exponent, j: math.exp(-exponent) * j
+        r, params, "nearest-neighbor CDF integral", lambda exponent, j: math.exp(-exponent) * j
     )
 
 
 @lru_cache(maxsize=1)
 def _survival_curve(
-    lambda_1c: float, lambda_1m: float, sigma: float, quad: QuadratureSettings, distance: str
+    lambda_1c: float, lambda_1m: float, sigma: float, distance: str
 ) -> tuple[tuple[float, np.ndarray, np.ndarray, np.ndarray], ...]:
     """The nearest-distance survival curve on the coarse and the fine r-grid.
 
@@ -258,14 +247,13 @@ def _survival_curve(
     that alternates cluster sets rebuilds the curve each time.
     """
     params = ClusterParams(lambda_1c, lambda_1m, sigma)
-    upper = quad.max_radius_factor * max(1.0 / math.sqrt(lambda_1c), sigma)
-    r_panels, s_panels = _panel_counts(quad)
+    upper = DEFAULT_QUAD.max_radius_factor * max(1.0 / math.sqrt(lambda_1c), sigma)
     grids = []
     for k in (1, 2):
-        u, wu = _gauss_legendre(np.linspace(0.0, 1.0, k * r_panels + 1))
+        u, wu = _gauss_legendre(np.linspace(0.0, 1.0, k * _R_PANELS + 1))
         r, w = upper * u * u, 2.0 * upper * u * wu
-        r1 = upper / (k * r_panels) ** 2
-        exponent, j = _void_exponent_and_j(r, params, quad, k * s_panels, distance == "palm")
+        r1 = upper / (k * _R_PANELS) ** 2
+        exponent, j = _void_exponent_and_j(r, params, k * _S_PANELS, distance == "palm")
         cdf = -np.expm1(-exponent) if j is None else 1.0 - np.exp(-exponent) * j
         tail = np.where(r < r1, -cdf, 1.0 - cdf)
         for a in (r, w, tail):
@@ -274,12 +262,7 @@ def _survival_curve(
     return tuple(grids)
 
 
-def cluster_nn_moment(
-    exponent: float,
-    params: ClusterParams,
-    quad: QuadratureSettings = DEFAULT_QUAD,
-    distance: str = "palm",
-) -> float:
+def cluster_nn_moment(exponent: float, params: ClusterParams, distance: str = "palm") -> float:
     """E[R^exponent] of the nearest-base-station distance, via the tail formula.
 
     ``distance`` selects whose viewpoint the distance is taken from:
@@ -304,6 +287,6 @@ def cluster_nn_moment(
         raise ParameterError("cluster intensity must be > 0 for distance moments")
     coarse, fine = (
         r1**exponent + float(np.sum(w * exponent * r ** (exponent - 1.0) * tail))
-        for r1, r, w, tail in _survival_curve(params.lambda_1c, params.lambda_1m, params.sigma, quad, distance)
+        for r1, r, w, tail in _survival_curve(params.lambda_1c, params.lambda_1m, params.sigma, distance)
     )
-    return _converged(coarse, fine, quad, "nearest-distance moment integral")
+    return _converged(coarse, fine, "nearest-distance moment integral")

@@ -19,7 +19,6 @@ from . import costs
 from .config import derive_bs_intensity, derive_processing_base, redimension, scenario_hash
 from .costs import Architecture, CostBreakdown, Scenario
 from .errors import CrancostError, ParameterError
-from .spatial_stats import DEFAULT_QUAD, QuadratureSettings
 
 __all__ = [
     "SWEEP_AXES",
@@ -32,7 +31,7 @@ __all__ = [
     "emit",
 ]
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.1.0"  # also crancost.__version__
 
 SWEEP_AXES = ("lambda3", "alpha", "lambda0", "p", "sigma2")
 
@@ -115,12 +114,7 @@ def scenario_for_point(base: Scenario, variant: str, axis: str, value: float) ->
     raise ParameterError(f"unknown axis {axis!r}")
 
 
-def run_sweep(
-    spec: SweepSpec,
-    base: Scenario,
-    quad: QuadratureSettings = DEFAULT_QUAD,
-    threads: int = 1,
-) -> SweepResult:
+def run_sweep(spec: SweepSpec, base: Scenario, threads: int = 1) -> SweepResult:
     """Evaluate the total cost at every (value, architecture) point.
 
     Row evaluation errors are recorded in the row and the sweep continues.
@@ -134,7 +128,7 @@ def run_sweep(
         _, gamma = ARCHITECTURE_VARIANTS[variant]
         try:
             scen = scenario_for_point(base, variant, spec.axis, value)
-            breakdown = costs.datacenter_cost(scen, quad)
+            breakdown = costs.datacenter_cost(scen)
             return SweepRow(spec.axis, value, variant, gamma, breakdown, lambda_3=scen.lambda_3)
         except CrancostError as exc:
             return SweepRow(

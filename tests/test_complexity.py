@@ -11,7 +11,6 @@ from crancost.complexity import (
     DRAN_POOLING_FACTOR,
     DecoderParams,
     DegenerateSnrSampler,
-    FrameConstants,
     PROCESSING_PRESETS,
     db_to_linear,
     decoding_complexity,
@@ -272,8 +271,7 @@ class TestServersRequired:
         assert servers_required(50.79).d_unit == pytest.approx(1.0, abs=1e-3)
 
     def test_chain_identities_exact(self):
-        frame = FrameConstants()
-        d = servers_required(3.7, frame)
+        d = servers_required(3.7)
         assert d.d_abs == 3.7 * 45 * 12 * 7 / 0.5e-3
         assert d.d_flops == d.d_abs * 1000.0
         assert d.d_unit == d.d_flops / (4 * 96e9)

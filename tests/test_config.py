@@ -8,6 +8,7 @@ import pytest
 
 from crancost.cli import main
 from crancost.config import (
+    _SCHEMA,
     default_scenario,
     load_complexity_settings,
     load_scenario,
@@ -152,6 +153,7 @@ class TestLoadScenario:
             ("[geometry]\nlamda3 = 9\n", "lamda3"),
             ("[radio]\nptx_dbm = 46\n", "[radio]"),
             ("[complexity]\ngamma_offset_db = 0.4\n", "gamma_offset_db"),
+            ("[complexity]\neps_channel = 0.3\n", "eps_channel"),
             ("[costs]\nc_macroo = 1\n", "c_macroo"),
             ("[DEFAULT]\nlambda3 = 2\n", "[DEFAULT]"),
         ],
@@ -206,6 +208,35 @@ class TestComplexitySection:
 
     def test_integral_n_mc_is_accepted(self):
         assert load_complexity_settings(text="[complexity]\nn_mc = 64.0\n").n_mc == 64
+
+    #: a valid value other than the default for every [complexity] key
+    NON_DEFAULT = {
+        "zeta": "8",
+        "k_scaling": "0.3",
+        "nu_db": "0.5",
+        "sampler": "rayleigh_fading",
+        "eps_comp": "0.2",
+        "n_mc": "5000",
+    }
+
+    @pytest.fixture(scope="class")
+    def table(self, tmp_path_factory):
+        """The complexity JSON under a config text."""
+        tmp = tmp_path_factory.mktemp("complexity")
+
+        def table(text: str) -> str:
+            cfg, out = tmp / "scenario.ini", tmp / "out.json"
+            cfg.write_text(text)
+            command = ["complexity", "--pool-sizes", "1 5", "--offsets", "0", "--config", str(cfg)]
+            assert main([*command, "--out", str(out)]) == 0
+            return out.read_text()
+
+        return table
+
+    @pytest.mark.parametrize("key", [row.key for row in _SCHEMA if row.section == "complexity"])
+    def test_every_key_changes_the_table(self, table, key):
+        """A key the table does not read is inert and must not be accepted."""
+        assert table(f"[complexity]\n{key} = {self.NON_DEFAULT[key]}\n") != table("")
 
 
 class TestSweepSection:

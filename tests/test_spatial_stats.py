@@ -7,6 +7,7 @@ probability, the nearest-neighbor CDF and the distance moments.
 """
 
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -19,7 +20,6 @@ from crancost.errors import ParameterError
 from crancost.geometry import Window, layer_rng, sample_cluster_bs
 from crancost.spatial_stats import (
     ClusterParams,
-    QuadratureSettings,
     cluster_nn_moment,
     gaussian_disc_mass,
     j_function,
@@ -328,28 +328,17 @@ class TestClusterNnMoment:
             cluster_nn_moment(2.0, PAPERLIKE, distance="nearest")
 
 
-def test_quadrature_settings_validation():
-    with pytest.raises(ParameterError):
-        QuadratureSettings(abs_tol=0.0)
-    with pytest.raises(ParameterError):
-        QuadratureSettings(max_subdivisions=0)
-
-
-def test_non_convergence_carries_the_achieved_error():
+def test_non_convergence_carries_the_achieved_error(monkeypatch):
+    from crancost import spatial_stats
     from crancost.errors import QuadratureError
 
-    starved = QuadratureSettings(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=1)
+    # the coarse/fine gap of the first moment at PAPERLIKE is about 3e-11,
+    # above the 1e-13 floor these tolerances leave
+    starved = replace(spatial_stats.DEFAULT_QUAD, abs_tol=1e-16, rel_tol=1e-16)
+    monkeypatch.setattr(spatial_stats, "DEFAULT_QUAD", starved)
     with pytest.raises(QuadratureError) as exc:
-        cluster_nn_moment(4.0, PAPERLIKE, quad=starved)
+        cluster_nn_moment(1.0, PAPERLIKE)
     assert exc.value.achieved_error is not None and exc.value.achieved_error > 0
-
-
-def test_custom_tolerances_accepted_per_call():
-    loose = QuadratureSettings(abs_tol=1e-6, rel_tol=1e-4)
-    tight = QuadratureSettings(abs_tol=1e-10, rel_tol=1e-9)
-    a = cluster_nn_moment(2.0, PAPERLIKE, quad=loose)
-    b = cluster_nn_moment(2.0, PAPERLIKE, quad=tight)
-    assert a == pytest.approx(b, rel=1e-3)
 
 
 # values of the nested adaptive quadrature this package used before the fixed
@@ -434,8 +423,6 @@ def test_one_cost_evaluation_builds_one_survival_curve(monkeypatch):
 
 def test_cost_with_fractional_user_link_exponents_converges():
     """Exponents below 1, which the configuration accepts, give finite user-link terms."""
-    from dataclasses import replace
-
     from crancost.config import default_scenario
     from crancost.costs import LinkCost, datacenter_cost
 
