@@ -1,6 +1,7 @@
 """Tests for the decoder workload model and server dimensioning."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,30 @@ class TestOutageDemand:
         with pytest.raises(SamplerDomainError, match="non-finite"):
             outage_demand(2, 0.1, NonFiniteSampler(), mcs, n_mc=10, seed=1)
 
+    def test_non_finite_draw_in_a_late_block_is_a_domain_error(self):
+        class LateNanSampler:
+            def sample(self, rng, size):
+                draws = np.full(size, 3.0)
+                draws[-1] = np.nan
+                return draws
+
+        mcs = snr_thresholds(default_mcs_rates())
+        # 80k draws: the NaN sits in the third workload block
+        with pytest.raises(SamplerDomainError, match="non-finite"):
+            outage_demand(2, 0.1, LateNanSampler(), mcs, n_mc=40_000, seed=1)
+
+    def test_workload_memory_is_one_draw_array_plus_fixed_blocks(self):
+        mcs = snr_thresholds(default_mcs_rates())
+        sampler = make_snr_sampler("nearest_bs")
+        tracemalloc.start()
+        try:
+            outage_demand(50, 0.1, sampler, mcs, n_mc=20_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 1M SNR draws alone take 8 MB
+        assert peak <= 10e6
+
     def test_parameter_validation(self):
         mcs = snr_thresholds([1.0])
         sampler = DegenerateSnrSampler(3.0)
@@ -233,7 +258,9 @@ class TestDranEquivalentDemand:
 class TestPinnedDemands:
     """Pooled and standalone demands recorded bit for bit from the searchsorted
     implementation; the comparison-pass selection and the in-place arithmetic
-    must reproduce them exactly."""
+    must reproduce them exactly. The last three cases were recorded before the
+    workload was evaluated in blocks: one spans about 31 blocks, one ends in a
+    partial block, and one has more stations than a block holds draws."""
 
     @pytest.mark.parametrize(
         "name,kwargs,offset,n,seed,n_mc,pooled,standalone",
@@ -245,6 +272,9 @@ class TestPinnedDemands:
             ("lognormal", {}, 0.9, 50, 11, 200, "0x1.7d4c946d805dap+7", "0x1.4cbdf60615b66p+8"),
             ("rayleigh_fading", {}, 0.0, 7, 3, 400, "0x1.95fb36d2faa1fp+5", "0x1.4385970de77d7p+6"),
             ("rayleigh_fading", {}, 0.9, 50, 11, 200, "0x1.6f37cad7aaa10p+7", "0x1.161144d2d4663p+8"),
+            ("nearest_bs", {}, 0.9, 50, 11, 20000, "0x1.2686afca49a97p+7", "0x1.0e3af70ba2bbdp+8"),
+            ("lognormal", {}, 0.0, 7, 3, 30000, "0x1.9d70eec71d974p+5", "0x1.29b7849e0935cp+6"),
+            ("rayleigh_fading", {}, 0.4, 40000, 2, 3, "0x1.57c805528808ep+17", "0x1.bb65b7d0c1e9bp+17"),
         ],
     )
     def test_demands_are_bit_identical(self, name, kwargs, offset, n, seed, n_mc, pooled, standalone):
