@@ -17,12 +17,13 @@ from crancost.complexity import (
     servers_required,
     snr_thresholds,
 )
+from crancost.dimensioning import OFFSET_PRESETS
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pool-sizes", type=int, nargs="+", default=[1, 2, 5, 10, 20, 50])
-    parser.add_argument("--offsets", type=float, nargs="+", default=[0.0, 0.4, 0.9])
+    parser.add_argument("--offsets", type=float, nargs="+", default=list(OFFSET_PRESETS))
     parser.add_argument("--n-mc", type=int, default=30000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()

@@ -8,7 +8,6 @@ deployment simulator on a toroidal window.
 
 from .complexity import (
     DecoderParams,
-    FrameConstants,
     McsTable,
     ProcessingDemand,
     decoding_complexity,

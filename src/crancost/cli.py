@@ -34,13 +34,21 @@ from .complexity import (
     servers_required,
     snr_thresholds,
 )
-from .config import load_scenario, parse_names, parse_values, read_config, save_scenario, scenario_hash
-from .costs import Architecture, datacenter_cost
-from .dimensioning import invert_for_bs_intensity, spectral_efficiency_target
+from .config import (
+    ComplexitySettings,
+    load_scenario,
+    parse_names,
+    parse_values,
+    read_config,
+    save_scenario,
+    scenario_hash,
+)
+from .costs import Architecture, Scenario, datacenter_cost
+from .dimensioning import OFFSET_PRESETS, invert_for_bs_intensity, spectral_efficiency_target
 from .errors import ConfigError, CrancostError
 from .geometry import Window
 from .simulate import compare_to_closed_form, estimate_mean_dc_cost, realization_rows, simulate_realization
-from .sweeps import ARCHITECTURE_VARIANTS, SweepSpec, TOOL_VERSION, render, run_sweep
+from .sweeps import ARCHITECTURE_VARIANTS, SWEEP_AXES, SweepSpec, TOOL_VERSION, render, run_sweep
 
 _EXIT_CODES = {
     "config": 2,
@@ -279,13 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="one scenario -> cost breakdown")
     _add_options(p_eval, "config", "format")
-    p_eval.add_argument("--architecture", choices=("dran", "cloud_ran"), default=None)
+    p_eval.add_argument("--architecture", choices=[a.value for a in Architecture], default=None)
     p_eval.add_argument("--dump-config", default=None, help="write the resolved scenario INI here")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_sweep = sub.add_parser("sweep", help="cost along one axis")
     _add_options(p_sweep, "config", "format", "threads")
-    p_sweep.add_argument("--axis", default=None, choices=("lambda3", "alpha", "lambda0", "p", "sigma2"))
+    p_sweep.add_argument("--axis", default=None, choices=SWEEP_AXES)
     p_sweep.add_argument("--values", default=None, help="space- or comma-separated numbers")
     p_sweep.add_argument(
         "--architectures",
@@ -306,16 +314,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_cx = sub.add_parser("complexity", help="pooled vs distributed processing demand")
     _add_options(p_cx, "config", "format", "seed")
     p_cx.add_argument("--pool-sizes", default="1 2 5 10 20 50")
-    p_cx.add_argument("--offsets", default="0 0.4 0.9")
-    p_cx.add_argument("--eps-comp", type=float, default=None, help="outage target (default from config, 0.1)")
-    p_cx.add_argument("--n-mc", type=int, default=None, help="Monte Carlo draws (default from config, 20000)")
+    p_cx.add_argument("--offsets", default=" ".join(f"{g:g}" for g in OFFSET_PRESETS))
+    p_cx.add_argument(
+        "--eps-comp", type=float, default=None,
+        help=f"outage target (default from config, {ComplexitySettings.eps_comp})",
+    )
+    p_cx.add_argument(
+        "--n-mc", type=int, default=None,
+        help=f"Monte Carlo draws (default from config, {ComplexitySettings.n_mc})",
+    )
     p_cx.add_argument("--sampler", default=None, help="override the configured SNR sampler")
     p_cx.add_argument("--sampler-params", default=None, help="JSON object of --sampler parameters")
     p_cx.set_defaults(func=cmd_complexity)
 
     p_dim = sub.add_parser("dimension", help="base-station intensity from the rate target")
     _add_options(p_dim)
-    p_dim.add_argument("--lambda0", type=float, default=170.0)
+    p_dim.add_argument("--lambda0", type=float, default=Scenario.lambda_0)
     p_dim.add_argument("--gamma-offset-db", type=float, default=0.0)
     p_dim.add_argument("--target", type=float, default=None, help="explicit bps/Hz target")
     p_dim.set_defaults(func=cmd_dimension)

@@ -3,7 +3,10 @@
 Per-codeword decoding effort in bit-iterations per channel use, MCS admission
 thresholds, Monte Carlo dimensioning of the pooled processing demand under a
 computational-outage target, the conversion chain from normalized demand to
-server counts, and the per-user data-processing cost rate.
+server counts, and the per-user data-processing cost rate. The frame and
+server figures of that chain are plain module constants; the per-offset
+servers-per-station fits are rows of
+:data:`crancost.dimensioning.OFFSET_PRESETS`.
 
 The outage Monte Carlo (:func:`outage_demand`) is the hot path of the
 complexity table. It draws all n_mc * N SNRs in one sampler call, then
@@ -33,11 +36,11 @@ from .errors import ParameterError, SamplerDomainError
 __all__ = [
     "DecoderParams",
     "McsTable",
-    "FrameConstants",
+    "CHANNEL_USES_PER_S",
+    "FLOP_PER_BIT_ITER",
+    "SERVER_FLOPS",
+    "SERVER_COST",
     "ProcessingDemand",
-    "ProcessingCostPreset",
-    "PROCESSING_PRESETS",
-    "DRAN_POOLING_FACTOR",
     "db_to_linear",
     "decoding_complexity",
     "snr_thresholds",
@@ -47,7 +50,6 @@ __all__ = [
     "LognormalSnrSampler",
     "RayleighFadingSnrSampler",
     "NearestBsSnrSampler",
-    "dran_processing_preset",
     "outage_demand",
     "dran_equivalent_demand",
     "servers_required",
@@ -296,9 +298,11 @@ def make_snr_sampler(name: str = "nearest_bs", **params):
     return cls(**params)
 
 
-def _truncated_draws(
-    sampler, rng: np.random.Generator, size: int, floor: float, max_rounds: int = 1000
-) -> np.ndarray:
+#: Rejection rounds after which a sampler counts as inconsistent with the MCS table.
+_MAX_ROUNDS = 1000
+
+
+def _truncated_draws(sampler, rng: np.random.Generator, size: int, floor: float) -> np.ndarray:
     """Rejection-sample until every SNR clears the lowest admission threshold.
 
     Each round redraws only the positions still below the floor, in index
@@ -309,7 +313,7 @@ def _truncated_draws(
     rounds = 0
     while below.size:
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > _MAX_ROUNDS:
             raise SamplerDomainError(
                 "sampler keeps producing SNRs below the lowest admission threshold; "
                 "it is inconsistent with the MCS table"
@@ -385,40 +389,16 @@ def dran_equivalent_demand(
 # demand -> servers -> cost
 
 
-@dataclass(frozen=True)
-class FrameConstants:
-    """LTE frame structure and server hardware constants.
-
-    One user occupies at most 45 physical resource blocks of 12 subcarriers
-    x 7 symbols in a 0.5 ms subframe; a turbo decoder needs up to 1000 FLOP
-    per bit-iteration; one quad-socket server sustains 4 x 96 GFLOP/s and
-    costs $20,000.
-    """
-
-    subframe_s: float = 0.5e-3
-    resource_blocks: int = 45
-    subcarriers_per_block: int = 12
-    symbols_per_block: int = 7
-    flop_per_bit_iter: float = 1000.0
-    server_flops: float = 4 * 96e9
-    server_cost: float = 20000.0
-
-    def __post_init__(self):
-        for name in (
-            "subframe_s",
-            "resource_blocks",
-            "subcarriers_per_block",
-            "symbols_per_block",
-            "flop_per_bit_iter",
-            "server_flops",
-            "server_cost",
-        ):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be > 0")
-
-    @property
-    def channel_uses_per_s(self) -> float:
-        return self.resource_blocks * self.subcarriers_per_block * self.symbols_per_block / self.subframe_s
+#: LTE channel uses per second: one user occupies at most 45 physical
+#: resource blocks of 12 subcarriers x 7 symbols in a 0.5 ms subframe
+#: (7.56e6; the commonly quoted 7.5e6 is a rounding of that product).
+CHANNEL_USES_PER_S = 45 * 12 * 7 / 0.5e-3
+#: FLOP a turbo decoder needs per bit-iteration, at most.
+FLOP_PER_BIT_ITER = 1000.0
+#: FLOP/s one quad-socket server sustains.
+SERVER_FLOPS = 4 * 96e9
+#: Price of one server, $.
+SERVER_COST = 20000.0
 
 
 @dataclass(frozen=True)
@@ -432,17 +412,12 @@ class ProcessingDemand:
 
 
 def servers_required(d_outage: float) -> ProcessingDemand:
-    """Convert a normalized demand into absolute load, FLOP/s and server count.
-
-    Uses the exact chain 45*12*7/0.5ms = 7.56e6 channel uses per second (the
-    commonly quoted 7.5e6 is a rounding of that product).
-    """
+    """Convert a normalized demand into absolute load, FLOP/s and server count."""
     if d_outage < 0:
         raise ParameterError("d_outage must be >= 0")
-    frame = FrameConstants()
-    d_abs = d_outage * frame.channel_uses_per_s
-    d_flops = d_abs * frame.flop_per_bit_iter
-    return ProcessingDemand(d_outage=d_outage, d_abs=d_abs, d_flops=d_flops, d_unit=d_flops / frame.server_flops)
+    d_abs = d_outage * CHANNEL_USES_PER_S
+    d_flops = d_abs * FLOP_PER_BIT_ITER
+    return ProcessingDemand(d_outage=d_outage, d_abs=d_abs, d_flops=d_flops, d_unit=d_flops / SERVER_FLOPS)
 
 
 def processing_cost_rate(
@@ -458,33 +433,3 @@ def processing_cost_rate(
     if lambda_0 <= 0:
         raise ParameterError("lambda_0 must be > 0")
     return (slope * lambda_1 + intercept) * server_cost / lambda_0
-
-
-@dataclass(frozen=True)
-class ProcessingCostPreset:
-    """Servers-per-station fit for one link-adaptation offset."""
-
-    slope: float  # servers per base station
-    intercept: float  # servers
-
-
-#: Pooled (centralized) processing fits per link-adaptation offset.
-PROCESSING_PRESETS: dict[float, ProcessingCostPreset] = {
-    0.0: ProcessingCostPreset(slope=0.111, intercept=0.0051),
-    0.4: ProcessingCostPreset(slope=0.096, intercept=0.0036),
-    0.9: ProcessingCostPreset(slope=0.083, intercept=0.0027),
-}
-
-#: Standalone (distributed) provisioning has no pooling gain: each station is
-#: dimensioned for its own outage quantile instead of sharing the aggregate
-#: one. The published fits cover only the pooled case, so the distributed
-#: slope is modeled as a fixed multiple of the pooled slope with zero
-#: intercept (the standalone line passes through the origin). 1.5 matches the
-#: 30-45% resource savings typically reported for computational pooling.
-DRAN_POOLING_FACTOR = 1.5
-
-
-def dran_processing_preset(gamma_offset_db: float = 0.0) -> ProcessingCostPreset:
-    """Distributed-provisioning fit derived from the pooled preset."""
-    base = PROCESSING_PRESETS[gamma_offset_db]
-    return ProcessingCostPreset(slope=DRAN_POOLING_FACTOR * base.slope, intercept=0.0)

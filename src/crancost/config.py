@@ -23,16 +23,9 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .complexity import (
-    DecoderParams,
-    FrameConstants,
-    PROCESSING_PRESETS,
-    dran_processing_preset,
-    make_snr_sampler,
-    processing_cost_rate,
-)
+from .complexity import SERVER_COST, DecoderParams, make_snr_sampler, processing_cost_rate
 from .costs import C2_CONVENTIONS, USER_BS_DISTANCES, Architecture, Scenario
-from .dimensioning import invert_for_bs_intensity, spectral_efficiency_target
+from .dimensioning import DRAN_POOLING_FACTOR, OFFSET_PRESETS, invert_for_bs_intensity, spectral_efficiency_target
 from .errors import ConfigError
 
 __all__ = [
@@ -57,12 +50,17 @@ def derive_bs_intensity(lambda_0: float, gamma_offset_db: float) -> float:
 def derive_processing_base(
     architecture: Architecture, gamma_offset_db: float, lambda_0: float, lambda_1: float
 ) -> float:
-    """Per-user data-processing cost for the architecture and decoder offset."""
+    """Per-user data-processing cost for the architecture and decoder offset.
+
+    Cloud-RAN prices the offset's pooled fit; DRAN prices
+    :data:`DRAN_POOLING_FACTOR` times its slope with zero intercept.
+    """
+    preset = OFFSET_PRESETS[gamma_offset_db]
     if architecture is Architecture.CLOUD_RAN:
-        preset = PROCESSING_PRESETS[gamma_offset_db]
+        slope, intercept = preset.slope, preset.intercept
     else:
-        preset = dran_processing_preset(gamma_offset_db)
-    return processing_cost_rate(preset.slope, preset.intercept, lambda_1, FrameConstants.server_cost, lambda_0)
+        slope, intercept = DRAN_POOLING_FACTOR * preset.slope, 0.0
+    return processing_cost_rate(slope, intercept, lambda_1, SERVER_COST, lambda_0)
 
 
 def redimension(scenario: Scenario, architecture: Architecture, gamma_offset_db: float) -> Scenario:
@@ -91,7 +89,6 @@ def default_scenario(
     architecture: Architecture = Architecture.CLOUD_RAN,
     gamma_offset_db: float = 0.0,
     lambda_0: float = Scenario.lambda_0,
-    lambda_1m: float = Scenario.lambda_1m,
 ) -> Scenario:
     """The bundled default scenario, fully resolved.
 
@@ -102,7 +99,7 @@ def default_scenario(
     nodes stand in for one fiber node, hence the 2:1 intensity ratio). These
     and the price tables are the :class:`Scenario` defaults.
     """
-    return redimension(Scenario(lambda_0=lambda_0, lambda_1m=lambda_1m), architecture, gamma_offset_db)
+    return redimension(Scenario(lambda_0=lambda_0), architecture, gamma_offset_db)
 
 
 @dataclass
@@ -221,7 +218,7 @@ def _replaced(obj, names: list[str], value):
 #: the scenario keys, in the order --dump-config writes them
 _SCENARIO_KEYS = (
     _Key("architecture", "mode", "architecture", _choice(Architecture, attrgetter("value")), "argument"),
-    _Key("architecture", "gamma_offset_db", "", _number(among=PROCESSING_PRESETS), "argument"),
+    _Key("architecture", "gamma_offset_db", "", _number(among=OFFSET_PRESETS), "argument"),
     _Key("geometry", "lambda0", "lambda_0", _POSITIVE),
     _Key("geometry", "lambda1c", "lambda_1c", _NONNEG, "derived"),
     _Key("geometry", "lambda1m", "lambda_1m", _NONNEG),

@@ -1,10 +1,16 @@
-"""Base-station intensity dimensioning from user demand.
+"""Base-station intensity dimensioning from user demand, and the offset presets.
 
 The spatially averaged rate of the user layer against a base-station layer of
 intensity ``lambda_1`` has the form C(lambda_0, radio) * sqrt(lambda_1), which
 makes inversion for the base-station intensity a one-liner. At realistic
 parameters the Erfc * exp product underflows/overflows, so evaluation goes
 through the scaled complementary error function erfcx.
+
+:data:`OFFSET_PRESETS` is the one table of supported link-adaptation offsets.
+Each row fixes the rate penalty that sets the station intensity and the
+pooled servers-per-station fit that sets the processing cost; the distributed
+fit is :data:`DRAN_POOLING_FACTOR` times the pooled slope. Every other module
+reads its offsets from this table.
 """
 
 from __future__ import annotations
@@ -19,7 +25,9 @@ from .errors import ParameterError
 __all__ = [
     "RadioParams",
     "PAPER_LTE_10MHZ",
-    "RATE_OFFSETS_DB",
+    "OffsetPreset",
+    "OFFSET_PRESETS",
+    "DRAN_POOLING_FACTOR",
     "dbm_to_watt",
     "spatial_avg_rate",
     "spatial_avg_rate_naive",
@@ -59,9 +67,36 @@ class RadioParams:
 #: LTE 10 MHz link budget that the station intensity is dimensioned at.
 PAPER_LTE_10MHZ = RadioParams()
 
-#: Spectral-efficiency penalty (bps/Hz) of running the decoder at a given
-#: link-adaptation offset; compensated by a higher base-station intensity.
-RATE_OFFSETS_DB: dict[float, float] = {0.0: 0.0, 0.4: 0.01322, 0.9: 0.029751}
+
+@dataclass(frozen=True)
+class OffsetPreset:
+    """What one link-adaptation offset fixes.
+
+    rate_penalty: spectral-efficiency penalty (bps/Hz) of running the decoder
+        at the offset; compensated by a higher base-station intensity
+    slope, intercept: pooled (centralized) processing fit, servers per base
+        station and servers
+    """
+
+    rate_penalty: float
+    slope: float
+    intercept: float
+
+
+#: The supported link-adaptation offsets (dB), one row each.
+OFFSET_PRESETS: dict[float, OffsetPreset] = {
+    0.0: OffsetPreset(rate_penalty=0.0, slope=0.111, intercept=0.0051),
+    0.4: OffsetPreset(rate_penalty=0.01322, slope=0.096, intercept=0.0036),
+    0.9: OffsetPreset(rate_penalty=0.029751, slope=0.083, intercept=0.0027),
+}
+
+#: Standalone (distributed) provisioning has no pooling gain: each station is
+#: dimensioned for its own outage quantile instead of sharing the aggregate
+#: one. The published fits cover only the pooled case, so the distributed
+#: slope is modeled as a fixed multiple of the pooled slope with zero
+#: intercept (the standalone line passes through the origin). 1.5 matches the
+#: 30-45% resource savings typically reported for computational pooling.
+DRAN_POOLING_FACTOR = 1.5
 
 #: Baseline spectral-efficiency target (bps/Hz) bundled with the LTE preset.
 #: An operator-calibrated constant: it is not the naive conversion of the
@@ -126,10 +161,10 @@ def invert_for_bs_intensity(target: float, lambda_0: float) -> float:
 def spectral_efficiency_target(gamma_offset_db: float) -> float:
     """Preset spectral-efficiency target including the decoder rate offset."""
     try:
-        delta = RATE_OFFSETS_DB[gamma_offset_db]
+        preset = OFFSET_PRESETS[gamma_offset_db]
     except KeyError:
         raise ParameterError(
             f"no rate-offset preset for gamma_offset_db={gamma_offset_db}; "
-            f"available: {sorted(RATE_OFFSETS_DB)}"
+            f"available: {sorted(OFFSET_PRESETS)}"
         ) from None
-    return BASE_SPECTRAL_EFFICIENCY + delta
+    return BASE_SPECTRAL_EFFICIENCY + preset.rate_penalty

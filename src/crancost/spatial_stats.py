@@ -58,10 +58,6 @@ class ClusterParams:
         if self.sigma <= 0:
             raise ParameterError("sigma must be > 0")
 
-    @property
-    def total_intensity(self) -> float:
-        return self.lambda_1c * (1.0 + self.lambda_1m)
-
 
 @dataclass(frozen=True)
 class QuadratureSettings:
@@ -152,8 +148,10 @@ def _void_exponent_and_j(
     """Minus the log void probability and the J-function at the radii ``r`` (1-D, all > 0).
 
     The inner integrals use ``s_panels`` uniform panels over [r, r + F sigma]
-    for the void probability and over [0, r + F sigma] for J, with
-    F = ``max_radius_factor``; both share one disc-mass call. J is None unless
+    for the void probability and over [0, F sigma] for J, with
+    F = ``max_radius_factor``; both share one disc-mass call. J's grid covers
+    only the support of the Rayleigh kernel density it weights (below e^-50
+    beyond 10 sigma), so it does not stretch with r. J is None unless
     ``with_j``.
     """
     lam_m, sigma = params.lambda_1m, params.sigma
@@ -164,8 +162,10 @@ def _void_exponent_and_j(
     span = DEFAULT_QUAD.max_radius_factor * sigma
     rr = r[:, None]
     s_void = rr + span * t
-    s_j = (rr + span) * t
-    mass = gaussian_disc_mass(np.concatenate([s_void, s_j], axis=1) if with_j else s_void, sigma, rr)
+    s_j = span * t
+    mass = gaussian_disc_mass(
+        np.concatenate([s_void, np.broadcast_to(s_j, s_void.shape)], axis=1) if with_j else s_void, sigma, rr
+    )
     n = t.size
     # inside the ball the bracket of the void integral is 1 and gives pi r^2
     outer = span * ((s_void * -np.expm1(-lam_m * mass[:, :n])) @ wt)
@@ -173,7 +173,7 @@ def _void_exponent_and_j(
     if not with_j:
         return exponent, None
     f_radial = (s_j / sigma**2) * np.exp(-s_j * s_j / (2.0 * sigma**2))
-    member_term = (r + span) * ((f_radial * np.exp(-lam_m * mass[:, n:])) @ wt)
+    member_term = span * ((f_radial * np.exp(-lam_m * mass[:, n:])) @ wt)
     w = 1.0 / (1.0 + lam_m)
     return exponent, w + (1.0 - w) * member_term
 

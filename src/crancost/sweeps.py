@@ -18,6 +18,7 @@ from . import costs
 # derive_* are not called here; perfbench's trace plan wraps them as attributes of this module
 from .config import derive_bs_intensity, derive_processing_base, redimension, scenario_hash
 from .costs import Architecture, CostBreakdown, Scenario
+from .dimensioning import OFFSET_PRESETS
 from .errors import CrancostError, ParameterError
 
 __all__ = [
@@ -31,7 +32,7 @@ __all__ = [
     "emit",
 ]
 
-TOOL_VERSION = "0.1.0"  # also crancost.__version__
+TOOL_VERSION = "0.1.0"  # also crancost.__version__ and the pyproject.toml version
 
 SWEEP_AXES = ("lambda3", "alpha", "lambda0", "p", "sigma2")
 
@@ -39,12 +40,8 @@ SWEEP_AXES = ("lambda3", "alpha", "lambda0", "p", "sigma2")
 #: each supported link-adaptation offset
 ARCHITECTURE_VARIANTS: dict[str, tuple[Architecture, float]] = {
     "dran": (Architecture.DRAN, 0.0),
-    "cloud_ran@0db": (Architecture.CLOUD_RAN, 0.0),
-    "cloud_ran@0.4db": (Architecture.CLOUD_RAN, 0.4),
-    "cloud_ran@0.9db": (Architecture.CLOUD_RAN, 0.9),
+    **{f"cloud_ran@{g:g}db": (Architecture.CLOUD_RAN, g) for g in OFFSET_PRESETS},
 }
-
-DEFAULT_VARIANTS = ("dran", "cloud_ran@0db", "cloud_ran@0.4db", "cloud_ran@0.9db")
 
 
 @dataclass(frozen=True)
@@ -53,7 +50,7 @@ class SweepSpec:
 
     axis: str
     values: tuple[float, ...]
-    architectures: tuple[str, ...] = DEFAULT_VARIANTS
+    architectures: tuple[str, ...] = tuple(ARCHITECTURE_VARIANTS)
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:

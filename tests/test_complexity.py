@@ -9,21 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crancost.complexity import (
-    DRAN_POOLING_FACTOR,
+    SERVER_COST,
     DecoderParams,
     DegenerateSnrSampler,
-    PROCESSING_PRESETS,
     db_to_linear,
     decoding_complexity,
     default_mcs_rates,
     dran_equivalent_demand,
-    dran_processing_preset,
     make_snr_sampler,
     outage_demand,
     processing_cost_rate,
     servers_required,
     snr_thresholds,
 )
+from crancost.config import derive_processing_base
+from crancost.costs import Architecture
+from crancost.dimensioning import DRAN_POOLING_FACTOR, OFFSET_PRESETS
 from crancost.errors import ParameterError, SamplerDomainError
 
 PARAMS = DecoderParams()
@@ -326,12 +327,15 @@ class TestProcessingCostRate:
             processing_cost_rate(0.1, 0.0, 50.0, 20000.0, 0.0)
 
     def test_presets_cover_all_offsets(self):
-        assert set(PROCESSING_PRESETS) == {0.0, 0.4, 0.9}
-        for gamma, preset in PROCESSING_PRESETS.items():
-            dran = dran_processing_preset(gamma)
-            assert dran.slope == pytest.approx(DRAN_POOLING_FACTOR * preset.slope)
-            assert dran.intercept == 0.0
-            assert dran.slope > preset.slope
+        assert set(OFFSET_PRESETS) == {0.0, 0.4, 0.9}
+        for gamma, preset in OFFSET_PRESETS.items():
+            pooled = derive_processing_base(Architecture.CLOUD_RAN, gamma, 170.0, 50.0)
+            dran = derive_processing_base(Architecture.DRAN, gamma, 170.0, 50.0)
+            assert pooled == processing_cost_rate(preset.slope, preset.intercept, 50.0, SERVER_COST, 170.0)
+            assert dran == pytest.approx(DRAN_POOLING_FACTOR * preset.slope * 50.0 * SERVER_COST / 170.0)
+            # the distributed line passes through the origin
+            assert derive_processing_base(Architecture.DRAN, gamma, 170.0, 0.0) == 0.0
+            assert dran > pooled
 
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])

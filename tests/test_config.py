@@ -1,5 +1,6 @@
 """Tests for scenario presets, config loading and round-trip serialization."""
 
+import inspect
 import json
 import math
 import re
@@ -7,6 +8,7 @@ import re
 import pytest
 
 from crancost.cli import main
+from crancost.complexity import _SAMPLERS
 from crancost.config import (
     _SCHEMA,
     default_scenario,
@@ -21,6 +23,17 @@ from crancost.config import (
 from crancost.costs import Architecture
 from crancost.errors import ConfigError
 from crancost.sweeps import ARCHITECTURE_VARIANTS
+
+
+def _moved(a, b, rel=1e-12) -> bool:
+    """Whether two JSON values differ: a number by more than ``rel`` relative, anything else at all."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() != b.keys() or any(_moved(a[k], b[k], rel) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) != len(b) or any(_moved(x, y, rel) for x, y in zip(a, b))
+    if isinstance(a, float) or isinstance(b, float):
+        return abs(a - b) > rel * max(abs(a), abs(b))
+    return a != b
 
 
 class TestDefaultScenario:
@@ -224,19 +237,70 @@ class TestComplexitySection:
         """The complexity JSON under a config text."""
         tmp = tmp_path_factory.mktemp("complexity")
 
-        def table(text: str) -> str:
+        def table(text: str) -> dict:
             cfg, out = tmp / "scenario.ini", tmp / "out.json"
             cfg.write_text(text)
             command = ["complexity", "--pool-sizes", "1 5", "--offsets", "0", "--config", str(cfg)]
             assert main([*command, "--out", str(out)]) == 0
-            return out.read_text()
+            return json.loads(out.read_text())
 
         return table
 
     @pytest.mark.parametrize("key", [row.key for row in _SCHEMA if row.section == "complexity"])
     def test_every_key_changes_the_table(self, table, key):
         """A key the table does not read is inert and must not be accepted."""
-        assert table(f"[complexity]\n{key} = {self.NON_DEFAULT[key]}\n") != table("")
+        assert _moved(table(f"[complexity]\n{key} = {self.NON_DEFAULT[key]}\n"), table(""))
+
+    def test_every_sampler_parameter_changes_the_table(self, table):
+        """Doubling any sampler parameter moves the table; the one exception is pinned.
+
+        nearest_bs ``lambda_1`` cancels from the SNR law and moves the table by
+        rounding only (4.3e-15 relative). It stays because the benchmark's
+        pooling workload passes it; the parameter goes with the next change to
+        the benchmark.
+        """
+        inert = set()
+        for name, sampler in _SAMPLERS.items():
+            base = {
+                param: 10.0 if spec.default is inspect.Parameter.empty else spec.default
+                for param, spec in inspect.signature(sampler).parameters.items()
+            }
+
+            def text(params):
+                return f"[complexity]\nsampler = {name}\n" + "".join(f"sampler_{k} = {v}\n" for k, v in params.items())
+
+            reference = table(text(base))
+            for param, value in base.items():
+                if not _moved(table(text({**base, param: 2.0 * value})), reference):
+                    inert.add((name, param))
+        assert inert == {("nearest_bs", "lambda_1")}
+
+
+def _scenario_defaults() -> dict[str, str]:
+    """Each scenario key's default, as ``--dump-config`` writes it."""
+    lines = scenario_to_config(default_scenario()).splitlines()
+    return dict(line.split(" = ") for line in lines if " = " in line)
+
+
+#: a valid other value for every scenario key that is not a number to halve
+_OTHER_CHOICE = {"mode": "dran", "gamma_offset_db": "0.4", "user_bs_distance": "palm", "c2_convention": "normalized"}
+
+
+@pytest.mark.parametrize("key,default", sorted(_scenario_defaults().items()))
+def test_every_scenario_key_changes_evaluate(tmp_path, key, default):
+    """A scenario key whose value no cost term reads is inert and must not be accepted."""
+
+    def costs(text: str) -> dict:
+        cfg, out = tmp_path / "scenario.ini", tmp_path / "out.json"
+        cfg.write_text(text)
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        # the hash and the echoed inputs move with any key; the costs must move too
+        return {k: payload[k] for k in ("per_data_center", "c_phi3", "total_per_km2")}
+
+    section = next(row.section for row in _SCHEMA if row.key == key)
+    other = _OTHER_CHOICE.get(key) or repr(float(default) / 2.0)
+    assert _moved(costs(f"[{section}]\n{key} = {other}\n"), costs(""))
 
 
 class TestSweepSection:

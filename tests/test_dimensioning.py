@@ -6,8 +6,8 @@ import pytest
 
 from crancost.dimensioning import (
     PAPER_LTE_10MHZ,
+    OFFSET_PRESETS,
     RadioParams,
-    RATE_OFFSETS_DB,
     dbm_to_watt,
     invert_for_bs_intensity,
     large_x_asymptotic_rate,
@@ -99,5 +99,5 @@ def test_spectral_efficiency_targets_per_offset():
 
 
 def test_rate_offsets_table():
-    assert RATE_OFFSETS_DB[0.4] == 0.01322
-    assert RATE_OFFSETS_DB[0.9] == 0.029751
+    assert OFFSET_PRESETS[0.4].rate_penalty == 0.01322
+    assert OFFSET_PRESETS[0.9].rate_penalty == 0.029751

@@ -37,3 +37,10 @@ def test_package_imports_resolve():
         if not hasattr(importlib.import_module(f"crancost.{module}"), name)
     ]
     assert missing == []
+
+
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == crancost.__version__

@@ -197,6 +197,15 @@ class TestJFunction:
         for r in (0.05, 0.2, 0.5, 1.0):
             assert 0.0 < j_function(r, PAPERLIKE) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("r", [2.2, 2.75, 3.5, 5.0])
+    def test_far_radius_reaches_the_whole_cluster_limit(self, r):
+        # r >> sigma: a ball around a member swallows its whole cluster, so the
+        # member term is exp(-lambda_1m); the inner grid must not stretch with r
+        params = ClusterParams(50.0, 1.0, 0.1)
+        lam_m = params.lambda_1m
+        limit = 1.0 / (1.0 + lam_m) + lam_m * math.exp(-lam_m) / (1.0 + lam_m)
+        assert j_function(r, params) == pytest.approx(limit, abs=1e-9)
+
 
 def empirical_nn_cdf_grid(params, window_side, n_rep, seed, quantiles):
     """Nearest-neighbor distances from every point of sampled realizations."""
