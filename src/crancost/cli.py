@@ -15,6 +15,8 @@ every section whatever the command reads of it; evaluate's
 The commands with ``--threads`` (sweep, simulate, compare) check the worker
 count (``--threads``, else ``CRANCOST_THREADS``) before they do anything
 else; those with ``--seed`` reject a negative seed as a config error.
+``dimension`` rejects a ``--gamma-offset-db`` with no preset as a config
+error, as a config's ``gamma_offset_db`` is.
 """
 
 from __future__ import annotations
@@ -24,16 +26,8 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 
-from .complexity import (
-    default_mcs_rates,
-    dran_equivalent_demand,
-    make_snr_sampler,
-    outage_demand,
-    servers_required,
-    snr_thresholds,
-)
+from .complexity import make_snr_sampler, pooling_table
 from .config import (
     ComplexitySettings,
     load_scenario,
@@ -236,23 +230,7 @@ def cmd_complexity(args) -> int:
     sampler = _sampler(args, settings)
     eps_comp = args.eps_comp if args.eps_comp is not None else settings.eps_comp
     n_mc = args.n_mc if args.n_mc is not None else settings.n_mc
-    rows = []
-    for gamma in offsets:
-        params = replace(settings.decoder, gamma_offset_db=gamma)
-        mcs = snr_thresholds(default_mcs_rates(), params)
-        for n in map(int, pool_sizes):
-            pooled = outage_demand(n, eps_comp, sampler, mcs, params, n_mc=n_mc, seed=seed)
-            standalone = dran_equivalent_demand(n, eps_comp, sampler, mcs, params, n_mc=n_mc, seed=seed)
-            rows.append(
-                {
-                    "gamma_offset_db": gamma,
-                    "n_cloud": n,
-                    "pooled_per_station": pooled / n,
-                    "distributed_per_station": standalone / n,
-                    "pooled_servers": servers_required(pooled).d_unit,
-                    "distributed_servers": servers_required(standalone).d_unit,
-                }
-            )
+    rows = pooling_table(offsets, pool_sizes, eps_comp, sampler, settings.decoder, n_mc=n_mc, seed=seed)
     if args.format == "json":
         _write(json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n", args.out)
     else:
@@ -265,6 +243,11 @@ def cmd_complexity(args) -> int:
 
 
 def cmd_dimension(args) -> int:
+    # the same check as the config's gamma_offset_db, so the same exit code
+    if args.gamma_offset_db not in OFFSET_PRESETS:
+        raise ConfigError(
+            f"value {args.gamma_offset_db} must be one of {sorted(OFFSET_PRESETS)}", key="gamma-offset-db"
+        )
     target = args.target if args.target is not None else spectral_efficiency_target(args.gamma_offset_db)
     lambda_1 = invert_for_bs_intensity(target, args.lambda0)
     payload = {

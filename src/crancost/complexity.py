@@ -3,8 +3,10 @@
 Per-codeword decoding effort in bit-iterations per channel use, MCS admission
 thresholds, Monte Carlo dimensioning of the pooled processing demand under a
 computational-outage target, the conversion chain from normalized demand to
-server counts, and the per-user data-processing cost rate. The frame and
-server figures of that chain are plain module constants; the per-offset
+server counts, the per-user data-processing cost rate, and the pooled vs
+standalone table over offsets and pool sizes (:func:`pooling_table`, which
+``crancost complexity`` and the pooling-table script print). The frame and
+server figures of the conversion chain are plain module constants; the per-offset
 servers-per-station fits are rows of
 :data:`crancost.dimensioning.OFFSET_PRESETS`.
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,6 +55,7 @@ __all__ = [
     "outage_demand",
     "dran_equivalent_demand",
     "servers_required",
+    "pooling_table",
     "processing_cost_rate",
 ]
 
@@ -418,6 +421,41 @@ def servers_required(d_outage: float) -> ProcessingDemand:
     d_abs = d_outage * CHANNEL_USES_PER_S
     d_flops = d_abs * FLOP_PER_BIT_ITER
     return ProcessingDemand(d_outage=d_outage, d_abs=d_abs, d_flops=d_flops, d_unit=d_flops / SERVER_FLOPS)
+
+
+def pooling_table(
+    offsets,
+    pool_sizes,
+    eps_comp: float,
+    sampler,
+    decoder: DecoderParams = DecoderParams(),
+    n_mc: int = 20000,
+    seed: int = 0,
+) -> list[dict]:
+    """Pooled vs standalone processing demand, one row per (offset, pool size).
+
+    Each row holds ``gamma_offset_db``, ``n_cloud``, the per-station demand of
+    a pooled and of a standalone provision, and the server counts of each;
+    every cell uses the same seed.
+    """
+    rows = []
+    for gamma in offsets:
+        params = replace(decoder, gamma_offset_db=gamma)
+        mcs = snr_thresholds(default_mcs_rates(), params)
+        for n in map(int, pool_sizes):
+            pooled = outage_demand(n, eps_comp, sampler, mcs, params, n_mc=n_mc, seed=seed)
+            standalone = dran_equivalent_demand(n, eps_comp, sampler, mcs, params, n_mc=n_mc, seed=seed)
+            rows.append(
+                {
+                    "gamma_offset_db": gamma,
+                    "n_cloud": n,
+                    "pooled_per_station": pooled / n,
+                    "distributed_per_station": standalone / n,
+                    "pooled_servers": servers_required(pooled).d_unit,
+                    "distributed_servers": servers_required(standalone).d_unit,
+                }
+            )
+    return rows
 
 
 def processing_cost_rate(

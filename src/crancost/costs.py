@@ -229,7 +229,7 @@ COST_TERMS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostBreakdown:
     """Expected cost of one data center, term by term, in $.
 

@@ -9,11 +9,16 @@ graded toward r = 0, and for every r an inner grid over the distance s to a
 cluster center. The inner Gaussian-disc mass uses the noncentral-chi-squared
 identity and is evaluated for the whole (r, s) grid in one broadcast call,
 so a distance moment costs one vectorized survival curve instead of nested
-adaptive quadrature. Every quantity is computed on a grid and on one with
-twice the panels; the difference is the error estimate. One rule, the module
-constant :data:`DEFAULT_QUAD`, accepts it: the error must not exceed
-max(abs_tol + rel_tol * |result|, 1e3 * abs_tol), where the second term is an
-absolute floor of 1e-5 at the default abs_tol of 1e-8.
+adaptive quadrature. The curve stops at the radius where the macros alone,
+which the stations include, leave the ball empty with probability below
+e^-60; beyond it the survival is set to exactly 0, which moves a moment by at
+most e^-60 r_max^exponent and, in double precision, by nothing. The unit
+Gauss-Legendre rules of both grids are built once, at import. Every quantity
+is computed on a grid and on one with twice the panels; the difference is
+the error estimate. One rule, the module constant :data:`DEFAULT_QUAD`,
+accepts it: the error must not exceed max(abs_tol + rel_tol * |result|,
+1e3 * abs_tol), where the second term is an absolute floor of 1e-5 at the
+default abs_tol of 1e-8.
 """
 
 from __future__ import annotations
@@ -68,8 +73,10 @@ class QuadratureSettings:
     the second term is an absolute floor, 1e-5 at the default ``abs_tol``.
     ``max_radius_factor`` truncates the integration range at that multiple of
     the relevant length scale (mean point spacing for distance moments, the
-    kernel width for the cluster integrals). The coarse grids have 12 outer
-    and 6 inner panels; the fine grids twice as many.
+    kernel width for the cluster integrals). Within that range the distance
+    moments also drop the radii where the macro void probability is below
+    e^-60 (see ``_survival_curve``). The coarse grids have 12 outer and 6
+    inner panels; the fine grids twice as many.
     """
 
     abs_tol: float = 1e-8
@@ -84,13 +91,22 @@ DEFAULT_QUAD = QuadratureSettings()
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _R_PANELS = 12  # outer panels, uniform in u with r = r_max * u^2
 _S_PANELS = 6  # inner panels over the distance to a cluster center
+_VOID_CUTOFF = 60.0  # survival is 0 where lambda_1c pi r^2 exceeds this, see _survival_curve
 
 
-def _gauss_legendre(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite Gauss-Legendre rule over the panels between ``edges``."""
+def _unit_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Gauss-Legendre rule over ``panels`` uniform panels of [0, 1]."""
+    edges = np.linspace(0.0, 1.0, panels + 1)
     a, b = edges[:-1, None], edges[1:, None]
     half = (b - a) / 2.0
-    return (half * _GL_NODES + (a + b) / 2.0).ravel(), (half * _GL_WEIGHTS).ravel()
+    rule = (half * _GL_NODES + (a + b) / 2.0).ravel(), (half * _GL_WEIGHTS).ravel()
+    for x in rule:
+        x.setflags(write=False)
+    return rule
+
+
+#: the coarse and the fine grid: outer (u, wu) and inner (t, wt) unit rules, built once
+_RULES = tuple((_unit_rule(k * _R_PANELS), _unit_rule(k * _S_PANELS)) for k in (1, 2))
 
 
 def _converged(coarse: float, fine: float, what: str) -> float:
@@ -143,22 +159,22 @@ def gaussian_disc_mass(center_dist, sigma: float, radius):
 
 
 def _void_exponent_and_j(
-    r: np.ndarray, params: ClusterParams, s_panels: int, with_j: bool
+    r: np.ndarray, params: ClusterParams, inner: tuple[np.ndarray, np.ndarray], with_j: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Minus the log void probability and the J-function at the radii ``r`` (1-D, all > 0).
 
-    The inner integrals use ``s_panels`` uniform panels over [r, r + F sigma]
-    for the void probability and over [0, F sigma] for J, with
-    F = ``max_radius_factor``; both share one disc-mass call. J's grid covers
-    only the support of the Rayleigh kernel density it weights (below e^-50
-    beyond 10 sigma), so it does not stretch with r. J is None unless
+    The inner integrals use the unit rule ``inner`` = (t, wt) mapped onto
+    [r, r + F sigma] for the void probability and onto [0, F sigma] for J,
+    with F = ``max_radius_factor``; both share one disc-mass call. J's grid
+    covers only the support of the Rayleigh kernel density it weights (below
+    e^-50 beyond 10 sigma), so it does not stretch with r. J is None unless
     ``with_j``.
     """
     lam_m, sigma = params.lambda_1m, params.sigma
     area = math.pi * r * r
     if lam_m == 0.0:
         return params.lambda_1c * area, (np.ones_like(r) if with_j else None)
-    t, wt = _gauss_legendre(np.linspace(0.0, 1.0, s_panels + 1))
+    t, wt = inner
     span = DEFAULT_QUAD.max_radius_factor * sigma
     rr = r[:, None]
     s_void = rr + span * t
@@ -185,8 +201,8 @@ def _at_radius(r: float, params: ClusterParams, what: str, value) -> float:
     if r == 0.0:
         return value(0.0, 1.0)
     values = []
-    for k in (_S_PANELS, 2 * _S_PANELS):
-        exponent, j = _void_exponent_and_j(np.array([float(r)]), params, k, True)
+    for _, inner in _RULES:
+        exponent, j = _void_exponent_and_j(np.array([float(r)]), params, inner, True)
         values.append(value(float(exponent[0]), float(j[0])))
     return _converged(*values, what)
 
@@ -243,19 +259,32 @@ def _survival_curve(
     exactly to r1^exponent; the remainder is smooth in u for every
     exponent > 0.
 
+    The grid stops early, at r_cut = sqrt(T / (pi lambda_1c)) with
+    T = 60 (``_VOID_CUTOFF``): every node beyond max(r1, r_cut) has tail
+    exactly 0. The stations include the macros, so the survival at r is at
+    most the macro void probability exp(-lambda_1c pi r^2) <= e^-T there;
+    in the code the void exponent is lambda_1c (pi r^2 + 2 pi outer) with
+    outer >= 0 and J <= 1, so the dropped tails are below e^-60 and, in
+    double precision, already round to 0 (1 - cdf with cdf = 1.0). The
+    dropped part of a moment is at most e^-60 r_max^exponent, about
+    8.8e-27 r_max^exponent. Nodes of the first panel are never dropped:
+    their tail is -CDF, not the survival.
+
     The single entry serves the two moments of one cost evaluation; a caller
     that alternates cluster sets rebuilds the curve each time.
     """
     params = ClusterParams(lambda_1c, lambda_1m, sigma)
     upper = DEFAULT_QUAD.max_radius_factor * max(1.0 / math.sqrt(lambda_1c), sigma)
+    r_cut = math.sqrt(_VOID_CUTOFF / (math.pi * lambda_1c))
     grids = []
-    for k in (1, 2):
-        u, wu = _gauss_legendre(np.linspace(0.0, 1.0, k * _R_PANELS + 1))
+    for k, ((u, wu), inner) in enumerate(_RULES, 1):
         r, w = upper * u * u, 2.0 * upper * u * wu
         r1 = upper / (k * _R_PANELS) ** 2
-        exponent, j = _void_exponent_and_j(r, params, k * _S_PANELS, distance == "palm")
+        kept = r[: np.searchsorted(r, max(r1, r_cut), side="right")]
+        exponent, j = _void_exponent_and_j(kept, params, inner, distance == "palm")
         cdf = -np.expm1(-exponent) if j is None else 1.0 - np.exp(-exponent) * j
-        tail = np.where(r < r1, -cdf, 1.0 - cdf)
+        tail = np.zeros_like(r)
+        tail[: kept.size] = np.where(kept < r1, -cdf, 1.0 - cdf)
         for a in (r, w, tail):
             a.setflags(write=False)
         grids.append((r1, r, w, tail))

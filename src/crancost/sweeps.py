@@ -70,7 +70,7 @@ class SweepSpec:
                 )
 
 
-@dataclass
+@dataclass(slots=True)
 class SweepRow:
     axis: str
     value: float

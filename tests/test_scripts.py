@@ -1,8 +1,11 @@
 """Each experiment script's main() runs end to end at tiny sizes."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
+
+from crancost.cli import main
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -35,3 +38,13 @@ def test_run_pooling_table(monkeypatch, capsys):
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 2 * 3  # pool sizes x the default offsets 0, 0.4, 0.9
     assert all(row.endswith("x") for row in rows)
+
+
+def test_run_pooling_table_prints_the_complexity_table(monkeypatch, capsys):
+    """At their defaults, the script's N = 1, 0 dB cell is the one `crancost complexity` computes."""
+    assert main(["complexity", "--pool-sizes", "1", "--offsets", "0"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    _run(monkeypatch, "run_pooling_table", "--pool-sizes", "1", "--offsets", "0")
+    printed = capsys.readouterr().out.splitlines()[1].split()
+    want = (row["pooled_per_station"], row["distributed_per_station"], row["pooled_servers"])
+    assert printed[2:5] == [f"{v:.3f}" for v in want]

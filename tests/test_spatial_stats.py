@@ -443,3 +443,81 @@ def test_cost_with_fractional_user_link_exponents_converges():
     assert cost.capacity_user_bs / cost.infra_user_bs == pytest.approx(
         5000.0 * moment(0.5) / (10000.0 * moment(0.25)), rel=1e-12
     )
+
+
+# cluster sets for the survival-curve cutoff: the default, three sets from
+# sparse to tight clustering, and three with large sigma * sqrt(lambda_1c),
+# where the cutoff radius falls inside the first outer panel
+CUTOFF_SETS = [
+    None,
+    (50.0, 1.0, 0.1),
+    (0.5, 50.0, 0.3),
+    (10.0, 4.0, 0.01),
+    (100.0, 4.0, 10.0),
+    (1000.0, 4.0, 5.0),
+    (10000.0, 2.0, 1.0),
+]
+
+
+def _moment_or_error(exponent, params, distance):
+    from crancost.errors import QuadratureError
+
+    try:
+        return cluster_nn_moment(exponent, params, distance=distance)
+    except QuadratureError:
+        return QuadratureError
+
+
+@pytest.fixture
+def cold_survival_curve():
+    """The survival-curve memo is empty before and after the test."""
+    from crancost import spatial_stats
+
+    spatial_stats._survival_curve.cache_clear()
+    yield spatial_stats
+    spatial_stats._survival_curve.cache_clear()
+
+
+@pytest.mark.parametrize("params", CUTOFF_SETS)
+@pytest.mark.parametrize("distance", ["contact", "palm"])
+def test_survival_cutoff_leaves_every_moment_bit_identical(monkeypatch, cold_survival_curve, params, distance):
+    """Cutting the radius grid at the macro void bound changes no bit, nor which sets raise."""
+    from crancost.config import default_scenario
+
+    params = default_scenario().cluster_params if params is None else ClusterParams(*params)
+    exponents = (0.5, 2.0, 4.0)
+    cut = [_moment_or_error(e, params, distance) for e in exponents]
+    monkeypatch.setattr(cold_survival_curve, "_VOID_CUTOFF", math.inf)
+    cold_survival_curve._survival_curve.cache_clear()
+    assert [_moment_or_error(e, params, distance) for e in exponents] == cut
+
+
+@given(
+    lambda_1c=st.floats(0.1, 100.0),
+    lambda_1m=st.floats(0.0, 20.0),
+    sigma=st.floats(0.05, 2.0),
+    r_scaled=st.floats(0.0, 3.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_void_probability_is_below_the_macro_void_probability(lambda_1c, lambda_1m, sigma, r_scaled):
+    """The stations include the macros: P(no station in b(0, r)) <= exp(-lambda_1c pi r^2)."""
+    params = ClusterParams(lambda_1c, lambda_1m, sigma)
+    r = r_scaled / math.sqrt(lambda_1c)
+    assert void_probability(r, params) <= math.exp(-params.lambda_1c * math.pi * r**2) * (1 + 1e-12)
+
+
+def test_cold_cost_evaluation_passes_at_most_11000_disc_mass_cells(monkeypatch, cold_survival_curve):
+    """The survival curve evaluates the disc mass only where the survival can exceed e^-60."""
+    from crancost.config import default_scenario
+    from crancost.costs import datacenter_cost
+
+    cells = []
+    original = cold_survival_curve.gaussian_disc_mass
+
+    def counting(center_dist, sigma, radius):
+        cells.append(np.broadcast(np.asarray(center_dist), np.asarray(radius)).size)
+        return original(center_dist, sigma, radius)
+
+    monkeypatch.setattr(cold_survival_curve, "gaussian_disc_mass", counting)
+    datacenter_cost(default_scenario())
+    assert 0 < sum(cells) <= 11_000

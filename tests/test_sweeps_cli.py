@@ -97,6 +97,13 @@ class TestRunSweep:
         result = run_sweep(spec, default_scenario())
         assert all(r.error is None for r in result.rows)
 
+    def test_rows_and_breakdowns_carry_no_instance_dict(self):
+        """Rows and breakdowns use slots: a held sweep costs its fields, not a dict per object."""
+        spec = SweepSpec(axis="alpha", values=(0.0, 1.0), architectures=("dran",))
+        rows = run_sweep(spec, default_scenario()).rows
+        assert [r.error for r in rows] == [None, None]
+        assert not any(hasattr(obj, "__dict__") for r in rows for obj in (r, r.breakdown))
+
 
 class TestEmit:
     def test_csv_columns_exact(self, tmp_path):
@@ -508,6 +515,22 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert float(rows[0]["distributed_per_station"]) >= float(rows[0]["pooled_per_station"]) - 1e-9
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_an_offset_with_no_preset_is_a_config_error(self, tmp_path, capsys, source):
+        """An unsupported offset is exit 2 whether the flag or a config gives it."""
+        out = tmp_path / "out.json"
+        if source == "flag":
+            argv = ["dimension", "--gamma-offset-db", "0.7"]
+        else:
+            cfg = tmp_path / "scenario.ini"
+            cfg.write_text("[architecture]\ngamma_offset_db = 0.7\n")
+            argv = ["evaluate", "--config", str(cfg)]
+        assert main([*argv, "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "config"
+        assert "gamma" in error["message"] and "[0.0, 0.4, 0.9]" in error["message"]
+        assert not out.exists()
 
     def test_dimension_subcommand(self, tmp_path):
         out = tmp_path / "dim.json"
