@@ -11,12 +11,24 @@ servers-per-station fits are rows of
 :data:`crancost.dimensioning.OFFSET_PRESETS`.
 
 The outage Monte Carlo (:func:`outage_demand`) is the hot path of the
-complexity table. It draws all n_mc * N SNRs in one sampler call, then
-evaluates the workload in blocks of whole realizations, about 32k draws
-each, so that the block's temporaries stay in cache; its memory is the one
-SNR array plus fixed-size blocks. Every element sees the same operations in
-the same order and every realization is summed alone, so the result is the
-same bit for bit whatever the block size. :meth:`McsTable.select` counts
+complexity table. Its SNRs are the start of one stream per seed: the
+n_mc * N draws of a call are the stream's first n_mc * N values, and its
+rejection rounds take the values after them. This rests on the stream
+contract every package sampler keeps: ``sample(rng, a)`` followed by
+``sample(rng, b)`` returns, bit for bit, what ``sample(rng, a + b)`` does.
+A table calls with one seed at every offset and pool size, so the module
+keeps the last stream between calls: a head drawn in one sampler call at
+the largest size asked for so far, and the generator as it stands after
+the head. A call that needs more values than the head holds past its own
+prefix draws them from a copy of that generator; one that needs a longer
+head drops the old head and redraws from the seed, so one head is kept at
+most (8 MB for 50 stations at 20000 draws). A call reads its prefix as
+views and evaluates the workload in blocks of whole realizations, about
+32k draws each, so that the block's temporaries stay in cache; only a
+block holding a redrawn position is copied and patched. Every element sees
+the same operations in the same order and every realization is summed
+alone, so the result is the same bit for bit whatever the block size and
+whatever was called before. :meth:`McsTable.select` counts
 the admission thresholds each SNR meets, one vectorized comparison pass per
 MCS, in place of a binary search per draw. The nearest-base-station sampler
 and the workload evaluate their closed forms in one buffer with the same
@@ -27,8 +39,11 @@ workload keeps its exact value. A non-finite SNR draw raises
 
 from __future__ import annotations
 
+import copy
 import inspect
 import math
+import numbers
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -286,6 +301,11 @@ def make_snr_sampler(name: str = "nearest_bs", **params):
     Every parameter must be one the sampler takes and a finite number; an
     unknown name or key, or any other value, is a :class:`ParameterError`
     naming the sampler and the key.
+
+    Every sampler keeps the stream contract that :func:`outage_demand`
+    relies on: its draws depend only on the generator and on its type and
+    attribute values, and ``sample(rng, a)`` followed by ``sample(rng, b)``
+    returns, bit for bit, what ``sample(rng, a + b)`` does.
     """
     try:
         cls = _SAMPLERS[name]
@@ -301,38 +321,97 @@ def make_snr_sampler(name: str = "nearest_bs", **params):
     return cls(**params)
 
 
-#: Rejection rounds after which a sampler counts as inconsistent with the MCS table.
-_MAX_ROUNDS = 1000
-
-
-def _truncated_draws(sampler, rng: np.random.Generator, size: int, floor: float) -> np.ndarray:
-    """Rejection-sample until every SNR clears the lowest admission threshold.
-
-    Each round redraws only the positions still below the floor, in index
-    order, and compares only the fresh values.
-    """
-    draws = np.asarray(sampler.sample(rng, size), dtype=float)
-    below = np.flatnonzero(draws < floor)
-    rounds = 0
-    while below.size:
-        rounds += 1
-        if rounds > _MAX_ROUNDS:
-            raise SamplerDomainError(
-                "sampler keeps producing SNRs below the lowest admission threshold; "
-                "it is inconsistent with the MCS table"
-            )
-        fresh = np.asarray(sampler.sample(rng, below.size), dtype=float)
-        draws[below] = fresh
-        below = below[fresh < floor]
-    return draws
-
-
 # ---------------------------------------------------------------------------
 # outage dimensioning
 
 #: Draws per block of the workload stage. 2^15 doubles are 256 KiB, so a
 #: block's temporaries stay in the L2 cache; 2^14, 2^16 and 2^17 were slower.
 _BLOCK = 1 << 15
+
+#: Rejection rounds after which a sampler counts as inconsistent with the MCS table.
+_MAX_ROUNDS = 1000
+
+
+class _Stream:
+    """One seed's SNR stream: a head drawn in one sampler call, and the generator past it."""
+
+    __slots__ = ("key", "head", "rng")
+
+    def __init__(self, key, sampler, seed: int, size: int):
+        self.key = key
+        self.rng = np.random.default_rng(seed)
+        self.head = np.asarray(sampler.sample(self.rng, size), dtype=float)
+        self.head.flags.writeable = False
+
+
+#: The last stream drawn; it is looked up and replaced under the lock.
+_memo: _Stream | None = None
+_memo_lock = threading.Lock()
+
+
+def _stream(sampler, seed: int, size: int) -> _Stream:
+    """The stream of ``sampler`` under ``seed``, with a head of at least ``size`` draws.
+
+    The memo key is the seed with the sampler's type and attribute values, so
+    equal-valued samplers share a stream and a changed attribute misses. A
+    sampler without a ``__dict__``, or with an unhashable attribute, gets a
+    stream of its own.
+    """
+    global _memo
+    try:
+        key = (seed, type(sampler), tuple(sorted((k, type(v), v) for k, v in vars(sampler).items())))
+        hash(key)
+    except TypeError:
+        return _Stream(None, sampler, seed, size)
+    with _memo_lock:
+        if _memo is None or _memo.key != key or _memo.head.size < size:
+            _memo = None  # drop the old head before drawing the new one
+            _memo = _Stream(key, sampler, seed, size)
+        return _memo
+
+
+def _truncated_draws(sampler, seed: int, size: int, floor: float):
+    """The stream's first ``size`` values, with every value below ``floor`` redrawn.
+
+    Returns that prefix as drawn (a read-only view), the sorted positions below
+    the floor, and their redrawn values. Each rejection round redraws the
+    positions still below the floor, in index order, from the stream's next
+    values, and compares only those.
+    """
+    stream = _stream(sampler, seed, size)
+    draws = stream.head[:size]
+    # compared block by block, so the comparison's temporary stays one block
+    below = np.concatenate(
+        [np.flatnonzero(draws[lo : lo + _BLOCK] < floor) + lo for lo in range(0, size, _BLOCK)]
+    )
+    redrawn = np.empty(below.size)
+    pending = np.arange(below.size)
+    rng = None  # a copy of the generator past the head, made when a round reaches it
+    offset, rounds = size, 0
+    while pending.size:
+        rounds += 1
+        if rounds > _MAX_ROUNDS:
+            raise SamplerDomainError(
+                "sampler keeps producing SNRs below the lowest admission threshold; "
+                "it is inconsistent with the MCS table"
+            )
+        fresh = stream.head[offset : offset + pending.size]
+        if fresh.size < pending.size:
+            if rng is None:
+                rng = copy.deepcopy(stream.rng)
+            past = np.asarray(sampler.sample(rng, pending.size - fresh.size), dtype=float)
+            fresh = np.concatenate((fresh, past))
+        offset += pending.size
+        redrawn[pending] = fresh
+        pending = pending[fresh < floor]
+    return draws, below, redrawn
+
+
+def _whole(name: str, value, least: int) -> int:
+    """``value`` as an int; it must be an integer >= ``least`` and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def outage_demand(
@@ -350,22 +429,32 @@ def outage_demand(
     sum_i D(gamma_i, k(gamma_i)) over ``n_cloud`` stations and returns the
     empirical quantile at probability 1 - eps_comp, so that the probability of
     the aggregate exceeding the provision is at most eps_comp. Deterministic
-    given the seed.
+    given the seed, an integer >= 0.
+
+    The SNRs are the first n_mc * n_cloud values of the seed's stream, and the
+    rejection rounds take the values after them (see the module docstring).
+    The last stream is kept between calls, so calls with one seed and an
+    equal-valued sampler share its draws; the result does not depend on what
+    was called before.
     """
-    if n_cloud < 1:
-        raise ParameterError("n_cloud must be >= 1")
+    n_cloud = _whole("n_cloud", n_cloud, 1)
     if not 0.0 < eps_comp < 1.0:
         raise ParameterError("eps_comp must lie in (0, 1)")
-    if n_mc < 1:
-        raise ParameterError("n_mc must be >= 1")
-    rng = np.random.default_rng(seed)
-    draws = _truncated_draws(sampler, rng, n_mc * n_cloud, float(mcs.gamma_admission[0]))
+    n_mc = _whole("n_mc", n_mc, 1)
+    seed = _whole("seed", seed, 0)
+    draws, below, redrawn = _truncated_draws(sampler, seed, n_mc * n_cloud, float(mcs.gamma_admission[0]))
     # whole realizations per block, each summed alone: the sums do not
     # depend on where the blocks end
     rows = max(1, _BLOCK // n_cloud)
     sums = np.empty(n_mc)
     for start in range(0, n_mc, rows):
-        block = draws[start * n_cloud : (start + rows) * n_cloud]
+        lo, hi = start * n_cloud, min(start + rows, n_mc) * n_cloud
+        block = draws[lo:hi]
+        first, last = np.searchsorted(below, (lo, hi))
+        if first < last:
+            # the stream stays as drawn; the block's copy takes the redrawn values
+            block = block.copy()
+            block[below[first:last] - lo] = redrawn[first:last]
         sums[start : start + rows] = _complexity_vector(block, mcs, params).reshape(-1, n_cloud).sum(axis=1)
     # smallest provision covering at least a 1-eps fraction of realizations
     return float(np.quantile(sums, 1.0 - eps_comp, method="higher"))
@@ -384,6 +473,9 @@ def dran_equivalent_demand(
 
     Returns ``n_cloud * outage_demand(1, ...)`` with the same seed, i.e. no
     pooling gain. Equals the pooled demand exactly for degenerate samplers.
+    Its n_mc draws are the first n_mc values of the seed's stream, so after a
+    pooled call with the same seed and sampler they are read from the kept
+    stream without drawing.
     """
     return n_cloud * outage_demand(1, eps_comp, sampler, mcs, params, n_mc, seed)
 

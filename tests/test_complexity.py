@@ -1,23 +1,29 @@
 """Tests for the decoder workload model and server dimensioning."""
 
+import copy
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crancost import complexity
 from crancost.complexity import (
     SERVER_COST,
     DecoderParams,
     DegenerateSnrSampler,
+    NearestBsSnrSampler,
     db_to_linear,
     decoding_complexity,
     default_mcs_rates,
     dran_equivalent_demand,
     make_snr_sampler,
     outage_demand,
+    pooling_table,
     processing_cost_rate,
     servers_required,
     snr_thresholds,
@@ -28,6 +34,15 @@ from crancost.dimensioning import DRAN_POOLING_FACTOR, OFFSET_PRESETS
 from crancost.errors import ParameterError, SamplerDomainError
 
 PARAMS = DecoderParams()
+
+
+def offset_table(gamma):
+    params = DecoderParams(gamma_offset_db=gamma)
+    return snr_thresholds(default_mcs_rates(), params), params
+
+
+#: the MCS table and decoder of each supported offset
+TABLES = {gamma: offset_table(gamma) for gamma in (0.0, 0.4, 0.9)}
 
 
 class TestDecodingComplexity:
@@ -230,6 +245,31 @@ class TestOutageDemand:
         with pytest.raises(ParameterError):
             outage_demand(1, 0.0, sampler, mcs)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("seed", -1),
+            ("seed", 1.5),
+            ("seed", None),
+            ("seed", True),
+            ("n_cloud", 2.5),
+            ("n_cloud", True),
+            ("n_mc", 10.5),
+        ],
+    )
+    def test_counts_and_seed_must_be_integers(self, name, value):
+        mcs = snr_thresholds(default_mcs_rates())
+        kwargs = {"n_cloud": 2, "n_mc": 16, "seed": 0, name: value}
+        n_cloud = kwargs.pop("n_cloud")
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+            outage_demand(n_cloud, 0.1, make_snr_sampler("nearest_bs"), mcs, **kwargs)
+
+    def test_numpy_integers_are_accepted(self):
+        mcs = snr_thresholds(default_mcs_rates())
+        sampler = make_snr_sampler("nearest_bs")
+        got = outage_demand(np.int64(3), 0.1, sampler, mcs, n_mc=np.int32(50), seed=np.uint8(4))
+        assert got == outage_demand(3, 0.1, sampler, mcs, n_mc=50, seed=4)
+
 
 class TestDranEquivalentDemand:
     def test_equals_pooled_at_single_station(self):
@@ -372,3 +412,121 @@ def test_nearest_bs_sampler_spans_the_mcs_range():
     k = mcs.select(np.clip(draws, mcs.gamma_admission[0], None))
     # a healthy spread: both low and top MCS indices get selected
     assert k.min() <= 2 and k.max() == len(mcs) - 1
+
+
+SAMPLER_SPECS = [
+    ("degenerate", {"gamma": 3.0}),
+    ("lognormal", {}),
+    ("rayleigh_fading", {}),
+    ("nearest_bs", {}),
+]
+
+
+@pytest.mark.parametrize("name,kwargs", SAMPLER_SPECS, ids=[name for name, _ in SAMPLER_SPECS])
+@settings(max_examples=40, deadline=None)
+@given(a=st.integers(0, 3000), b=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1))
+def test_sampler_keeps_the_stream_contract(name, kwargs, a, b, seed):
+    """sample(rng, a) then sample(rng, b) is sample(rng, a + b), bit for bit."""
+    sampler = make_snr_sampler(name, **kwargs)
+    rng = np.random.default_rng(seed)
+    split = np.concatenate((sampler.sample(rng, a), sampler.sample(rng, b)))
+    whole = sampler.sample(np.random.default_rng(seed), a + b)
+    assert split.tobytes() == whole.tobytes()
+
+
+class TestSharedStream:
+    """Calls with one seed share the stream kept between them; no call's result depends on that."""
+
+    @staticmethod
+    def alone(n, sampler, offset, seed):
+        complexity._memo = None
+        return outage_demand(n, 0.1, sampler, *TABLES[offset], n_mc=2000, seed=seed)
+
+    def test_interleaved_calls_match_calls_on_a_cleared_memo(self):
+        first, twin = make_snr_sampler("nearest_bs"), make_snr_sampler("nearest_bs")
+        complexity._memo = None
+        live = []
+
+        def call(n, sampler, offset, seed):
+            # the reference: the sampler's values at call time, without an instance `sample`
+            same = copy.copy(sampler)
+            vars(same).pop("sample", None)
+            got = outage_demand(n, 0.1, sampler, *TABLES[offset], n_mc=2000, seed=seed)
+            live.append(((n, same, offset, seed), got))
+
+        call(1, first, 0.0, 0)
+        call(20, first, 0.0, 0)
+        call(5, twin, 0.4, 0)  # an equal-valued instance shares the stream
+        call(20, twin, 0.9, 1)  # the seeds alternate
+        call(1, first, 0.9, 0)
+        call(50, first, 0.4, 1)  # n_cloud grows, then shrinks
+        call(2, first, 0.0, 1)
+        call(3, make_snr_sampler("lognormal"), 0.0, 1)
+        call(3, first, 0.9, 1)
+        first.snr_median_db = 6.0  # the instance changes under the memo
+        call(10, first, 0.0, 1)
+        call(1, twin, 0.0, 1)
+        first.snr_median_db = 12.0
+        # an instance attribute `sample`, installed and removed as a tracer does
+        first.sample = lambda rng, size: NearestBsSnrSampler.sample(first, rng, size)
+        call(7, first, 0.4, 1)
+        call(50, first, 0.9, 1)
+        del first.sample
+        call(7, first, 0.4, 1)
+        call(50, first, 0.9, 1)
+        call(50, twin, 0.9, 0)
+        for args, got in live:
+            assert got.hex() == self.alone(*args).hex()
+
+    def test_a_call_inside_the_kept_head_draws_nothing(self):
+        sampler = make_snr_sampler("nearest_bs")
+        sizes = []
+
+        def counted(rng, size, original=sampler.sample):
+            sizes.append(size)
+            return original(rng, size)
+
+        sampler.sample = counted
+        complexity._memo = None
+        outage_demand(20, 0.1, sampler, *TABLES[0.0], n_mc=2000, seed=3)
+        assert sizes[0] == 40_000
+        del sizes[:]
+        for offset in TABLES:
+            for n in (1, 2, 5):
+                outage_demand(n, 0.1, sampler, *TABLES[offset], n_mc=2000, seed=3)
+        assert sizes == []
+
+    def test_threads_return_the_serial_tables(self):
+        sampler = make_snr_sampler("nearest_bs")
+        seeds = (0, 1, 2, 3)
+
+        def table(seed):
+            return pooling_table(list(TABLES), (1, 5, 20), 0.1, sampler, n_mc=2000, seed=seed)
+
+        serial = [table(seed) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # more threads than cores, each seed missing the memo the others just filled
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(table, seed) for _ in range(3) for seed in seeds]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == serial * 3
+
+    def test_the_memo_keeps_one_head_at_most(self):
+        sampler = make_snr_sampler("nearest_bs")
+        complexity._memo = None
+        tracemalloc.start()
+        try:
+            outage_demand(20, 0.1, sampler, *TABLES[0.0], n_mc=20_000, seed=1)
+            # the 3.2 MB head is dropped before the 8 MB one is drawn
+            outage_demand(50, 0.1, sampler, *TABLES[0.0], n_mc=20_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+            outage_demand(1, 0.1, sampler, *TABLES[0.0], n_mc=20_000, seed=2)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6
+        assert retained <= 1e6

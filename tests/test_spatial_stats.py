@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from crancost.errors import ParameterError
+from crancost.errors import ParameterError, QuadratureError
 from crancost.geometry import Window, layer_rng, sample_cluster_bs
 from crancost.spatial_stats import (
     ClusterParams,
@@ -335,6 +335,32 @@ class TestClusterNnMoment:
     def test_unknown_distance_flag_rejected(self):
         with pytest.raises(ParameterError):
             cluster_nn_moment(2.0, PAPERLIKE, distance="nearest")
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=QuadratureError,
+        reason=(
+            "at sigma*sqrt(lambda_1c) >= 100 the radius grid spans 10*sigma, so the "
+            "survival's whole range (r <= r_cut) falls inside the first coarse panel "
+            "and the coarse and fine grids disagree past the tolerance"
+        ),
+    )
+    @pytest.mark.parametrize(
+        "params,exponent",
+        [
+            ((100.0, 4.0, 10.0), 0.25),
+            ((100.0, 4.0, 10.0), 1.0),
+            ((100.0, 4.0, 10.0), 2.0),
+            ((1000.0, 4.0, 5.0), 0.25),
+            ((1000.0, 4.0, 5.0), 1.0),
+            ((1000.0, 4.0, 5.0), 2.0),
+            ((10000.0, 2.0, 1.0), 0.25),
+            ((10000.0, 2.0, 1.0), 1.0),
+        ],
+    )
+    def test_moments_converge_at_widely_spread_dense_clusters(self, params, exponent):
+        for distance in ("palm", "contact"):
+            assert math.isfinite(cluster_nn_moment(exponent, ClusterParams(*params), distance=distance))
 
 
 def test_non_convergence_carries_the_achieved_error(monkeypatch):
