@@ -27,6 +27,9 @@ import json
 import os
 import sys
 
+import numpy as np
+import scipy
+
 from .complexity import make_snr_sampler, pooling_table
 from .config import (
     ComplexitySettings,
@@ -161,7 +164,14 @@ def cmd_sweep(args) -> int:
 
 
 def _provenance(args) -> dict:
-    return {"seed": args.seed, "reps": args.reps, "tool_version": TOOL_VERSION}
+    """Seed, replication count and versions: the oracle's bits rest on numpy's RNG and scipy's KD-tree."""
+    return {
+        "seed": args.seed,
+        "reps": args.reps,
+        "tool_version": TOOL_VERSION,
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+    }
 
 
 def cmd_simulate(args) -> int:

@@ -528,22 +528,30 @@ def pooling_table(
 
     Each row holds ``gamma_offset_db``, ``n_cloud``, the per-station demand of
     a pooled and of a standalone provision, and the server counts of each;
-    every cell uses the same seed.
+    every cell uses the same seed. The standalone provision is
+    ``n * outage_demand(1, ...)``, as :func:`dran_equivalent_demand` gives.
+    Rows come in the order of ``offsets`` and ``pool_sizes``.
     """
+    sizes = [int(n) for n in pool_sizes]
     rows = []
     for gamma in offsets:
         params = replace(decoder, gamma_offset_db=gamma)
         mcs = snr_thresholds(default_mcs_rates(), params)
-        for n in map(int, pool_sizes):
-            pooled = outage_demand(n, eps_comp, sampler, mcs, params, n_mc=n_mc, seed=seed)
-            standalone = dran_equivalent_demand(n, eps_comp, sampler, mcs, params, n_mc=n_mc, seed=seed)
+        # largest pool first, so the kept stream's head is drawn once for the
+        # table; a standalone station is a pool of one
+        pooled = {
+            n: outage_demand(n, eps_comp, sampler, mcs, params, n_mc=n_mc, seed=seed)
+            for n in sorted({1, *sizes}, reverse=True)
+        }
+        for n in sizes:
+            standalone = n * pooled[1]
             rows.append(
                 {
                     "gamma_offset_db": gamma,
                     "n_cloud": n,
-                    "pooled_per_station": pooled / n,
+                    "pooled_per_station": pooled[n] / n,
                     "distributed_per_station": standalone / n,
-                    "pooled_servers": servers_required(pooled).d_unit,
+                    "pooled_servers": servers_required(pooled[n]).d_unit,
                     "distributed_servers": servers_required(standalone).d_unit,
                 }
             )

@@ -4,7 +4,10 @@ The observation window is a rectangle, toroidal by default so that empirical
 means taken over the window match the stationary closed forms without edge
 corrections. Every point layer is an ``(n, 2)`` float array of coordinates in
 km, and an assignment is the index array of each lower point's nearest upper
-point, returned with the array of distances to it. All sampling operations
+point, returned with the array of distances to it. On the torus the query
+runs on a plain KD-tree over the upper layer padded with its images near the
+edges, and only the rows with no upper point within the padding's bound
+query a periodic tree (see :func:`nearest_assign`). All sampling operations
 are pure functions of their parameters and a seed; sub-streams for layers and
 replications are derived from one master seed through :func:`layer_rng`.
 """
@@ -87,12 +90,21 @@ class Window:
         d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
         if self.wrap:
             spans = self.spans
-            d = d - spans * np.round(d / spans)
+            shift = d / spans
+            np.round(shift, out=shift)
+            shift *= spans
+            d -= shift
         return d
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Pairwise (broadcast) distance between points under the window metric."""
-        return np.linalg.norm(self.deltas(a, b), axis=-1)
+        """Pairwise (broadcast) distance between points under the window metric.
+
+        ``sqrt(dx*dx + dy*dy)``, the operations of ``np.linalg.norm(d, axis=-1)``
+        without its copies.
+        """
+        d = self.deltas(a, b)
+        d *= d
+        return np.sqrt(np.add.reduce(d, axis=-1))
 
 
 @dataclass
@@ -196,28 +208,86 @@ def sample_cluster_bs(
     return MarkedBaseStationSet(np.vstack([macros, micros]), n_mac, parents.astype(int))
 
 
-def _kdtree(points: np.ndarray, window: Window) -> cKDTree:
-    if window.wrap:
-        return cKDTree(points, boxsize=window.spans)
-    return cKDTree(points)
+def _ghost_padded(upper: np.ndarray, spans: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """The upper points plus their images within ``bound`` outside each edge and corner.
+
+    Returns the padded points and ``owner``, the index in ``upper`` of each.
+    Padding along x and then along the padded set's y also copies the corners.
+    """
+    points, owner = upper, np.arange(len(upper))
+    for axis in (0, 1):
+        coord = points[:, axis]
+        low = np.flatnonzero(coord < bound)
+        high = np.flatnonzero(coord >= spans[axis] - bound)
+        above = np.take(points, low, axis=0)
+        above[:, axis] += spans[axis]
+        below = np.take(points, high, axis=0)
+        below[:, axis] -= spans[axis]
+        points = np.concatenate((points, above, below))
+        owner = np.concatenate((owner, np.take(owner, low), np.take(owner, high)))
+    return points, owner
+
+
+def _inside(points: np.ndarray, window: Window) -> bool:
+    """Whether every point lies in the window: ``all(window.contains(points))`` in a few reductions."""
+    return points.size == 0 or bool(
+        points.min() >= 0.0 and points[:, 0].max() < window.width and points[:, 1].max() < window.height
+    )
+
+
+def _cell_order(points: np.ndarray, window: Window, n_upper: int) -> np.ndarray:
+    """A permutation that visits ``points`` cell by cell, about one upper point per cell.
+
+    Consecutive queries then walk the same tree branches. The int16 keys
+    (at most 128 cells a side) make the stable argsort a radix sort.
+    """
+    per_side = np.clip((window.spans * math.sqrt(n_upper / window.area)).astype(int), 1, 128)
+    cell = (points * (per_side / window.spans)).astype(np.int16)
+    return np.argsort(cell[:, 1] * np.int16(per_side[0]) + cell[:, 0], kind="stable")
 
 
 def nearest_assign(lower: np.ndarray, upper: np.ndarray, window: Window) -> tuple[np.ndarray, np.ndarray]:
     """Index of, and distance to, the nearest upper point for every lower point.
 
-    One k=1 KD-tree query gives both. The distance is the min-image distance
-    under the window metric, equal to the last bit to
-    :func:`assignment_distances` on the returned index. An exact tie goes to
-    whichever equidistant upper point the tree returns, which is deterministic
-    for given inputs; the samplers are continuous, so ties have probability
-    zero.
+    On a bounded window this is one k=1 query of a plain KD-tree. On the
+    torus the upper points must lie in the window, and lower points outside
+    it are folded in first. The query then runs, cell by cell, on a plain
+    KD-tree over the upper points padded with their images within
+    ``bound = 2 / sqrt(upper points per km^2)`` (at most half the smaller
+    span) outside each edge and corner, limited to ``bound``. Every image
+    within ``bound`` of a point in the window is in the padded set, so a hit
+    is the min-image nearest neighbour; the rows with no upper point within
+    ``bound`` take an exact query of a periodic KD-tree. The distance is
+    recomputed with :meth:`Window.distance`, the KD-tree's periodic metric to
+    the last bit, so it equals :func:`assignment_distances` on the returned
+    index. An exact tie goes to whichever equidistant upper point the tree
+    returns, which is deterministic for given inputs; the samplers are
+    continuous, so ties have probability zero.
     """
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     if len(upper) == 0:
         raise AssignmentError("cannot assign against an empty upper layer")
-    dist, idx = _kdtree(upper, window).query(lower, k=1)
-    return idx, dist
+    if not window.wrap:
+        dist, idx = cKDTree(upper).query(lower, k=1)
+        return idx, dist
+    if not _inside(upper, window):
+        raise ParameterError(
+            f"upper layer points must lie in the toroidal window [0, {window.width}) x [0, {window.height})"
+        )
+    if not _inside(lower, window):
+        lower = window.wrap_points(lower)
+    bound = min(2.0 / math.sqrt(len(upper) / window.area), 0.5 * min(window.width, window.height))
+    padded, owner = _ghost_padded(upper, window.spans, bound)
+    order = _cell_order(lower, window, len(upper))
+    _, found = cKDTree(padded).query(np.take(lower, order, axis=0), k=1, distance_upper_bound=bound)
+    idx = np.empty_like(found)
+    idx[order] = np.take(owner, found, mode="clip")  # a miss, found == len(padded), is replaced below
+    miss = order[found == len(padded)]
+    if miss.size:
+        _, idx[miss] = cKDTree(upper, boxsize=window.spans).query(np.take(lower, miss, axis=0), k=1)
+    return idx, window.distance(lower, np.take(upper, idx, axis=0))
 
 
 def assignment_distances(lower: np.ndarray, upper: np.ndarray, assignment: np.ndarray, window: Window) -> np.ndarray:
     """Window-metric distance from each lower point to its assigned upper point."""
-    return window.distance(lower, upper[assignment])
+    return window.distance(lower, np.take(upper, assignment, axis=0))

@@ -496,6 +496,35 @@ class TestSharedStream:
                 outage_demand(n, 0.1, sampler, *TABLES[offset], n_mc=2000, seed=3)
         assert sizes == []
 
+    def test_a_table_draws_its_head_once(self):
+        sampler = make_snr_sampler("nearest_bs")
+        sizes = []
+
+        def counted(rng, size, original=sampler.sample):
+            sizes.append(size)
+            return original(rng, size)
+
+        sampler.sample = counted
+        complexity._memo = None
+        pooling_table(list(TABLES), (1, 5, 20), 0.1, sampler, n_mc=2000, seed=3)
+        # the largest pool's head first; later calls only draw past it for rejection rounds
+        assert sizes[0] == 40_000
+        assert sum(sizes[1:]) < 1000
+
+    def test_table_rows_follow_the_given_order(self):
+        sampler = make_snr_sampler("nearest_bs")
+        rows = pooling_table([0.9, 0.0], (5, 1, 20, 5), 0.1, sampler, n_mc=2000, seed=2)
+        assert [(r["gamma_offset_db"], r["n_cloud"]) for r in rows] == [
+            (offset, n) for offset in (0.9, 0.0) for n in (5, 1, 20, 5)
+        ]
+        for row in rows:
+            n, offset = row["n_cloud"], row["gamma_offset_db"]
+            pooled = outage_demand(n, 0.1, sampler, *TABLES[offset], n_mc=2000, seed=2)
+            standalone = dran_equivalent_demand(n, 0.1, sampler, *TABLES[offset], n_mc=2000, seed=2)
+            assert row["pooled_per_station"] == pooled / n
+            assert row["distributed_per_station"] == standalone / n
+            assert row["distributed_servers"] == servers_required(standalone).d_unit
+
     def test_threads_return_the_serial_tables(self):
         sampler = make_snr_sampler("nearest_bs")
         seeds = (0, 1, 2, 3)

@@ -1,6 +1,7 @@
 """Tests for the point-process sampling and assignment layer."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.spatial import cKDTree
 
+from crancost import geometry
+from crancost.config import default_scenario
 from crancost.errors import AssignmentError, ParameterError
 from crancost.geometry import (
     BackhaulTech,
@@ -23,6 +26,18 @@ from crancost.geometry import (
 
 UNIT = Window(1.0, 1.0)
 TORUS10 = Window(10.0, 10.0)
+COORD_FRACTION = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))
+
+
+class _CountingTree(cKDTree):
+    """A cKDTree that counts the rows queried on periodic trees."""
+
+    periodic_rows = 0
+
+    def query(self, x, *args, **kwargs):
+        if self.boxsize is not None:
+            _CountingTree.periodic_rows += len(x)
+        return super().query(x, *args, **kwargs)
 
 
 class TestWindow:
@@ -263,6 +278,62 @@ class TestNearestAssign:
         upper = rng.uniform(0, 10, (300, 2))
         dist, idx = cKDTree(upper, boxsize=TORUS10.spans).query(lower, k=1)
         assert np.array_equal(TORUS10.distance(lower, upper[idx]), dist)
+
+    @pytest.mark.parametrize("point", [[5.0, 1.0], [1.0, -0.1], [1.0, math.nan]])
+    def test_upper_point_outside_the_torus_is_a_parameter_error(self, point):
+        upper = np.array([[1.0, 1.0], point])
+        with pytest.raises(ParameterError, match="upper layer"):
+            nearest_assign(np.array([[2.0, 2.0]]), upper, Window(5, 5))
+
+    def test_lower_points_outside_the_torus_are_folded_in(self):
+        window = Window(5, 5)
+        upper = np.random.default_rng(6).uniform(0, 5, (40, 2))
+        lower = np.array([[-0.5, 6.2], [5.0, 0.0], [-5.0, -2.5], [12.3, 4.9], [2.0, 2.0]])
+        assigned, dist = nearest_assign(lower, upper, window)
+        want_dist, want = cKDTree(upper, boxsize=window.spans).query(lower, k=1)
+        assert np.array_equal(assigned, want)
+        assert np.array_equal(dist, want_dist)
+
+    @given(
+        spans=st.tuples(st.floats(0.5, 20.0), st.floats(0.5, 20.0)),
+        upper_fracs=st.lists(st.tuples(COORD_FRACTION, COORD_FRACTION), min_size=1, max_size=50),
+        lower_fracs=st.lists(st.tuples(COORD_FRACTION, COORD_FRACTION), min_size=1, max_size=200),
+        clustered=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_padded_query_is_the_min_image_argmin(self, spans, upper_fracs, lower_fracs, clustered):
+        window = Window(*spans)
+        upper = np.array(upper_fracs) * window.spans
+        lower = np.array(lower_fracs) * window.spans
+        if clustered:
+            # every upper point within 5% of the smaller span of the first one; the point
+            # opposite the cluster lies past half the smaller span, the longest bound
+            upper = upper[0] + (np.array(upper_fracs) - 0.5) * (0.05 * min(spans))
+            lower = np.vstack([lower, upper[0] + 0.5 * window.spans])
+        upper, lower = window.wrap_points(upper), window.wrap_points(lower)
+        with mock.patch.object(geometry, "cKDTree", _CountingTree):
+            _CountingTree.periodic_rows = 0
+            assigned, dist = nearest_assign(lower, upper, window)
+        full = window.distance(lower[:, None, :], upper[None, :, :])
+        rows = np.arange(len(lower))
+        assert np.array_equal(dist, full.min(axis=1))
+        assert np.array_equal(full[rows, assigned], dist)
+        if clustered:
+            assert _CountingTree.periodic_rows >= 1
+
+    def test_default_realizations_match_the_periodic_tree(self):
+        s = default_scenario()
+        for rep in range(8):
+            users = sample_ppp(s.lambda_0, TORUS10, layer_rng(17, rep, 0))
+            stations = sample_cluster_bs(s.lambda_1c, s.lambda_1m, s.sigma, TORUS10, layer_rng(17, rep, 1))
+            backhaul = sample_backhaul(s.p_mw, s.lambda_2_mw, s.lambda_2_of, TORUS10, layer_rng(17, rep, 2))
+            centers = sample_ppp(s.lambda_3, TORUS10, layer_rng(17, rep, 3))
+            pairs = [(users, stations.points), (stations.points, backhaul.nodes), (backhaul.nodes, centers)]
+            for lower, upper in pairs:
+                assigned, dist = nearest_assign(lower, upper, TORUS10)
+                want_dist, want = cKDTree(upper, boxsize=TORUS10.spans).query(lower, k=1)
+                assert np.array_equal(assigned, want)
+                assert np.array_equal(dist, want_dist)
 
 
 def test_layer_rng_streams_are_independent_and_reproducible():

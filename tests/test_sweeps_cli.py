@@ -11,7 +11,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from crancost.cli import main
 from crancost.config import default_scenario
@@ -475,6 +477,7 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["n_reps"] == 4
         assert (payload["seed"], payload["reps"], payload["tool_version"]) == (3, 4, TOOL_VERSION)
+        assert (payload["numpy_version"], payload["scipy_version"]) == (np.__version__, scipy.__version__)
         with open(dump) as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["layer"] == "users"
@@ -492,6 +495,7 @@ class TestCli:
         assert len(payload["rows"]) == 10
         assert isinstance(payload["passed"], bool)
         assert (payload["seed"], payload["reps"], payload["tool_version"]) == (5, 30, TOOL_VERSION)
+        assert (payload["numpy_version"], payload["scipy_version"]) == (np.__version__, scipy.__version__)
 
     def test_complexity_table(self, tmp_path):
         out = tmp_path / "cx.csv"
