@@ -179,6 +179,8 @@ def cmd_simulate(args) -> int:
     seed = _seed(args)
     scenario = _load(args)
     window = Window(args.window, args.window, wrap=not args.no_wrap)
+    # the estimate first: it refuses a scenario the oracle cannot check before anything is written
+    est = estimate_mean_dc_cost(scenario, window, args.reps, seed, threads=threads)
     if args.dump_realization is not None:
         real = simulate_realization(scenario, window, seed)
         with open(args.dump_realization, "w", encoding="utf-8", newline="") as fh:
@@ -186,7 +188,6 @@ def cmd_simulate(args) -> int:
             writer.writerow(["layer", "x", "y", "parent_index", "subtree_count"])
             for row in realization_rows(real):
                 writer.writerow([row[0], f"{row[1]:.6g}", f"{row[2]:.6g}", row[3], row[4]])
-    est = estimate_mean_dc_cost(scenario, window, args.reps, seed, threads=threads)
     payload = {
         "scenario_hash": scenario_hash(scenario),
         "window_km": [window.width, window.height],

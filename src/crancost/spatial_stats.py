@@ -11,8 +11,10 @@ identity and is evaluated for the whole (r, s) grid in one broadcast call,
 so a distance moment costs one vectorized survival curve instead of nested
 adaptive quadrature. The curve stops at the radius where the macros alone,
 which the stations include, leave the ball empty with probability below
-e^-60; beyond it the survival is set to exactly 0, which moves a moment by at
-most e^-60 r_max^exponent and, in double precision, by nothing. The unit
+e^-60, and the finer of its two grids stops sooner, where the coarse grid's
+void exponent has reached 38 and the survival rounds to 0.0; beyond either
+stop the survival is set to exactly 0, which moves a moment by at most
+about e^-38 r_max^exponent and, in double precision, by nothing. The unit
 Gauss-Legendre rules of both grids are built once, at import. Every quantity
 is computed on a grid and on one with twice the panels; the difference is
 the error estimate. One rule, the module constant :data:`DEFAULT_QUAD`,
@@ -75,7 +77,8 @@ class QuadratureSettings:
     the relevant length scale (mean point spacing for distance moments, the
     kernel width for the cluster integrals). Within that range the distance
     moments also drop the radii where the macro void probability is below
-    e^-60 (see ``_survival_curve``). The coarse grids have 12 outer and 6
+    e^-60, and the fine grid those where the coarse grid's survival already
+    rounds to 0 (see ``_survival_curve``). The coarse grids have 12 outer and 6
     inner panels; the fine grids twice as many.
     """
 
@@ -92,6 +95,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _R_PANELS = 12  # outer panels, uniform in u with r = r_max * u^2
 _S_PANELS = 6  # inner panels over the distance to a cluster center
 _VOID_CUTOFF = 60.0  # survival is 0 where lambda_1c pi r^2 exceeds this, see _survival_curve
+_TAIL_ZERO = 38.0  # a void exponent past which 1 - cdf rounds to 0.0, see _survival_curve
 
 
 def _unit_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -259,16 +263,28 @@ def _survival_curve(
     exactly to r1^exponent; the remainder is smooth in u for every
     exponent > 0.
 
-    The grid stops early, at r_cut = sqrt(T / (pi lambda_1c)) with
-    T = 60 (``_VOID_CUTOFF``): every node beyond max(r1, r_cut) has tail
-    exactly 0. The stations include the macros, so the survival at r is at
-    most the macro void probability exp(-lambda_1c pi r^2) <= e^-T there;
-    in the code the void exponent is lambda_1c (pi r^2 + 2 pi outer) with
-    outer >= 0 and J <= 1, so the dropped tails are below e^-60 and, in
-    double precision, already round to 0 (1 - cdf with cdf = 1.0). The
-    dropped part of a moment is at most e^-60 r_max^exponent, about
-    8.8e-27 r_max^exponent. Nodes of the first panel are never dropped:
-    their tail is -CDF, not the survival.
+    The grids stop early: every node beyond max(r1, r_cut) has tail
+    exactly 0. Two radii bound r_cut:
+
+    * a priori, sqrt(T / (pi lambda_1c)) with T = 60 (``_VOID_CUTOFF``).
+      The stations include the macros, so the survival at r is at most the
+      macro void probability exp(-lambda_1c pi r^2) <= e^-T there; in the
+      code the void exponent is lambda_1c (pi r^2 + 2 pi outer) with
+      outer >= 0 and J <= 1, so the dropped tails are below e^-60.
+    * once the coarse grid is evaluated, its first node whose computed void
+      exponent is at least 38 (``_TAIL_ZERO``); the fine grid stops there.
+      cdf = -expm1(-exponent), or 1 - exp(-exponent) J with J <= 1, rounds
+      to 1.0 once exp(-exponent) < 2^-54, that is exponent > 54 ln 2 ~ 37.43,
+      so the tail 1 - cdf is 0.0. The true exponent -log V(r) does not
+      decrease in r, and the inner rule computes it to about 1e-12, so the
+      fine grid's exponent stays above 37.43 past that node. At the defaults
+      four of five stations are micros, and this stop comes well inside
+      the macro bound.
+
+    Either way the dropped tails already round to 0 in double precision, so
+    no bit of a moment moves; without rounding, the dropped part would be at
+    most about e^-38 r_max^exponent, 3.1e-17 r_max^exponent. Nodes of the
+    first panel are never dropped: their tail is -CDF, not the survival.
 
     The single entry serves the two moments of one cost evaluation; a caller
     that alternates cluster sets rebuilds the curve each time.
@@ -282,6 +298,10 @@ def _survival_curve(
         r1 = upper / (k * _R_PANELS) ** 2
         kept = r[: np.searchsorted(r, max(r1, r_cut), side="right")]
         exponent, j = _void_exponent_and_j(kept, params, inner, distance == "palm")
+        # on the coarse pass this sets where the fine pass stops
+        zero = np.flatnonzero(exponent >= _TAIL_ZERO)
+        if zero.size:
+            r_cut = min(r_cut, float(kept[zero[0]]))
         cdf = -np.expm1(-exponent) if j is None else 1.0 - np.exp(-exponent) * j
         tail = np.zeros_like(r)
         tail[: kept.size] = np.where(kept < r1, -cdf, 1.0 - cdf)

@@ -15,7 +15,7 @@ from crancost.costs import (
     Scenario,
     datacenter_cost,
 )
-from crancost.errors import AssignmentError, EstimationError, ParameterError
+from crancost.errors import AssignmentError, ConfigError, EstimationError, ParameterError
 from crancost.geometry import BackhaulDraw, BackhaulTech, MarkedBaseStationSet, Window
 from crancost.simulate import (
     compare_to_closed_form,
@@ -254,6 +254,13 @@ class TestCompareToClosedForm:
             "capacity_dc"
         ]
         assert abs(z) > 3.0
+
+    @pytest.mark.parametrize("oracle", [estimate_mean_dc_cost, compare_to_closed_form])
+    def test_palm_scenario_is_refused(self, oracle):
+        """The oracle prices users at contact distances; Palm moments are not what it samples."""
+        with pytest.raises(ConfigError) as exc:
+            oracle(replace(default_scenario(), user_bs_distance="palm"), Window(4.0, 4.0), 4, seed=1)
+        assert exc.value.key == "user_bs_distance"
 
     def test_report_rows_are_complete(self):
         scen = replace(default_scenario(), lambda_1m=0.0, lambda_1c=10.0, p_mw=1.0, lambda_2_mw=5.0)

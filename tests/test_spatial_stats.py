@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -507,15 +507,123 @@ def cold_survival_curve():
 @pytest.mark.parametrize("params", CUTOFF_SETS)
 @pytest.mark.parametrize("distance", ["contact", "palm"])
 def test_survival_cutoff_leaves_every_moment_bit_identical(monkeypatch, cold_survival_curve, params, distance):
-    """Cutting the radius grid at the macro void bound changes no bit, nor which sets raise."""
+    """Cutting the radius grid where its tails are 0 changes no bit, nor which sets raise."""
     from crancost.config import default_scenario
 
     params = default_scenario().cluster_params if params is None else ClusterParams(*params)
     exponents = (0.5, 2.0, 4.0)
     cut = [_moment_or_error(e, params, distance) for e in exponents]
     monkeypatch.setattr(cold_survival_curve, "_VOID_CUTOFF", math.inf)
+    monkeypatch.setattr(cold_survival_curve, "_TAIL_ZERO", math.inf)
     cold_survival_curve._survival_curve.cache_clear()
     assert [_moment_or_error(e, params, distance) for e in exponents] == cut
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+#: cluster sets from sparse to dense, from no micros to 32 per macro, from tight to wide spread
+CLUSTER_SETS = st.tuples(
+    _log_uniform(0.3, 1e4), st.one_of(st.just(0.0), _log_uniform(0.05, 32.0)), _log_uniform(0.02, 10.0)
+)
+
+
+@given(params=CLUSTER_SETS, distance=st.sampled_from(["contact", "palm"]))
+@settings(max_examples=40, deadline=None)
+def test_survival_curve_tails_match_the_uncut_curve(params, distance):
+    """Both stops drop only nodes whose tail is 0.0: every r1 and tail equals the uncut grid's."""
+    from crancost import spatial_stats
+
+    spatial_stats._survival_curve.cache_clear()
+    cut = spatial_stats._survival_curve(*params, distance)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spatial_stats, "_VOID_CUTOFF", math.inf)
+        mp.setattr(spatial_stats, "_TAIL_ZERO", math.inf)
+        spatial_stats._survival_curve.cache_clear()
+        uncut = spatial_stats._survival_curve(*params, distance)
+    spatial_stats._survival_curve.cache_clear()
+    for (r1, _, _, tail), (r1_uncut, _, _, tail_uncut) in zip(cut, uncut, strict=True):
+        assert r1 == r1_uncut
+        assert np.array_equal(tail, tail_uncut)
+
+
+def _converged_or_skip(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except QuadratureError:
+        assume(False)
+
+
+def _assert_moment_scales(params, c, exponent, distance):
+    """Scaling every length by c scales E[R^e] by c^e: lambda_1c -> lambda_1c / c^2, sigma -> c sigma."""
+    lambda_1c, lambda_1m, sigma = params
+    got = _converged_or_skip(
+        cluster_nn_moment, exponent, ClusterParams(lambda_1c / c**2, lambda_1m, c * sigma), distance=distance
+    )
+    want = _converged_or_skip(cluster_nn_moment, exponent, ClusterParams(*params), distance=distance)
+    assert got == pytest.approx(c**exponent * want, rel=1e-12, abs=0.0)
+
+
+@given(
+    params=CLUSTER_SETS.filter(lambda p: p[2] * math.sqrt(p[0]) <= 30.0),
+    c=_log_uniform(0.1, 10.0),
+    exponent=st.sampled_from([0.25, 1.0, 2.0, 4.0]),
+    distance=st.sampled_from(["contact", "palm"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_moment_scales_with_every_length(params, c, exponent, distance):
+    """The identity holds to 1e-12 at sigma * sqrt(lambda_1c) <= 30, a scale-free condition."""
+    _assert_moment_scales(params, c, exponent, distance)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "ROADMAP item 8: at sigma*sqrt(lambda_1c) >~ 60 the survival curve lies inside the first "
+        "outer panel, whose r1^e exceeds the exponent-4 moment 1e6-fold and more and cancels "
+        "against the panel's tails, so the rounding of the scaled grid shows at 6e-12 and 9e-10"
+    ),
+)
+@pytest.mark.parametrize(
+    "params,c,distance",
+    [((math.exp(9.0), 0.0, math.exp(2.0)), math.e, "contact"), ((7750.2, 10.5, 6.64), 8.34, "palm")],
+)
+def test_moment_scales_with_every_length_at_large_kappa(params, c, distance):
+    _assert_moment_scales(params, c, 4.0, distance)
+
+
+@given(params=CLUSTER_SETS, c=_log_uniform(0.1, 10.0), r_scaled=st.floats(0.0, 1.5))
+@settings(max_examples=60, deadline=None)
+def test_void_probability_scales_with_every_length(params, c, r_scaled):
+    """The void probability of b(0, c r) under the c-scaled process is that of b(0, r).
+
+    r is at most 1.5 mean macro spacings, so the probability stays a normal
+    double (above e^-240) and keeps its relative precision.
+    """
+    lambda_1c, lambda_1m, sigma = params
+    r = r_scaled / math.sqrt(lambda_1c)
+    got = _converged_or_skip(void_probability, c * r, ClusterParams(lambda_1c / c**2, lambda_1m, c * sigma))
+    want = _converged_or_skip(void_probability, r, ClusterParams(*params))
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "ROADMAP item 8: the radius grid spans 10*sigma, so from sigma*sqrt(lambda_1c) ~ 50 the "
+        "survival curve falls into the first outer panels, and the 1e-5 absolute floor of the "
+        "acceptance rule lets exponent-4 moments through up to 2.7% low"
+    ),
+)
+@pytest.mark.parametrize("params", [(1000.0, 4.0, 5.0), (1e4, 2.0, 1.0), (300.7, 0.26, 8.0)])
+def test_dense_wide_clusters_reach_the_poisson_limit(params):
+    """At sigma * sqrt(lambda_1c) >> 1 the stations are a PPP of intensity lambda_1c (1 + lambda_1m) at the survival's scale."""
+    lambda_1c, lambda_1m, _ = params
+    got = cluster_nn_moment(4.0, ClusterParams(*params), distance="contact")
+    assert got == pytest.approx(ppp_contact_moment(4.0, lambda_1c * (1.0 + lambda_1m)), rel=1e-4)
 
 
 @given(
@@ -532,8 +640,8 @@ def test_void_probability_is_below_the_macro_void_probability(lambda_1c, lambda_
     assert void_probability(r, params) <= math.exp(-params.lambda_1c * math.pi * r**2) * (1 + 1e-12)
 
 
-def test_cold_cost_evaluation_passes_at_most_11000_disc_mass_cells(monkeypatch, cold_survival_curve):
-    """The survival curve evaluates the disc mass only where the survival can exceed e^-60."""
+def test_cold_cost_evaluation_passes_at_most_7700_disc_mass_cells(monkeypatch, cold_survival_curve):
+    """The survival curve evaluates the disc mass only where the survival can round to more than 0."""
     from crancost.config import default_scenario
     from crancost.costs import datacenter_cost
 
@@ -546,4 +654,4 @@ def test_cold_cost_evaluation_passes_at_most_11000_disc_mass_cells(monkeypatch, 
 
     monkeypatch.setattr(cold_survival_curve, "gaussian_disc_mass", counting)
     datacenter_cost(default_scenario())
-    assert 0 < sum(cells) <= 11_000
+    assert 0 < sum(cells) <= 7_700

@@ -236,6 +236,19 @@ class TestCli:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "parameter" and "window" in error["message"]
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_oracle_commands_refuse_a_palm_scenario(self, tmp_path, capsys, command):
+        """The oracle measures contact distances; it cannot check the Palm closed form."""
+        cfg, out, dump = tmp_path / "scenario.ini", tmp_path / "out.json", tmp_path / "nodes.csv"
+        cfg.write_text("[simulation]\nuser_bs_distance = palm\n")
+        argv = [*CONFIG_COMMANDS[command], "--config", str(cfg), "--out", str(out)]
+        if command == "simulate":
+            argv += ["--dump-realization", str(dump)]
+        assert main(argv) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "config" and "'user_bs_distance'" in error["message"]
+        assert not out.exists() and not dump.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "compare", "complexity"])
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command):
         out = tmp_path / "out.json"
