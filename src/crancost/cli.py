@@ -84,7 +84,6 @@ _SHARED_OPTIONS = {
     "reps": {"type": int, "default": 2000},
     "threads": {"default": None, "help": "worker count >= 1 (env CRANCOST_THREADS)"},
     "window": {"type": float, "default": 10.0, "help": "square window side, km"},
-    "no-wrap": {"action": "store_true", "help": "bounded window instead of toroidal"},
 }
 
 
@@ -178,7 +177,7 @@ def cmd_simulate(args) -> int:
     threads = _threads(args)
     seed = _seed(args)
     scenario = _load(args)
-    window = Window(args.window, args.window, wrap=not args.no_wrap)
+    window = Window(args.window, args.window)
     # the estimate first: it refuses a scenario the oracle cannot check before anything is written
     est = estimate_mean_dc_cost(scenario, window, args.reps, seed, threads=threads)
     if args.dump_realization is not None:
@@ -207,10 +206,11 @@ def cmd_compare(args) -> int:
     threads = _threads(args)
     seed = _seed(args)
     scenario = _load(args)
-    window = Window(args.window, args.window, wrap=not args.no_wrap)
+    window = Window(args.window, args.window)
     report = compare_to_closed_form(scenario, window, args.reps, seed, threads=threads)
     payload = {
         "scenario_hash": scenario_hash(scenario),
+        "window_km": [window.width, window.height],
         "passed": report.passed,
         "threshold": report.threshold,
         "discard_rate": report.estimate.discard_rate,
@@ -297,12 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo deployment estimate")
-    _add_options(p_sim, "config", "seed", "reps", "threads", "window", "no-wrap")
+    _add_options(p_sim, "config", "seed", "reps", "threads", "window")
     p_sim.add_argument("--dump-realization", default=None, help="CSV path for one realization's nodes")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="closed form vs Monte Carlo")
-    _add_options(p_cmp, "config", "format", "seed", "reps", "threads", "window", "no-wrap")
+    _add_options(p_cmp, "config", "format", "seed", "reps", "threads", "window")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_cx = sub.add_parser("complexity", help="pooled vs distributed processing demand")

@@ -1,10 +1,10 @@
 """Four-layer point-process geometry: sampling and nearest-neighbor assignment.
 
-The observation window is a rectangle, toroidal by default so that empirical
-means taken over the window match the stationary closed forms without edge
-corrections. Every point layer is an ``(n, 2)`` float array of coordinates in
-km, and an assignment is the index array of each lower point's nearest upper
-point, returned with the array of distances to it. On the torus the query
+The observation window is a rectangle with its opposite edges identified (a
+torus), so that empirical means taken over the window match the stationary
+closed forms without edge corrections. Every point layer is an ``(n, 2)``
+float array of coordinates in km, and an assignment is the index array of
+each lower point's nearest upper point, returned with the array of distances to it. On the torus the query
 runs on a plain KD-tree over the upper layer padded with its images near the
 edges, and only the rows with no upper point within the padding's bound
 query a periodic tree (see :func:`nearest_assign`). All sampling operations
@@ -44,17 +44,13 @@ class BackhaulTech(enum.Enum):
 
 @dataclass(frozen=True)
 class Window:
-    """Rectangular observation window in km.
+    """Rectangular observation window in km, with opposite edges identified.
 
-    With ``wrap=True`` distances are measured on the torus, which removes
-    boundary effects; with ``wrap=False`` the plain Euclidean metric is used
-    and cluster offspring falling outside the window are dropped
-    (minus-sampling).
+    Distances are measured on the torus, which removes boundary effects.
     """
 
     width: float
     height: float
-    wrap: bool = True
 
     def __post_init__(self):
         if not (0 < self.width < math.inf and 0 < self.height < math.inf):
@@ -75,25 +71,20 @@ class Window:
         pts[pts >= self.spans] = 0.0
         return pts
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        return np.all((points >= 0.0) & (points < self.spans), axis=-1)
-
     def deltas(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Coordinate differences a-b under the window metric.
 
-        On the torus this is the minimum-image difference
-        ``d - span * round(d / span)``. For points inside the window the shift
-        is one span only when ``|d|`` is about half a span or more, so the
-        subtraction is exact (Sterbenz) and distances match the KD-tree's
-        periodic metric to the last bit.
+        This is the minimum-image difference ``d - span * round(d / span)``.
+        For points inside the window the shift is one span only when ``|d|``
+        is about half a span or more, so the subtraction is exact (Sterbenz)
+        and distances match the KD-tree's periodic metric to the last bit.
         """
         d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-        if self.wrap:
-            spans = self.spans
-            shift = d / spans
-            np.round(shift, out=shift)
-            shift *= spans
-            d -= shift
+        spans = self.spans
+        shift = d / spans
+        np.round(shift, out=shift)
+        shift *= spans
+        d -= shift
         return d
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -183,8 +174,8 @@ def sample_cluster_bs(
     Macros form a PPP(lambda_1c); each macro independently spawns a
     Poisson(lambda_1m) number of micros displaced by an isotropic Gaussian
     with standard deviation ``sigma`` per axis. Total expected intensity is
-    ``lambda_1c * (1 + lambda_1m)``. On a toroidal window displaced micros
-    wrap back in; otherwise micros falling outside are dropped.
+    ``lambda_1c * (1 + lambda_1m)``. Displaced micros wrap back into the
+    torus, so every micro is kept.
     """
     if lambda_1c < 0 or lambda_1m < 0:
         raise ParameterError("cluster intensities must be >= 0")
@@ -198,13 +189,7 @@ def sample_cluster_bs(
     offspring_counts = rng.poisson(lambda_1m, size=n_mac)
     parents = np.repeat(np.arange(n_mac), offspring_counts)
     displacements = rng.normal(0.0, sigma, size=(parents.shape[0], 2))
-    micros = macros[parents] + displacements
-    if window.wrap:
-        micros = window.wrap_points(micros)
-    else:
-        keep = window.contains(micros)
-        micros = micros[keep]
-        parents = parents[keep]
+    micros = window.wrap_points(macros[parents] + displacements)
     return MarkedBaseStationSet(np.vstack([macros, micros]), n_mac, parents.astype(int))
 
 
@@ -229,7 +214,7 @@ def _ghost_padded(upper: np.ndarray, spans: np.ndarray, bound: float) -> tuple[n
 
 
 def _inside(points: np.ndarray, window: Window) -> bool:
-    """Whether every point lies in the window: ``all(window.contains(points))`` in a few reductions."""
+    """Whether every point lies in ``[0, width) x [0, height)``, in a few reductions."""
     return points.size == 0 or bool(
         points.min() >= 0.0 and points[:, 0].max() < window.width and points[:, 1].max() < window.height
     )
@@ -249,10 +234,9 @@ def _cell_order(points: np.ndarray, window: Window, n_upper: int) -> np.ndarray:
 def nearest_assign(lower: np.ndarray, upper: np.ndarray, window: Window) -> tuple[np.ndarray, np.ndarray]:
     """Index of, and distance to, the nearest upper point for every lower point.
 
-    On a bounded window this is one k=1 query of a plain KD-tree. On the
-    torus the upper points must lie in the window, and lower points outside
-    it are folded in first. The query then runs, cell by cell, on a plain
-    KD-tree over the upper points padded with their images within
+    The upper points must lie in the window, and lower points outside it are
+    folded in first. The query then runs, cell by cell, on a plain KD-tree
+    over the upper points padded with their images within
     ``bound = 2 / sqrt(upper points per km^2)`` (at most half the smaller
     span) outside each edge and corner, limited to ``bound``. Every image
     within ``bound`` of a point in the window is in the padded set, so a hit
@@ -267,9 +251,6 @@ def nearest_assign(lower: np.ndarray, upper: np.ndarray, window: Window) -> tupl
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     if len(upper) == 0:
         raise AssignmentError("cannot assign against an empty upper layer")
-    if not window.wrap:
-        dist, idx = cKDTree(upper).query(lower, k=1)
-        return idx, dist
     if not _inside(upper, window):
         raise ParameterError(
             f"upper layer points must lie in the toroidal window [0, {window.width}) x [0, {window.height})"

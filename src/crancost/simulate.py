@@ -307,9 +307,8 @@ def compare_to_closed_form(
     }
     overall = _z(est.mean, closed.c_phi3, est.std_error)
     note = (
-        f"window {window.width:g}x{window.height:g} km "
-        f"({'toroidal' if window.wrap else 'bounded'}); stationarity implies per-data-center "
-        f"means are window-size invariant, so rerunning at a larger window should move every "
+        f"window {window.width:g}x{window.height:g} km (toroidal); stationarity implies per-data-center "
+        "means are window-size invariant, so rerunning at a larger window should move every "
         f"term by less than its standard error; discard rate {est.discard_rate:.2%}"
     )
     return ComparisonReport(

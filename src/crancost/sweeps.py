@@ -93,8 +93,9 @@ def scenario_for_point(base: Scenario, variant: str, axis: str, value: float) ->
 
     The lambda0 axis replaces the user intensity before re-dimensioning, so
     the station intensity and the processing cost follow it; the alpha axis
-    rewrites the base-station cost scale; sigma2 rescales the cluster spread;
-    lambda3 and p are direct substitutions.
+    rewrites the base-station cost scale; sigma2 rescales the cluster spread,
+    and a sigma2 <= 0 is a :class:`ParameterError`; lambda3 and p are direct
+    substitutions.
     """
     architecture, gamma = ARCHITECTURE_VARIANTS[variant]
     if axis == "lambda0":
@@ -107,6 +108,8 @@ def scenario_for_point(base: Scenario, variant: str, axis: str, value: float) ->
     if axis == "p":
         return replace(scen, p_mw=value)
     if axis == "sigma2":
+        if value <= 0:
+            raise ParameterError(f"sigma2 must be > 0, got {value}")
         return replace(scen, sigma=math.sqrt(value))
     raise ParameterError(f"unknown axis {axis!r}")
 

@@ -50,7 +50,7 @@ class TestWindow:
     def test_wrap_points_folds_into_window(self):
         w = Window(4.0, 2.0)
         pts = w.wrap_points(np.array([[4.5, -0.5], [-1e-20, 2.0]]))
-        assert np.all(w.contains(pts))
+        assert np.all((pts >= 0.0) & (pts < w.spans))
 
     @given(
         ax=st.floats(0, 10, allow_nan=False),
@@ -68,9 +68,7 @@ class TestWindow:
         if abs(ax - bx) < 5.0 and abs(ay - by) < 5.0:
             assert d_torus == pytest.approx(d_plane, abs=1e-12)
 
-    def test_planar_window_uses_euclidean_metric(self):
-        w = Window(10.0, 10.0, wrap=False)
-        assert w.distance(np.array([0.5, 0.5]), np.array([9.5, 0.5])) == pytest.approx(9.0)
+    def test_distance_takes_the_short_way_round_the_torus(self):
         assert TORUS10.distance(np.array([0.5, 0.5]), np.array([9.5, 0.5])) == pytest.approx(1.0)
 
 
@@ -167,14 +165,16 @@ class TestSampleClusterBs:
         with pytest.raises(ParameterError):
             sample_cluster_bs(1.0, 1.0, 0.0, UNIT, seed=1)
 
-    def test_bounded_window_drops_outside_micros(self):
-        # minus-sampling: without wrap, displaced micros outside the window
-        # are dropped and everything left lies inside
-        w = Window(2.0, 2.0, wrap=False)
+    def test_small_torus_keeps_every_micro_inside(self):
+        # a spread of 1.5 on a 2 km torus displaces most micros past an edge;
+        # each wraps back in rather than being dropped
+        w = Window(2.0, 2.0)
         bs = sample_cluster_bs(8.0, 5.0, 1.5, w, seed=2)
-        assert np.all(w.contains(bs.points))
-        wrapped = sample_cluster_bs(8.0, 5.0, 1.5, Window(2.0, 2.0, wrap=True), seed=2)
-        assert len(wrapped) >= len(bs)
+        rng = np.random.default_rng(2)
+        drawn = rng.poisson(5.0, size=len(sample_ppp(8.0, w, rng)))
+        assert np.array_equal(np.bincount(bs.parent_of, minlength=bs.n_macros), drawn)
+        assert len(bs) == bs.n_macros + len(bs.parent_of)
+        assert np.all((bs.points >= 0.0) & (bs.points < w.spans))
 
     def test_degenerate_cluster_matches_ppp_nn_distances(self):
         """lambda_1m = 0 is distributionally a PPP: two-sample KS on NN distances."""
@@ -200,30 +200,29 @@ class TestSampleClusterBs:
 class TestNearestAssign:
     def test_unique_nearest(self):
         upper = np.array([[1.0, 0.0], [0.0, 2.0]])
-        assigned, dist = nearest_assign(np.array([[0.0, 0.0]]), upper, Window(5, 5, wrap=False))
+        assigned, dist = nearest_assign(np.array([[0.0, 0.0]]), upper, Window(5, 5))
         assert isinstance(assigned, np.ndarray)
         assert assigned.tolist() == [0]
         assert dist.tolist() == [1.0]
 
-    @pytest.mark.parametrize("window", [Window(5, 5, wrap=False), Window(5, 5)])
-    def test_tie_goes_to_an_equidistant_point(self, window):
+    def test_tie_goes_to_an_equidistant_point(self):
+        window = Window(5, 5)
         upper = np.array([[3.0, 3.0], [0.0, 1.0], [4.0, 4.0], [1.0, 0.0]])
         lower = np.array([[0.0, 0.0]])
         assigned, dist = nearest_assign(lower, upper, window)
-        # indices 1 and 3 are both at distance 1, the minimum (also on the 5 km torus)
+        # indices 1 and 3 are both at distance 1, the minimum on the 5 km torus
         assert assigned.tolist() in ([1], [3])
         assert dist.tolist() == [window.distance(lower, upper).min()] == [1.0]
         assert np.array_equal(dist, assignment_distances(lower, upper, assigned, window))
         again, again_dist = nearest_assign(lower, upper, window)
         assert np.array_equal(again, assigned) and np.array_equal(again_dist, dist)
 
-    @pytest.mark.parametrize("window", [TORUS10, Window(10, 10, wrap=False)])
-    def test_single_upper_point_takes_every_lower_point(self, window):
+    def test_single_upper_point_takes_every_lower_point(self):
         lower = np.random.default_rng(4).uniform(0, 10, (12, 2))
         upper = np.array([[2.5, 7.5]])
-        assigned, dist = nearest_assign(lower, upper, window)
+        assigned, dist = nearest_assign(lower, upper, TORUS10)
         assert assigned.tolist() == [0] * 12
-        assert np.array_equal(dist, assignment_distances(lower, upper, assigned, window))
+        assert np.array_equal(dist, assignment_distances(lower, upper, assigned, TORUS10))
 
     def test_empty_upper_layer_is_an_error(self):
         with pytest.raises(AssignmentError):
@@ -260,14 +259,13 @@ class TestNearestAssign:
         assert np.array_equal(direct[perm], permuted)
         assert np.array_equal(direct_dist[perm], permuted_dist)
 
-    @pytest.mark.parametrize("window", [TORUS10, Window(10, 10, wrap=False)])
-    def test_assignment_distances_match_metric(self, window):
+    def test_assignment_distances_match_metric(self):
         rng = np.random.default_rng(8)
         lower = rng.uniform(0, 10, (2000, 2))
         upper = rng.uniform(0, 10, (60, 2))
-        assigned, dist = nearest_assign(lower, upper, window)
-        d = assignment_distances(lower, upper, assigned, window)
-        assert np.array_equal(d, window.distance(lower, upper[assigned]))
+        assigned, dist = nearest_assign(lower, upper, TORUS10)
+        d = assignment_distances(lower, upper, assigned, TORUS10)
+        assert np.array_equal(d, TORUS10.distance(lower, upper[assigned]))
         # the distance the query returns is the one a second pass would compute
         assert np.array_equal(dist, d)
 

@@ -165,22 +165,6 @@ class TestEstimateMeanDcCost:
                 },
             ),
             (
-                Architecture.CLOUD_RAN,
-                Window(5.0, 5.0, wrap=False),
-                12,
-                {
-                    "equipment_backhaul": "0x1.475d8e38e38e5p+18",
-                    "processing": "0x1.1f46eaadf353fp+15",
-                    "capacity_dc": "0x1.79a38c0a82f9fp+15",
-                    "infra_dc": "0x1.95f10e0a9beacp+13",
-                    "equipment_bs": "0x1.adaa71c71c71cp+17",
-                    "capacity_bs_backhaul": "0x1.2ac9aad83f499p+15",
-                    "infra_bs_backhaul": "0x1.311be4623e325p+17",
-                    "capacity_user_bs": "0x1.701fc88657220p+5",
-                    "infra_user_bs": "0x1.2504957d7b7a1p+12",
-                },
-            ),
-            (
                 Architecture.DRAN,
                 Window(4.0, 4.0),
                 13,
@@ -197,7 +181,7 @@ class TestEstimateMeanDcCost:
                 },
             ),
         ],
-        ids=["torus", "bounded", "dran"],
+        ids=["torus", "dran"],
     )
     def test_per_term_means_are_pinned(self, architecture, window, seed, expected):
         """Sampling, assignment and pricing reproduce recorded means to the last bit."""

@@ -1,5 +1,6 @@
 """Tests for sweeps, table emission and the command-line interface."""
 
+import argparse
 import configparser
 import csv
 import hashlib
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 import scipy
 
-from crancost.cli import main
+from crancost.cli import _SHARED_OPTIONS, build_parser, main
 from crancost.config import default_scenario
 from crancost.costs import Architecture, datacenter_cost
 from crancost.errors import ParameterError
@@ -98,6 +99,12 @@ class TestRunSweep:
         spec = SweepSpec(axis="sigma2", values=(0.1, 0.5, 1.0), architectures=("cloud_ran@0db",))
         result = run_sweep(spec, default_scenario())
         assert all(r.error is None for r in result.rows)
+
+    def test_nonpositive_sigma2_is_an_error_row(self):
+        spec = SweepSpec(axis="sigma2", values=(-1.0, 0.0, 0.5), architectures=("dran",))
+        rows = run_sweep(spec, default_scenario()).rows
+        assert [r.error.split(":")[0] if r.error else None for r in rows] == ["parameter", "parameter", None]
+        assert rows[2].breakdown is not None
 
     def test_rows_and_breakdowns_carry_no_instance_dict(self):
         """Rows and breakdowns use slots: a held sweep costs its fields, not a dict per object."""
@@ -347,6 +354,19 @@ class TestCli:
         assert rows[0] == list(CSV_COLUMNS)
         assert len(rows) == 7
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_negative_sigma2_is_an_error_row(self, tmp_path, fmt):
+        out = tmp_path / f"sweep.{fmt}"
+        argv = ["sweep", "--axis", "sigma2", "--values", "-1 0.5", "--architectures", "dran", "--format", fmt]
+        assert main([*argv, "--out", str(out)]) == 0
+        if fmt == "csv":
+            with open(out) as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows[0]["total_per_km2"] == "nan" and rows[1]["total_per_km2"] != "nan"
+        else:
+            rows = json.loads(out.read_text())["rows"]
+            assert rows[0]["error"].startswith("parameter: ") and "total_per_km2" in rows[1]
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[geometry]\np = 2.0\n")
@@ -509,6 +529,7 @@ class TestCli:
         assert isinstance(payload["passed"], bool)
         assert (payload["seed"], payload["reps"], payload["tool_version"]) == (5, 30, TOOL_VERSION)
         assert (payload["numpy_version"], payload["scipy_version"]) == (np.__version__, scipy.__version__)
+        assert payload["window_km"] == [6.0, 6.0]
 
     def test_complexity_table(self, tmp_path):
         out = tmp_path / "cx.csv"
@@ -593,6 +614,28 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main([command, flag, value])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_bounded_window_flag_is_a_usage_error(self, tmp_path, command):
+        """The window is always a torus; --no-wrap is gone."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--no-wrap", "--window", "2", "--reps", "2", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+
+    def test_readme_shared_options_table_matches_the_parser(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = re.search(r"\| subcommand \| shared options \|\n\|---\|---\|\n((?:\|.*\n)+)", readme).group(1)
+        documented = {}
+        for line in table.splitlines():
+            command, options = re.fullmatch(r"\| `(\w+)` \| (.*) \|", line).groups()
+            documented[command] = set(re.findall(r"`(--[\w-]+)`", options))
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        shared = {f"--{name}" for name in _SHARED_OPTIONS}
+        taken = {
+            command: {opt for action in sub._actions for opt in action.option_strings if opt in shared}
+            for command, sub in subparsers.choices.items()
+        }
+        assert documented == taken
 
     def test_thread_count_is_only_checked_where_it_is_read(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CRANCOST_THREADS", "abc")
