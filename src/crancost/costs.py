@@ -351,9 +351,10 @@ def datacenter_cost(scenario: Scenario) -> CostBreakdown:
         capacity_user_bs,
         infra_user_bs,
     )
-    c_phi3 = math.fsum(terms)
-    return CostBreakdown(
-        *terms,
-        c_phi3=c_phi3,
-        total_per_km2=s.lambda_3 * (s.c_dc_effective + c_phi3),
-    )
+    # a plain sum is inf or nan where fsum would raise (inf - inf, intermediate overflow)
+    c_phi3 = math.fsum(terms) if math.isfinite(sum(terms)) else math.inf
+    total_per_km2 = s.lambda_3 * (s.c_dc_effective + c_phi3)
+    if not math.isfinite(total_per_km2):
+        bad = [name for name, value in zip(COST_TERMS, terms) if not math.isfinite(value)]
+        raise ParameterError(f"cost per data center is not finite: {', '.join(bad) or 'the sum of its terms'}")
+    return CostBreakdown(*terms, c_phi3=c_phi3, total_per_km2=total_per_km2)

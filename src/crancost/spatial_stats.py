@@ -334,8 +334,14 @@ def cluster_nn_moment(exponent: float, params: ClusterParams, distance: str = "p
         raise ParameterError(f"distance must be 'palm' or 'contact', got {distance!r}")
     if params.lambda_1c == 0:
         raise ParameterError("cluster intensity must be > 0 for distance moments")
-    coarse, fine = (
-        r1**exponent + float(np.sum(w * exponent * r ** (exponent - 1.0) * tail))
-        for r1, r, w, tail in _survival_curve(params.lambda_1c, params.lambda_1m, params.sigma, distance)
-    )
+    grids = _survival_curve(params.lambda_1c, params.lambda_1m, params.sigma, distance)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            coarse, fine = (
+                r1**exponent + float(np.sum(w * exponent * r ** (exponent - 1.0) * tail)) for r1, r, w, tail in grids
+            )
+    except OverflowError:
+        coarse = fine = math.inf
+    if not (math.isfinite(coarse) and math.isfinite(fine)):
+        raise ParameterError(f"the distance moment of exponent {exponent} at {params} is not a finite float")
     return _converged(coarse, fine, "nearest-distance moment integral")

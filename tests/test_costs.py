@@ -232,6 +232,11 @@ class TestScenarioDerived:
         assert scen.lambda_1 == pytest.approx(50.0)
         assert scen.lambda_2 == pytest.approx(5.0)
 
+    def test_a_non_finite_cost_is_a_parameter_error(self):
+        """At lambda_3 = 1e-300 the data-center contact moments overflow to inf."""
+        with pytest.raises(ParameterError, match="capacity_dc, infra_dc"):
+            datacenter_cost(Scenario(lambda_3=1e-300))
+
     def test_p_validation(self):
         with pytest.raises(ParameterError):
             Scenario(p_mw=1.5)

@@ -333,6 +333,40 @@ class TestNearestAssign:
                 assert np.array_equal(assigned, want)
                 assert np.array_equal(dist, want_dist)
 
+    def test_only_ghost_hits_and_fallback_rows_are_measured_again(self):
+        """A hit on an original upper point keeps the tree's distance; only the other rows meet Window.distance."""
+        s = default_scenario()
+        users = sample_ppp(s.lambda_0, TORUS10, layer_rng(17, 0, 0))
+        stations = sample_cluster_bs(s.lambda_1c, s.lambda_1m, s.sigma, TORUS10, layer_rng(17, 0, 1)).points
+        backhaul = sample_backhaul(s.p_mw, s.lambda_2_mw, s.lambda_2_of, TORUS10, layer_rng(17, 0, 2)).nodes
+        centers = sample_ppp(s.lambda_3, TORUS10, layer_rng(17, 0, 3))
+        measured, fallback = [], []
+        window_distance = Window.distance
+
+        def counting_distance(window, a, b):
+            measured.append(len(a))
+            return window_distance(window, a, b)
+
+        class RecordingTree(cKDTree):
+            def query(self, x, *args, **kwargs):
+                if self.boxsize is not None:
+                    fallback.extend(map(tuple, x))
+                return super().query(x, *args, **kwargs)
+
+        total = 0
+        for lower, upper in [(users, stations), (stations, backhaul), (backhaul, centers)]:
+            measured.clear(), fallback.clear()
+            with mock.patch.object(Window, "distance", counting_distance):
+                with mock.patch.object(geometry, "cKDTree", RecordingTree):
+                    assigned, _ = nearest_assign(lower, upper, TORUS10)
+            missed_points = set(fallback)
+            missed = np.array([tuple(p) in missed_points for p in lower], dtype=bool)
+            # the nearest image lies across an edge: the padded tree found a ghost
+            across = np.any(np.abs(lower - upper[assigned]) > 0.5 * TORUS10.spans, axis=1)
+            assert sum(measured) == np.count_nonzero(across & ~missed) + np.count_nonzero(missed)
+            total += sum(measured)
+        assert 0 < total < 0.1 * len(users)
+
 
 def test_layer_rng_streams_are_independent_and_reproducible():
     a = layer_rng(42, 0, 1).random(5)

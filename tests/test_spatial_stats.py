@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from crancost.errors import ParameterError, QuadratureError
+from crancost.errors import CrancostError, ParameterError, QuadratureError
 from crancost.geometry import Window, layer_rng, sample_cluster_bs
 from crancost.spatial_stats import (
     ClusterParams,
@@ -374,6 +374,12 @@ def test_non_convergence_carries_the_achieved_error(monkeypatch):
     with pytest.raises(QuadratureError) as exc:
         cluster_nn_moment(1.0, PAPERLIKE)
     assert exc.value.achieved_error is not None and exc.value.achieved_error > 0
+
+
+def test_a_moment_beyond_the_float_range_is_a_typed_error():
+    """At sigma = 1e150 km the first panel's r1^4 alone exceeds the largest float."""
+    with pytest.raises(CrancostError, match="not a finite float"):
+        cluster_nn_moment(4.0, ClusterParams(10, 4, 1e150))
 
 
 # values of the nested adaptive quadrature this package used before the fixed

@@ -367,6 +367,33 @@ class TestCli:
             rows = json.loads(out.read_text())["rows"]
             assert rows[0]["error"].startswith("parameter: ") and "total_per_km2" in rows[1]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "axis, values, bad",
+        [("sigma2", "0.5 1e300", 1), ("lambda3", "1e-300 3", 0)],
+        ids=["moment-overflows", "cost-overflows"],
+    )
+    def test_sweep_non_finite_cost_is_an_error_row(self, tmp_path, fmt, axis, values, bad):
+        out = tmp_path / f"sweep.{fmt}"
+        argv = ["sweep", "--axis", axis, "--values", values, "--architectures", "dran", "--format", fmt]
+        assert main([*argv, "--out", str(out)]) == 0
+        if fmt == "csv":
+            with open(out) as fh:
+                rows = list(csv.DictReader(fh))
+            assert all(rows[bad][column] == "nan" for column in CSV_COLUMNS[4:])
+            assert all(math.isfinite(float(rows[1 - bad][column])) for column in CSV_COLUMNS[4:])
+        else:
+            rows = json.loads(out.read_text())["rows"]
+            assert rows[bad]["error"].startswith("parameter: ") and "total_per_km2" in rows[1 - bad]
+
+    def test_evaluate_non_finite_cost_is_a_parameter_error(self, tmp_path, capsys):
+        cfg, out = tmp_path / "scenario.ini", tmp_path / "cost.csv"
+        cfg.write_text("[geometry]\nlambda3 = 1e-300\n")
+        assert main(["evaluate", "--config", str(cfg), "--format", "csv", "--out", str(out)]) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "parameter" and "capacity_dc" in error["message"]
+        assert not out.exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[geometry]\np = 2.0\n")
