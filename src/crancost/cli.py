@@ -162,11 +162,10 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _provenance(args) -> dict:
-    """Seed, replication count and versions: the oracle's bits rest on numpy's RNG and scipy's KD-tree."""
+def _provenance(**inputs) -> dict:
+    """A run's inputs and the versions its bits rest on: numpy's generators and, for the oracle, scipy's KD-tree."""
     return {
-        "seed": args.seed,
-        "reps": args.reps,
+        **inputs,
         "tool_version": TOOL_VERSION,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
@@ -196,7 +195,7 @@ def cmd_simulate(args) -> int:
         "std_error": est.std_error,
         "per_term_means": est.per_term_means,
         "per_term_std_errors": est.per_term_std_errors,
-        **_provenance(args),
+        **_provenance(seed=args.seed, reps=args.reps),
     }
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
@@ -216,7 +215,7 @@ def cmd_compare(args) -> int:
         "discard_rate": report.estimate.discard_rate,
         "window_note": report.window_note,
         "rows": report.rows(),
-        **_provenance(args),
+        **_provenance(seed=args.seed, reps=args.reps),
     }
     if args.format == "json":
         _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
@@ -243,7 +242,8 @@ def cmd_complexity(args) -> int:
     n_mc = args.n_mc if args.n_mc is not None else settings.n_mc
     rows = pooling_table(offsets, pool_sizes, eps_comp, sampler, settings.decoder, n_mc=n_mc, seed=seed)
     if args.format == "json":
-        _write(json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n", args.out)
+        payload = {"rows": rows, **_provenance(seed=seed, n_mc=n_mc, eps_comp=eps_comp)}
+        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
         cols = list(rows[0].keys())
         buf = [",".join(cols)]

@@ -17,24 +17,32 @@ rejection rounds take the values after them. This rests on the stream
 contract every package sampler keeps: ``sample(rng, a)`` followed by
 ``sample(rng, b)`` returns, bit for bit, what ``sample(rng, a + b)`` does.
 A table calls with one seed at every offset and pool size, so the module
-keeps the last stream between calls: a head drawn in one sampler call at
-the largest size asked for so far, and the generator as it stands after
-the head. A call that needs more values than the head holds past its own
-prefix draws them from a copy of that generator; one that needs a longer
-head drops the old head and redraws from the seed, so one head is kept at
-most (8 MB for 50 stations at 20000 draws). A call reads its prefix as
-views and evaluates the workload in blocks of whole realizations, about
+keeps the last stream between calls: a head of draws, the generator as it
+stands after the head, and two facts about the head, each found once per
+draw: how many leading draws are neither NaN nor +inf, and, for the last
+few admission floors asked for, the sorted positions of the draws below
+the floor. A call that needs more values than the head holds past its own
+prefix draws them from a copy of that generator. One that needs a longer
+head grows the head's own buffer in place and fills the new tail from the
+generator, so the head is drawn once however the calls are ordered and one
+head is kept at most (8 MB for 50 stations at 20000 draws); by the stream
+contract the grown head is the head a single draw from the seed gives. If
+numpy refuses the resize because a view of the head is still alive, the
+call drops the head and redraws it from the seed. A call reads its prefix
+as views and evaluates the workload in blocks of whole realizations, about
 32k draws each, so that the block's temporaries stay in cache; only a
 block holding a redrawn position is copied and patched. Every element sees
 the same operations in the same order and every realization is summed
 alone, so the result is the same bit for bit whatever the block size and
-whatever was called before. :meth:`McsTable.select` counts
+whatever was called before. The demand is the order statistic that
+``np.quantile(sums, 1 - eps, method="higher")`` returns, found by one
+partition of the sums in place. :meth:`McsTable.select` counts
 the admission thresholds each SNR meets, one vectorized comparison pass per
 MCS, in place of a binary search per draw. The nearest-base-station sampler
 and the workload evaluate their closed forms in one buffer with the same
 operations in the same order as the plain expressions, so every draw and
-workload keeps its exact value. A non-finite SNR draw raises
-:class:`SamplerDomainError`.
+workload keeps its exact value. A NaN or +inf SNR in a call's prefix or
+among its redrawn values raises :class:`SamplerDomainError`.
 """
 
 from __future__ import annotations
@@ -177,12 +185,9 @@ def _complexity_vector(gamma: np.ndarray, mcs: McsTable, params: DecoderParams) 
 
     Evaluates the ``decoding_complexity`` expression with the same operations
     in the same order, in place in one buffer, so every value keeps its bits.
-    Every finite draw must clear the lowest admission threshold, as
+    Every draw must be finite and clear the lowest admission threshold, as
     :func:`_truncated_draws` guarantees.
     """
-    peak = gamma.max()
-    if not math.isfinite(peak):
-        raise SamplerDomainError(f"sampler produced non-finite SNR {peak}")
     k = mcs.select(gamma)
     # fancy indexing casts a small-integer index per element, which costs
     # more than one cast to intp up front
@@ -332,19 +337,81 @@ _BLOCK = 1 << 15
 _MAX_ROUNDS = 1000
 
 
-class _Stream:
-    """One seed's SNR stream: a head drawn in one sampler call, and the generator past it."""
+#: Admission floors whose positions below them a stream keeps. A table walks its
+#: offsets one at a time, so a few floors serve every call of it.
+_FLOORS = 4
 
-    __slots__ = ("key", "head", "rng")
+
+def _clean_length(draws: np.ndarray) -> int:
+    """How many leading draws are neither NaN nor +inf; -inf is below every floor and is redrawn."""
+    for lo in range(0, draws.size, _BLOCK):
+        block = draws[lo : lo + _BLOCK]
+        if not block.max() < math.inf:
+            return lo + int(np.argmin(block < math.inf))
+    return draws.size
+
+
+def _positions_below(draws: np.ndarray, floor: float) -> np.ndarray:
+    """Sorted positions of the draws below ``floor``."""
+    # compared block by block, so the comparison's temporary stays one block
+    return np.concatenate(
+        [np.flatnonzero(draws[lo : lo + _BLOCK] < floor) + lo for lo in range(0, draws.size, _BLOCK)]
+    )
+
+
+class _Stream:
+    """One seed's SNR stream: a head of draws, the generator past it, and facts about the head.
+
+    ``clean`` is how many leading draws of the head are neither NaN nor +inf,
+    and ``below`` maps each of the last :data:`_FLOORS` floors asked for to the
+    sorted positions of the head's draws below it. Both are found once per
+    draw, when the head is drawn or grown.
+    """
+
+    __slots__ = ("key", "head", "rng", "clean", "below")
 
     def __init__(self, key, sampler, seed: int, size: int):
         self.key = key
         self.rng = np.random.default_rng(seed)
         self.head = np.asarray(sampler.sample(self.rng, size), dtype=float)
         self.head.flags.writeable = False
+        self.clean = _clean_length(self.head)
+        self.below = {}
+
+    def grow(self, sampler, size: int) -> bool:
+        """Extend the head in place to ``size`` draws, taken from the generator past it.
+
+        The head's own buffer is resized, so no second head is ever held.
+        Returns False, with the stream unchanged, if numpy refuses the resize:
+        it does while anything else refers to the head or to a view of it.
+        """
+        old = self.head.size
+        try:
+            self.head.flags.writeable = True
+            self.head.resize(size, refcheck=True)
+        except ValueError:
+            self.head.flags.writeable = False
+            return False
+        for lo in range(old, size, _BLOCK):
+            self.head[lo : lo + _BLOCK] = sampler.sample(self.rng, min(_BLOCK, size - lo))
+        self.head.flags.writeable = False
+        tail = self.head[old:]
+        if self.clean == old:
+            self.clean += _clean_length(tail)
+        for floor, positions in self.below.items():
+            self.below[floor] = np.concatenate((positions, _positions_below(tail, floor) + old))
+        return True
+
+    def positions_below(self, floor: float) -> np.ndarray:
+        """Sorted positions of the head's draws below ``floor``."""
+        if floor not in self.below:
+            if len(self.below) == _FLOORS:
+                del self.below[next(iter(self.below))]  # the floor asked for first
+            self.below[floor] = _positions_below(self.head, floor)
+        return self.below[floor]
 
 
-#: The last stream drawn; it is looked up and replaced under the lock.
+#: The last stream drawn; it is looked up, grown and replaced under the lock.
 _memo: _Stream | None = None
 _memo_lock = threading.Lock()
 
@@ -352,10 +419,12 @@ _memo_lock = threading.Lock()
 def _stream(sampler, seed: int, size: int) -> _Stream:
     """The stream of ``sampler`` under ``seed``, with a head of at least ``size`` draws.
 
-    The memo key is the seed with the sampler's type and attribute values, so
-    equal-valued samplers share a stream and a changed attribute misses. A
-    sampler without a ``__dict__``, or with an unhashable attribute, gets a
-    stream of its own.
+    Called under ``_memo_lock``. The memo key is the seed with the sampler's
+    type and attribute values, so equal-valued samplers share a stream and a
+    changed attribute misses. A sampler without a ``__dict__``, or with an
+    unhashable attribute, gets a stream of its own. A kept head that is too
+    short grows in place; if something still holds it, the head is redrawn
+    from the seed instead, and the holder's stream stays as it was.
     """
     global _memo
     try:
@@ -363,27 +432,34 @@ def _stream(sampler, seed: int, size: int) -> _Stream:
         hash(key)
     except TypeError:
         return _Stream(None, sampler, seed, size)
-    with _memo_lock:
-        if _memo is None or _memo.key != key or _memo.head.size < size:
-            _memo = None  # drop the old head before drawing the new one
-            _memo = _Stream(key, sampler, seed, size)
-        return _memo
+    # out of the memo while it changes, so a sampler that raises leaves no half-grown head
+    stream, _memo = _memo, None
+    if stream is not None and stream.key == key and (stream.head.size >= size or stream.grow(sampler, size)):
+        _memo = stream
+    else:
+        stream = None  # drop the old head before drawing the new one
+        _memo = stream = _Stream(key, sampler, seed, size)
+    return stream
 
 
 def _truncated_draws(sampler, seed: int, size: int, floor: float):
     """The stream's first ``size`` values, with every value below ``floor`` redrawn.
 
     Returns that prefix as drawn (a read-only view), the sorted positions below
-    the floor, and their redrawn values. Each rejection round redraws the
-    positions still below the floor, in index order, from the stream's next
-    values, and compares only those.
+    the floor, and their redrawn values. The positions are the prefix of those
+    the stream keeps for the floor, so no draw is compared twice. Each
+    rejection round redraws the positions still below the floor, in index
+    order, from the stream's next values, and compares only those. A NaN or
+    +inf in the prefix or among the redrawn values is a
+    :class:`SamplerDomainError`.
     """
-    stream = _stream(sampler, seed, size)
-    draws = stream.head[:size]
-    # compared block by block, so the comparison's temporary stays one block
-    below = np.concatenate(
-        [np.flatnonzero(draws[lo : lo + _BLOCK] < floor) + lo for lo in range(0, size, _BLOCK)]
-    )
+    with _memo_lock:
+        stream = _stream(sampler, seed, size)
+        # a referenced head cannot grow, so holding it keeps the stream as it is
+        head, below, clean = stream.head, stream.positions_below(floor), stream.clean
+    if clean < size:
+        raise SamplerDomainError(f"sampler produced non-finite SNR {head[clean]}")
+    below = below[: np.searchsorted(below, size)]
     redrawn = np.empty(below.size)
     pending = np.arange(below.size)
     rng = None  # a copy of the generator past the head, made when a round reaches it
@@ -395,7 +471,7 @@ def _truncated_draws(sampler, seed: int, size: int, floor: float):
                 "sampler keeps producing SNRs below the lowest admission threshold; "
                 "it is inconsistent with the MCS table"
             )
-        fresh = stream.head[offset : offset + pending.size]
+        fresh = head[offset : offset + pending.size]
         if fresh.size < pending.size:
             if rng is None:
                 rng = copy.deepcopy(stream.rng)
@@ -404,7 +480,10 @@ def _truncated_draws(sampler, seed: int, size: int, floor: float):
         offset += pending.size
         redrawn[pending] = fresh
         pending = pending[fresh < floor]
-    return draws, below, redrawn
+    peak = redrawn.max(initial=-math.inf)
+    if not peak < math.inf:
+        raise SamplerDomainError(f"sampler produced non-finite SNR {peak}")
+    return head[:size], below, redrawn
 
 
 def _whole(name: str, value, least: int) -> int:
@@ -412,6 +491,18 @@ def _whole(name: str, value, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _higher_quantile(values: np.ndarray, level: float) -> float:
+    """``np.quantile(values, level, method="higher")`` for finite values, reordering them in place.
+
+    That quantile is the order statistic at index ceil((n - 1) * level), which
+    one partition in place finds; ``np.quantile`` spends several times as long
+    around the same partition, on a copy and its general-purpose checks.
+    """
+    k = math.ceil((values.size - 1) * level)
+    values.partition(k)
+    return float(values[k])
 
 
 def outage_demand(
@@ -457,7 +548,8 @@ def outage_demand(
             block[below[first:last] - lo] = redrawn[first:last]
         sums[start : start + rows] = _complexity_vector(block, mcs, params).reshape(-1, n_cloud).sum(axis=1)
     # smallest provision covering at least a 1-eps fraction of realizations
-    return float(np.quantile(sums, 1.0 - eps_comp, method="higher"))
+    return _higher_quantile(sums, 1.0 - eps_comp)
+
 
 
 def dran_equivalent_demand(

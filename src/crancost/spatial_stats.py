@@ -325,6 +325,8 @@ def cluster_nn_moment(exponent: float, params: ClusterParams, distance: str = "p
 
     Computed as Int_0^inf exponent * r^(exponent-1) * (1 - CDF(r)) dr; the
     degenerate case lambda_1m = 0 reproduces the PPP contact moment either way.
+    A moment of positive exponent that does not come out positive is a
+    :class:`QuadratureError`.
     """
     if exponent < 0:
         raise ParameterError(f"exponent must be >= 0, got {exponent}")
@@ -344,4 +346,11 @@ def cluster_nn_moment(exponent: float, params: ClusterParams, distance: str = "p
         coarse = fine = math.inf
     if not (math.isfinite(coarse) and math.isfinite(fine)):
         raise ParameterError(f"the distance moment of exponent {exponent} at {params} is not a finite float")
-    return _converged(coarse, fine, "nearest-distance moment integral")
+    moment = _converged(coarse, fine, "nearest-distance moment integral")
+    if not moment > 0:
+        # a distance moment is positive; the grid's panels cancelled it away
+        raise QuadratureError(
+            f"the distance moment of exponent {exponent} at {params} came out {moment!r}, not positive",
+            achieved_error=abs(coarse - fine),
+        )
+    return moment

@@ -225,6 +225,23 @@ class TestOutageDemand:
         with pytest.raises(SamplerDomainError, match="non-finite"):
             outage_demand(2, 0.1, LateNanSampler(), mcs, n_mc=40_000, seed=1)
 
+    def test_non_finite_draw_in_a_grown_tail_is_a_domain_error(self):
+        class RareNanSampler:
+            """Keeps the stream contract; about one draw in 10^4 is NaN, and -inf as often."""
+
+            def sample(self, rng, size):
+                u = rng.random(size)
+                return np.where(u < 1e-4, np.nan, np.where(u > 1 - 1e-4, -np.inf, 3.0 + u))
+
+        first_nan = int(np.argmax(np.isnan(RareNanSampler().sample(np.random.default_rng(1), 10**6))))
+        mcs = snr_thresholds(default_mcs_rates())
+        complexity._memo = None
+        # the prefix ends before the NaN, and its -inf draws are redrawn
+        assert math.isfinite(outage_demand(1, 0.1, RareNanSampler(), mcs, n_mc=first_nan, seed=1))
+        # the head grows past the NaN
+        with pytest.raises(SamplerDomainError, match="non-finite"):
+            outage_demand(2, 0.1, RareNanSampler(), mcs, n_mc=first_nan, seed=1)
+
     def test_workload_memory_is_one_draw_array_plus_fixed_blocks(self):
         mcs = snr_thresholds(default_mcs_rates())
         sampler = make_snr_sampler("nearest_bs")
@@ -414,6 +431,16 @@ def test_nearest_bs_sampler_spans_the_mcs_range():
     assert k.min() <= 2 and k.max() == len(mcs) - 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=300),
+    level=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_higher_quantile_is_numpys(values, level):
+    got = complexity._higher_quantile(np.array(values), level)
+    assert got.hex() == float(np.quantile(values, level, method="higher")).hex()
+
+
 SAMPLER_SPECS = [
     ("degenerate", {"gamma": 3.0}),
     ("lognormal", {}),
@@ -544,13 +571,36 @@ class TestSharedStream:
             sys.setswitchinterval(interval)
         assert results == serial * 3
 
+    def test_threads_growing_one_head_return_the_serial_demands(self):
+        sampler = make_snr_sampler("nearest_bs")
+
+        def ascending(seed):
+            return [
+                outage_demand(n, 0.1, sampler, *TABLES[0.0], n_mc=2000, seed=seed).hex()
+                for n in (1, 2, 5, 20, 50)
+            ]
+
+        complexity._memo = None
+        serial = [ascending(seed) for seed in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # threads on one seed grow the head that others hold, so both the
+            # growth in place and the redraw it falls back to run
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(ascending, seed) for _ in range(4) for seed in (0, 0, 1)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [serial[seed] for _ in range(4) for seed in (0, 0, 1)]
+
     def test_the_memo_keeps_one_head_at_most(self):
         sampler = make_snr_sampler("nearest_bs")
         complexity._memo = None
         tracemalloc.start()
         try:
             outage_demand(20, 0.1, sampler, *TABLES[0.0], n_mc=20_000, seed=1)
-            # the 3.2 MB head is dropped before the 8 MB one is drawn
+            # the 3.2 MB head grows in place to 8 MB, so no second head is held
             outage_demand(50, 0.1, sampler, *TABLES[0.0], n_mc=20_000, seed=1)
             _, peak = tracemalloc.get_traced_memory()
             outage_demand(1, 0.1, sampler, *TABLES[0.0], n_mc=20_000, seed=2)
@@ -559,3 +609,59 @@ class TestSharedStream:
             tracemalloc.stop()
         assert peak <= 10e6
         assert retained <= 1e6
+
+    #: the benchmark's order: one seed, pool sizes from the smallest up
+    ASCENDING = (1, 2, 5, 10, 20, 50)
+
+    @staticmethod
+    def demand(n, sampler, seed):
+        return outage_demand(n, 0.1, sampler, *TABLES[0.0], n_mc=20_000, seed=seed)
+
+    def test_ascending_calls_draw_each_value_once(self):
+        sampler = make_snr_sampler("nearest_bs")
+        calls = []
+
+        def counted(rng, size, original=sampler.sample):
+            calls.append((rng, size))
+            return original(rng, size)
+
+        sampler.sample = counted
+        complexity._memo = None
+        demands = [self.demand(n, sampler, 4) for n in self.ASCENDING]
+        del sampler.sample
+        # the head grows in place on the generator it was drawn from; the
+        # rejection rounds past it draw from copies of that generator
+        stream_rng = complexity._memo.rng
+        head = sum(size for rng, size in calls if rng is stream_rng)
+        rejection = sum(size for rng, size in calls if rng is not stream_rng)
+        assert head == 20_000 * 50
+        # redrawing every larger head from the seed drew 1.76 M values
+        assert 0 < rejection < 10_000
+        for n, got in zip(self.ASCENDING, demands):
+            complexity._memo = None
+            assert got.hex() == self.demand(n, sampler, 4).hex()
+
+    def test_growing_the_head_keeps_one_head_at_most(self):
+        sampler = make_snr_sampler("nearest_bs")
+        complexity._memo = None
+        tracemalloc.start()
+        try:
+            for n in self.ASCENDING:
+                self.demand(n, sampler, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the final head alone takes 8 MB
+        assert peak <= 10e6
+
+    def test_a_held_view_makes_the_call_redraw_from_the_seed(self):
+        sampler = make_snr_sampler("nearest_bs")
+        complexity._memo = None
+        outage_demand(5, 0.1, sampler, *TABLES[0.0], n_mc=2000, seed=6)
+        held = complexity._memo.head[:1]
+        got = outage_demand(20, 0.1, sampler, *TABLES[0.0], n_mc=2000, seed=6)
+        # numpy refuses to resize a head with a live view: the held head stays
+        # as it was and the memo keeps a head redrawn from the seed
+        assert held.base.size == 10_000
+        assert held.base is not complexity._memo.head and complexity._memo.head.size == 40_000
+        assert got.hex() == self.alone(20, sampler, 0.0, 6).hex()

@@ -376,6 +376,14 @@ def test_non_convergence_carries_the_achieved_error(monkeypatch):
     assert exc.value.achieved_error is not None and exc.value.achieved_error > 0
 
 
+@pytest.mark.parametrize("exponent", [1.0, 2.0])
+def test_a_moment_that_is_not_positive_is_a_quadrature_error(exponent):
+    """At sigma = 1e6 km the first panel's r1^e cancels against its tails to 0.0 and -2.4e-7."""
+    with pytest.raises(QuadratureError, match="not positive") as exc:
+        cluster_nn_moment(exponent, ClusterParams(10, 4, 1e6), "contact")
+    assert exc.value.achieved_error is not None and exc.value.achieved_error >= 0
+
+
 def test_a_moment_beyond_the_float_range_is_a_typed_error():
     """At sigma = 1e150 km the first panel's r1^4 alone exceeds the largest float."""
     with pytest.raises(CrancostError, match="not a finite float"):

@@ -394,6 +394,25 @@ class TestCli:
         assert error["error"] == "parameter" and "capacity_dc" in error["message"]
         assert not out.exists()
 
+    def test_evaluate_non_positive_moment_is_a_numerical_error(self, tmp_path, capsys):
+        # at sigma = 1e6 km the contact moments cancel to 0.0 and -2.4e-7;
+        # without a01 the user-link term would not read them
+        cfg, out = tmp_path / "scenario.ini", tmp_path / "cost.csv"
+        cfg.write_text("[geometry]\nsigma2 = 1e12\n[costs]\na01 = 0\n")
+        assert main(["evaluate", "--config", str(cfg), "--format", "csv", "--out", str(out)]) == 4
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "numerical" and "not positive" in error["message"]
+        assert not out.exists()
+
+    def test_sweep_non_positive_moment_is_an_error_row(self, tmp_path):
+        cfg, out = tmp_path / "scenario.ini", tmp_path / "sweep.json"
+        cfg.write_text("[costs]\na01 = 0\n")
+        argv = ["sweep", "--config", str(cfg), "--axis", "sigma2", "--values", "0.5 1e12", "--architectures", "dran"]
+        assert main([*argv, "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert "total_per_km2" in rows[0] and rows[0]["total_per_km2"] > 0
+        assert rows[1]["error"].startswith("numerical: ") and "not positive" in rows[1]["error"]
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[geometry]\np = 2.0\n")
@@ -557,6 +576,20 @@ class TestCli:
         assert (payload["seed"], payload["reps"], payload["tool_version"]) == (5, 30, TOOL_VERSION)
         assert (payload["numpy_version"], payload["scipy_version"]) == (np.__version__, scipy.__version__)
         assert payload["window_km"] == [6.0, 6.0]
+
+    def test_complexity_json_records_what_produced_it(self, tmp_path):
+        out = tmp_path / "cx.json"
+        argv = ["complexity", "--pool-sizes", "1 5", "--offsets", "0", "--n-mc", "500", "--seed", "7"]
+        assert main([*argv, "--eps-comp", "0.05", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert (payload["seed"], payload["n_mc"], payload["eps_comp"]) == (7, 500, 0.05)
+        assert payload["tool_version"] == TOOL_VERSION
+        assert (payload["numpy_version"], payload["scipy_version"]) == (np.__version__, scipy.__version__)
+        assert [(row["gamma_offset_db"], row["n_cloud"]) for row in payload["rows"]] == [(0.0, 1), (0.0, 5)]
+        csv_out = tmp_path / "cx.csv"
+        assert main([*argv, "--eps-comp", "0.05", "--format", "csv", "--out", str(csv_out)]) == 0
+        # the CSV is the table alone
+        assert sorted(csv_out.read_text().splitlines()[0].split(",")) == sorted(payload["rows"][0])
 
     def test_complexity_table(self, tmp_path):
         out = tmp_path / "cx.csv"
