@@ -18,23 +18,24 @@ contract every package sampler keeps: ``sample(rng, a)`` followed by
 ``sample(rng, b)`` returns, bit for bit, what ``sample(rng, a + b)`` does.
 A table calls with one seed at every offset and pool size, so the module
 keeps the last stream between calls: a head of draws, the generator as it
-stands after the head, and two facts about the head, each found once per
-draw: how many leading draws are neither NaN nor +inf, and, for the last
-few admission floors asked for, the sorted positions of the draws below
-the floor. A call that needs more values than the head holds past its own
-prefix draws them from a copy of that generator. One that needs a longer
-head grows the head's own buffer in place and fills the new tail from the
-generator, so the head is drawn once however the calls are ordered and one
-head is kept at most (8 MB for 50 stations at 20000 draws); by the stream
-contract the grown head is the head a single draw from the seed gives. If
-numpy refuses the resize because a view of the head is still alive, the
-call drops the head and redraws it from the seed. A call reads its prefix
-as views and evaluates the workload in blocks of whole realizations, about
-32k draws each, so that the block's temporaries stay in cache; only a
-block holding a redrawn position is copied and patched. Every element sees
-the same operations in the same order and every realization is summed
-alone, so the result is the same bit for bit whatever the block size and
-whatever was called before. The demand is the order statistic that
+stands after the head, and how many leading draws of the head are neither
+NaN nor +inf, found once per draw. A call that needs more values than the
+head holds past its own prefix draws them from a copy of that generator.
+One that needs a longer head grows the head's own buffer in place and fills
+the new tail from the generator, so the head is drawn once however the calls
+are ordered and one head is kept at most (8 MB for 50 stations at 20000
+draws); by the stream contract the grown head is the head a single draw from
+the seed gives. If numpy refuses the resize because a view of the head is
+still alive, the call drops the head and redraws it from the seed. A call
+evaluates the workload on views of its prefix, in blocks of whole
+realizations, about 32k draws each, so that the block's temporaries stay in
+cache. A draw below the lowest admission threshold selects no MCS, so its
+workload is NaN and so is its realization's sum: only those realizations are
+gathered, their draws below the floor replaced by the rejection rounds'
+values in index order, and evaluated again. Every element sees the same
+operations in the same order and every realization is summed alone, so the
+result is the same bit for bit whatever the block size and whatever was
+called before. The demand is the order statistic that
 ``np.quantile(sums, 1 - eps, method="higher")`` returns, found by one
 partition of the sums in place. :meth:`McsTable.select` counts
 the admission thresholds each SNR meets, one vectorized comparison pass per
@@ -95,6 +96,9 @@ class DecoderParams:
     k_scaling: complexity scaling at the target channel outage
     nu_db: complexity calibration margin, dB
     gamma_offset_db: extra link-adaptation margin, dB
+
+    Every field is finite, and the total margin nu_db + gamma_offset_db is
+    above 0 dB, so every admission threshold lies above its capacity.
     """
 
     zeta: float = 6.0
@@ -103,10 +107,14 @@ class DecoderParams:
     gamma_offset_db: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.zeta, self.k_scaling, self.nu_db, self.gamma_offset_db))):
+            raise ParameterError(f"decoder parameters must be finite, got {self}")
         if self.zeta <= 2:
             raise ParameterError("zeta must be > 2")
         if self.k_scaling <= 0:
             raise ParameterError("k_scaling must be > 0")
+        if self.nu_db + self.gamma_offset_db <= 0:
+            raise ParameterError(f"nu_db + gamma_offset_db must be > 0 dB, got {self.nu_db} + {self.gamma_offset_db}")
 
 
 @dataclass(frozen=True)
@@ -152,8 +160,8 @@ def snr_thresholds(rates, params: DecoderParams = DecoderParams()) -> McsTable:
     r = np.asarray(rates, dtype=float)
     if r.ndim != 1 or r.shape[0] == 0:
         raise ParameterError("rates must be a non-empty 1D sequence")
-    if np.any(r <= 0) or np.any(np.diff(r) <= 0):
-        raise ParameterError("rates must be positive and strictly increasing")
+    if not np.all(np.isfinite(r)) or np.any(r <= 0) or np.any(np.diff(r) <= 0):
+        raise ParameterError("rates must be finite, positive and strictly increasing")
     gamma_c = 2.0**r - 1.0
     margin = db_to_linear(params.nu_db) * db_to_linear(params.gamma_offset_db)
     return McsTable(rates=r, gamma_capacity=gamma_c, gamma_admission=margin * gamma_c)
@@ -165,10 +173,13 @@ def decoding_complexity(gamma: float, rate: float, params: DecoderParams = Decod
     (rate / log2(zeta-1)) * [log2((zeta-2)/(k*zeta)) - 2*log2(log2(1+gamma) - rate)],
     clamped at zero from below: the expression goes negative at large SNR
     margins and a negative iteration count is unphysical. Requires the SNR to
-    support the rate (log2(1+gamma) > rate), otherwise the MCS was misselected.
+    support the rate (log2(1+gamma) > rate), otherwise the MCS was misselected;
+    an SNR that is not finite and >= 0 is a domain error too.
     """
     if rate <= 0:
         raise ParameterError(f"rate must be > 0, got {rate}")
+    if not 0.0 <= gamma < math.inf:
+        raise SamplerDomainError(f"SNR must be finite and >= 0, got {gamma}")
     capacity = math.log2(1.0 + gamma)
     if capacity <= rate:
         raise SamplerDomainError(
@@ -185,15 +196,18 @@ def _complexity_vector(gamma: np.ndarray, mcs: McsTable, params: DecoderParams) 
 
     Evaluates the ``decoding_complexity`` expression with the same operations
     in the same order, in place in one buffer, so every value keeps its bits.
-    Every draw must be finite and clear the lowest admission threshold, as
-    :func:`_truncated_draws` guarantees.
+    A draw below the lowest admission threshold selects no MCS and gives NaN,
+    which :func:`outage_demand` reads as the mark of a realization to
+    evaluate again with that draw redrawn; every other draw must be finite.
+    Call it under ``np.errstate(invalid="ignore", divide="ignore")``.
     """
     k = mcs.select(gamma)
+    # index -1, below every threshold, takes the NaN after the last rate;
     # fancy indexing casts a small-integer index per element, which costs
     # more than one cast to intp up front
-    rate = mcs.rates[k.astype(np.intp)]
+    rate = np.append(mcs.rates, math.nan)[k.astype(np.intp)]
     # log2(1 + gamma) - rate; admission thresholds sit above capacity, so
-    # margins are strictly positive
+    # the margins of admitted draws are strictly positive
     work = np.add(1.0, gamma)
     np.log2(work, out=work)
     work -= rate
@@ -337,11 +351,6 @@ _BLOCK = 1 << 15
 _MAX_ROUNDS = 1000
 
 
-#: Admission floors whose positions below them a stream keeps. A table walks its
-#: offsets one at a time, so a few floors serve every call of it.
-_FLOORS = 4
-
-
 def _clean_length(draws: np.ndarray) -> int:
     """How many leading draws are neither NaN nor +inf; -inf is below every floor and is redrawn."""
     for lo in range(0, draws.size, _BLOCK):
@@ -351,24 +360,14 @@ def _clean_length(draws: np.ndarray) -> int:
     return draws.size
 
 
-def _positions_below(draws: np.ndarray, floor: float) -> np.ndarray:
-    """Sorted positions of the draws below ``floor``."""
-    # compared block by block, so the comparison's temporary stays one block
-    return np.concatenate(
-        [np.flatnonzero(draws[lo : lo + _BLOCK] < floor) + lo for lo in range(0, draws.size, _BLOCK)]
-    )
-
-
 class _Stream:
-    """One seed's SNR stream: a head of draws, the generator past it, and facts about the head.
+    """One seed's SNR stream: a head of draws, the generator past it, and its clean length.
 
-    ``clean`` is how many leading draws of the head are neither NaN nor +inf,
-    and ``below`` maps each of the last :data:`_FLOORS` floors asked for to the
-    sorted positions of the head's draws below it. Both are found once per
-    draw, when the head is drawn or grown.
+    ``clean`` is how many leading draws of the head are neither NaN nor +inf;
+    it is found once per draw, when the head is drawn or grown.
     """
 
-    __slots__ = ("key", "head", "rng", "clean", "below")
+    __slots__ = ("key", "head", "rng", "clean")
 
     def __init__(self, key, sampler, seed: int, size: int):
         self.key = key
@@ -376,7 +375,6 @@ class _Stream:
         self.head = np.asarray(sampler.sample(self.rng, size), dtype=float)
         self.head.flags.writeable = False
         self.clean = _clean_length(self.head)
-        self.below = {}
 
     def grow(self, sampler, size: int) -> bool:
         """Extend the head in place to ``size`` draws, taken from the generator past it.
@@ -395,20 +393,9 @@ class _Stream:
         for lo in range(old, size, _BLOCK):
             self.head[lo : lo + _BLOCK] = sampler.sample(self.rng, min(_BLOCK, size - lo))
         self.head.flags.writeable = False
-        tail = self.head[old:]
         if self.clean == old:
-            self.clean += _clean_length(tail)
-        for floor, positions in self.below.items():
-            self.below[floor] = np.concatenate((positions, _positions_below(tail, floor) + old))
+            self.clean += _clean_length(self.head[old:])
         return True
-
-    def positions_below(self, floor: float) -> np.ndarray:
-        """Sorted positions of the head's draws below ``floor``."""
-        if floor not in self.below:
-            if len(self.below) == _FLOORS:
-                del self.below[next(iter(self.below))]  # the floor asked for first
-            self.below[floor] = _positions_below(self.head, floor)
-        return self.below[floor]
 
 
 #: The last stream drawn; it is looked up, grown and replaced under the lock.
@@ -442,27 +429,18 @@ def _stream(sampler, seed: int, size: int) -> _Stream:
     return stream
 
 
-def _truncated_draws(sampler, seed: int, size: int, floor: float):
-    """The stream's first ``size`` values, with every value below ``floor`` redrawn.
+def _rejection_rounds(sampler, head: np.ndarray, rng, size: int, count: int, floor: float) -> np.ndarray:
+    """Redrawn values for the ``count`` draws below ``floor`` among the stream's first ``size``.
 
-    Returns that prefix as drawn (a read-only view), the sorted positions below
-    the floor, and their redrawn values. The positions are the prefix of those
-    the stream keeps for the floor, so no draw is compared twice. Each
-    rejection round redraws the positions still below the floor, in index
-    order, from the stream's next values, and compares only those. A NaN or
-    +inf in the prefix or among the redrawn values is a
-    :class:`SamplerDomainError`.
+    The values come in the index order of the draws they replace. Each round
+    redraws the draws still below the floor, in index order, from the
+    stream's next values, read from ``head`` and then from a copy of ``rng``,
+    the generator past it, and compares only those. A NaN or +inf among the
+    redrawn values is a :class:`SamplerDomainError`.
     """
-    with _memo_lock:
-        stream = _stream(sampler, seed, size)
-        # a referenced head cannot grow, so holding it keeps the stream as it is
-        head, below, clean = stream.head, stream.positions_below(floor), stream.clean
-    if clean < size:
-        raise SamplerDomainError(f"sampler produced non-finite SNR {head[clean]}")
-    below = below[: np.searchsorted(below, size)]
-    redrawn = np.empty(below.size)
-    pending = np.arange(below.size)
-    rng = None  # a copy of the generator past the head, made when a round reaches it
+    redrawn = np.empty(count)
+    pending = np.arange(count)
+    past_head = None  # the copy of the generator, made when a round reaches it
     offset, rounds = size, 0
     while pending.size:
         rounds += 1
@@ -473,9 +451,9 @@ def _truncated_draws(sampler, seed: int, size: int, floor: float):
             )
         fresh = head[offset : offset + pending.size]
         if fresh.size < pending.size:
-            if rng is None:
-                rng = copy.deepcopy(stream.rng)
-            past = np.asarray(sampler.sample(rng, pending.size - fresh.size), dtype=float)
+            if past_head is None:
+                past_head = copy.deepcopy(rng)
+            past = np.asarray(sampler.sample(past_head, pending.size - fresh.size), dtype=float)
             fresh = np.concatenate((fresh, past))
         offset += pending.size
         redrawn[pending] = fresh
@@ -483,7 +461,7 @@ def _truncated_draws(sampler, seed: int, size: int, floor: float):
     peak = redrawn.max(initial=-math.inf)
     if not peak < math.inf:
         raise SamplerDomainError(f"sampler produced non-finite SNR {peak}")
-    return head[:size], below, redrawn
+    return redrawn
 
 
 def _whole(name: str, value, least: int) -> int:
@@ -533,23 +511,33 @@ def outage_demand(
         raise ParameterError("eps_comp must lie in (0, 1)")
     n_mc = _whole("n_mc", n_mc, 1)
     seed = _whole("seed", seed, 0)
-    draws, below, redrawn = _truncated_draws(sampler, seed, n_mc * n_cloud, float(mcs.gamma_admission[0]))
+    size = n_mc * n_cloud
+    floor = float(mcs.gamma_admission[0])
+    with _memo_lock:
+        stream = _stream(sampler, seed, size)
+        # a referenced head cannot grow, so holding it until the rejection
+        # rounds have read past the prefix keeps the stream as it is
+        head, rng, clean = stream.head, stream.rng, stream.clean
+    if clean < size:
+        raise SamplerDomainError(f"sampler produced non-finite SNR {head[clean]}")
+    draws = head[:size].reshape(n_mc, n_cloud)
     # whole realizations per block, each summed alone: the sums do not
     # depend on where the blocks end
     rows = max(1, _BLOCK // n_cloud)
     sums = np.empty(n_mc)
-    for start in range(0, n_mc, rows):
-        lo, hi = start * n_cloud, min(start + rows, n_mc) * n_cloud
-        block = draws[lo:hi]
-        first, last = np.searchsorted(below, (lo, hi))
-        if first < last:
-            # the stream stays as drawn; the block's copy takes the redrawn values
-            block = block.copy()
-            block[below[first:last] - lo] = redrawn[first:last]
-        sums[start : start + rows] = _complexity_vector(block, mcs, params).reshape(-1, n_cloud).sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for start in range(0, n_mc, rows):
+            sums[start : start + rows] = _complexity_vector(draws[start : start + rows], mcs, params).sum(axis=1)
+        # a draw below the floor makes its realization's sum NaN; the stream
+        # stays as drawn, and the redone rows' copy takes the redrawn values,
+        # which a boolean mask fills in row-major order, the stream's order
+        redo = np.flatnonzero(np.isnan(sums))
+        again = draws[redo]
+        below = again < floor
+        again[below] = _rejection_rounds(sampler, head, rng, size, np.count_nonzero(below), floor)
+        sums[redo] = _complexity_vector(again, mcs, params).sum(axis=1)
     # smallest provision covering at least a 1-eps fraction of realizations
     return _higher_quantile(sums, 1.0 - eps_comp)
-
 
 
 def dran_equivalent_demand(

@@ -4,6 +4,7 @@ import copy
 import math
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -73,6 +74,11 @@ class TestDecodingComplexity:
         with pytest.raises(SamplerDomainError):
             decoding_complexity(0.5, 1.0)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, -2.0, -1.0, -0.5])
+    def test_snr_not_finite_and_non_negative_is_a_domain_error(self, gamma):
+        with pytest.raises(SamplerDomainError, match="finite and >= 0"):
+            decoding_complexity(gamma, 0.5)
+
     @given(rate=st.floats(0.2, 4.0), extra=st.floats(0.05, 1.5))
     @settings(max_examples=80, deadline=None)
     def test_increasing_in_rate_at_fixed_margin(self, rate, extra):
@@ -90,6 +96,20 @@ class TestDecodingComplexity:
         d_lo = decoding_complexity(2.0 ** (rate + lo) - 1.0, rate)
         d_hi = decoding_complexity(2.0 ** (rate + hi) - 1.0, rate)
         assert d_hi <= d_lo + 1e-9
+
+
+class TestDecoderParams:
+    @pytest.mark.parametrize("field", ["zeta", "k_scaling", "nu_db", "gamma_offset_db"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_fields_must_be_finite(self, field, value):
+        with pytest.raises(ParameterError, match="finite"):
+            DecoderParams(**{field: value})
+
+    @pytest.mark.parametrize("nu_db,offset", [(0.0, 0.0), (-1.0, 0.0), (0.2, -1.0), (0.2, -0.2)])
+    def test_the_total_margin_must_be_positive(self, nu_db, offset):
+        """At 0 dB or less the admission thresholds sit at or below capacity."""
+        with pytest.raises(ParameterError, match="nu_db \\+ gamma_offset_db"):
+            DecoderParams(nu_db=nu_db, gamma_offset_db=offset)
 
 
 class TestSnrThresholds:
@@ -117,6 +137,11 @@ class TestSnrThresholds:
             snr_thresholds([1.0, 1.0])
         with pytest.raises(ParameterError):
             snr_thresholds([2.0, 1.0])
+
+    @pytest.mark.parametrize("rates", [[0.5, math.nan], [0.5, math.inf], [math.nan]])
+    def test_non_finite_rates_rejected(self, rates):
+        with pytest.raises(ParameterError, match="finite"):
+            snr_thresholds(rates)
 
 
 def _searchsorted_select(mcs, gamma):
@@ -202,6 +227,33 @@ class TestOutageDemand:
         mcs = snr_thresholds([2.0])  # admission ~ 3.14
         with pytest.raises(SamplerDomainError):
             outage_demand(1, 0.1, DegenerateSnrSampler(1.0), mcs, n_mc=100, seed=1)
+
+    def test_a_draw_below_the_floor_is_rejected_above_the_top_capacity(self):
+        """A draw that selects no MCS is redrawn even where the top rate could carry it."""
+        params = DecoderParams(nu_db=3.0)
+        mcs = snr_thresholds([1.0, 1.1], params)  # floor 1.995, top capacity 1.144
+        with pytest.raises(SamplerDomainError, match="below the lowest admission threshold"):
+            outage_demand(1, 0.1, DegenerateSnrSampler(1.5), mcs, params, n_mc=100, seed=1)
+
+    class RareMinusInfSampler:
+        """Keeps the stream contract; about one draw in 10^3 is -inf, below every floor."""
+
+        def sample(self, rng, size):
+            u = rng.random(size)
+            return np.where(u > 1 - 1e-3, -np.inf, 3.0 + u)
+
+    @pytest.mark.parametrize(
+        "sampler",
+        [make_snr_sampler("nearest_bs"), make_snr_sampler("lognormal", median_db=0.0), RareMinusInfSampler()],
+        ids=["nearest_bs", "lognormal", "minus_inf"],
+    )
+    def test_rejected_draws_raise_no_warning(self, sampler):
+        mcs, params = TABLES[0.9]
+        assert np.any(sampler.sample(np.random.default_rng(1), 5 * 4000) < mcs.gamma_admission[0])
+        complexity._memo = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(outage_demand(5, 0.1, sampler, mcs, params, n_mc=4000, seed=1))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_draws_are_a_domain_error(self, value):
@@ -653,6 +705,22 @@ class TestSharedStream:
             tracemalloc.stop()
         # the final head alone takes 8 MB
         assert peak <= 10e6
+
+    def test_blocks_are_views_of_the_kept_head(self, monkeypatch):
+        """Only the realizations to evaluate again are gathered, in one call per demand."""
+        sampler = make_snr_sampler("nearest_bs")
+        views = []
+
+        def recorded(gamma, mcs, params, original=complexity._complexity_vector):
+            views.append(np.shares_memory(gamma, complexity._memo.head))
+            return original(gamma, mcs, params)
+
+        monkeypatch.setattr(complexity, "_complexity_vector", recorded)
+        complexity._memo = None
+        for n in self.ASCENDING:
+            del views[:]
+            self.demand(n, sampler, 4)
+            assert views == [True] * (len(views) - 1) + [False]
 
     def test_a_held_view_makes_the_call_redraw_from_the_seed(self):
         sampler = make_snr_sampler("nearest_bs")

@@ -209,6 +209,8 @@ class TestComplexitySection:
         [
             ("zeta = 2", "zeta"),
             ("zeta = 1.5", "zeta"),
+            ("nu_db = 0", "nu_db"),
+            ("nu_db = -1", "nu_db"),
             ("n_mc = 10.7", "n_mc"),
             ("n_mc = 0", "n_mc"),
             ("sampler_gamma = x", "sampler_gamma"),

@@ -215,6 +215,7 @@ class TestCli:
         [
             ("[sweep]\nvalues = abc\n", "values"),
             ("[complexity]\nzeta = 1\n", "zeta"),
+            ("[complexity]\nnu_db = -1\n", "nu_db"),
             ("[simulation]\nuser_bs_distance = bogus\n", "user_bs_distance"),
         ],
     )
@@ -533,6 +534,16 @@ class TestCli:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "config"
         assert option[2:] in error["message"]
+
+    @pytest.mark.parametrize("offsets", ["-1 0", "-0.2"])
+    def test_complexity_offset_without_a_margin_is_a_parameter_error(self, tmp_path, capsys, offsets):
+        """A total margin of 0 dB or less puts the admission thresholds at or below capacity."""
+        out = tmp_path / "cx.csv"
+        argv = ["complexity", "--pool-sizes", "1 5", "--offsets", offsets, "--format", "csv", "--out", str(out)]
+        assert main(argv) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "parameter" and "gamma_offset_db" in error["message"]
+        assert not out.exists()
 
     def test_simulate_and_dump_realization(self, tmp_path):
         out = tmp_path / "sim.json"
