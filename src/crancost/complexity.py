@@ -17,16 +17,18 @@ rejection rounds take the values after them. This rests on the stream
 contract every package sampler keeps: ``sample(rng, a)`` followed by
 ``sample(rng, b)`` returns, bit for bit, what ``sample(rng, a + b)`` does.
 A table calls with one seed at every offset and pool size, so the module
-keeps the last stream between calls: a head of draws, the generator as it
-stands after the head, and how many leading draws of the head are neither
-NaN nor +inf, found once per draw. A call that needs more values than the
-head holds past its own prefix draws them from a copy of that generator.
-One that needs a longer head grows the head's own buffer in place and fills
-the new tail from the generator, so the head is drawn once however the calls
-are ordered and one head is kept at most (8 MB for 50 stations at 20000
-draws); by the stream contract the grown head is the head a single draw from
-the seed gives. If numpy refuses the resize because a view of the head is
-still alive, the call drops the head and redraws it from the seed. A call
+keeps the last stream between calls: a head of draws and the generator as
+it stands after the head. Every SNR is checked once, where it is drawn: a
+NaN or +inf, which is what a sampler that overflows gives, raises
+:class:`SamplerDomainError` before any call reads it, so a kept head holds
+neither. A call that needs more values than the head holds past its own
+prefix draws them from a copy of that generator. One that needs a longer
+head grows the head's own buffer in place and fills the new tail from the
+generator, so the head is drawn once however the calls are ordered and one
+head is kept at most (8 MB for 50 stations at 20000 draws); by the stream
+contract the grown head is the head a single draw from the seed gives. If
+numpy refuses the resize because a view of the head is still alive, the
+call drops the head and redraws it from the seed. A call
 evaluates the workload on views of its prefix, in blocks of whole
 realizations, about 32k draws each, so that the block's temporaries stay in
 cache. A draw below the lowest admission threshold selects no MCS, so its
@@ -42,8 +44,7 @@ the admission thresholds each SNR meets, one vectorized comparison pass per
 MCS, in place of a binary search per draw. The nearest-base-station sampler
 and the workload evaluate their closed forms in one buffer with the same
 operations in the same order as the plain expressions, so every draw and
-workload keeps its exact value. A NaN or +inf SNR in a call's prefix or
-among its redrawn values raises :class:`SamplerDomainError`.
+workload keeps its exact value.
 """
 
 from __future__ import annotations
@@ -85,7 +86,11 @@ __all__ = [
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """10^(db/10); a value past the float range is a :class:`ParameterError`."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ParameterError(f"{db} dB is past the float range in linear units") from None
 
 
 @dataclass(frozen=True)
@@ -98,7 +103,8 @@ class DecoderParams:
     gamma_offset_db: extra link-adaptation margin, dB
 
     Every field is finite, and the total margin nu_db + gamma_offset_db is
-    above 0 dB, so every admission threshold lies above its capacity.
+    above 0 dB and finite in linear units, so every admission threshold lies
+    above its capacity.
     """
 
     zeta: float = 6.0
@@ -115,6 +121,14 @@ class DecoderParams:
             raise ParameterError("k_scaling must be > 0")
         if self.nu_db + self.gamma_offset_db <= 0:
             raise ParameterError(f"nu_db + gamma_offset_db must be > 0 dB, got {self.nu_db} + {self.gamma_offset_db}")
+        try:
+            margin = db_to_linear(self.nu_db) * db_to_linear(self.gamma_offset_db)
+        except ParameterError:
+            margin = math.inf
+        if margin == math.inf:
+            raise ParameterError(
+                f"nu_db + gamma_offset_db must be finite in linear units, got {self.nu_db} + {self.gamma_offset_db}"
+            )
 
 
 @dataclass(frozen=True)
@@ -164,7 +178,11 @@ def snr_thresholds(rates, params: DecoderParams = DecoderParams()) -> McsTable:
         raise ParameterError("rates must be finite, positive and strictly increasing")
     gamma_c = 2.0**r - 1.0
     margin = db_to_linear(params.nu_db) * db_to_linear(params.gamma_offset_db)
-    return McsTable(rates=r, gamma_capacity=gamma_c, gamma_admission=margin * gamma_c)
+    with np.errstate(over="ignore"):
+        gamma_a = margin * gamma_c
+    if gamma_a[-1] == math.inf:
+        raise ParameterError(f"the admission threshold of rate {r[-1]} is past the float range")
+    return McsTable(rates=r, gamma_capacity=gamma_c, gamma_admission=gamma_a)
 
 
 def decoding_complexity(gamma: float, rate: float, params: DecoderParams = DecoderParams()) -> float:
@@ -351,30 +369,31 @@ _BLOCK = 1 << 15
 _MAX_ROUNDS = 1000
 
 
-def _clean_length(draws: np.ndarray) -> int:
-    """How many leading draws are neither NaN nor +inf; -inf is below every floor and is redrawn."""
-    for lo in range(0, draws.size, _BLOCK):
-        block = draws[lo : lo + _BLOCK]
-        if not block.max() < math.inf:
-            return lo + int(np.argmin(block < math.inf))
-    return draws.size
+def _draw(sampler, rng, size: int) -> np.ndarray:
+    """The stream's next ``size`` SNRs, checked: a NaN or +inf among them is a :class:`SamplerDomainError`.
+
+    A sampler that overflows gives +inf here, and one that multiplies 0 by
+    +inf gives NaN, not a warning, and so an error; -inf and 0 lie below
+    every admission floor and are redrawn.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        draws = np.asarray(sampler.sample(rng, size), dtype=float)
+    peak = draws.max()
+    if not peak < math.inf:
+        raise SamplerDomainError(f"sampler produced non-finite SNR {peak}")
+    return draws
 
 
 class _Stream:
-    """One seed's SNR stream: a head of draws, the generator past it, and its clean length.
+    """One seed's SNR stream: a head of checked draws and the generator past it."""
 
-    ``clean`` is how many leading draws of the head are neither NaN nor +inf;
-    it is found once per draw, when the head is drawn or grown.
-    """
-
-    __slots__ = ("key", "head", "rng", "clean")
+    __slots__ = ("key", "head", "rng")
 
     def __init__(self, key, sampler, seed: int, size: int):
         self.key = key
         self.rng = np.random.default_rng(seed)
-        self.head = np.asarray(sampler.sample(self.rng, size), dtype=float)
+        self.head = _draw(sampler, self.rng, size)
         self.head.flags.writeable = False
-        self.clean = _clean_length(self.head)
 
     def grow(self, sampler, size: int) -> bool:
         """Extend the head in place to ``size`` draws, taken from the generator past it.
@@ -391,10 +410,8 @@ class _Stream:
             self.head.flags.writeable = False
             return False
         for lo in range(old, size, _BLOCK):
-            self.head[lo : lo + _BLOCK] = sampler.sample(self.rng, min(_BLOCK, size - lo))
+            self.head[lo : lo + _BLOCK] = _draw(sampler, self.rng, min(_BLOCK, size - lo))
         self.head.flags.writeable = False
-        if self.clean == old:
-            self.clean += _clean_length(self.head[old:])
         return True
 
 
@@ -419,7 +436,7 @@ def _stream(sampler, seed: int, size: int) -> _Stream:
         hash(key)
     except TypeError:
         return _Stream(None, sampler, seed, size)
-    # out of the memo while it changes, so a sampler that raises leaves no half-grown head
+    # out of the memo while it changes, so a draw that raises leaves no half-grown head
     stream, _memo = _memo, None
     if stream is not None and stream.key == key and (stream.head.size >= size or stream.grow(sampler, size)):
         _memo = stream
@@ -435,8 +452,8 @@ def _rejection_rounds(sampler, head: np.ndarray, rng, size: int, count: int, flo
     The values come in the index order of the draws they replace. Each round
     redraws the draws still below the floor, in index order, from the
     stream's next values, read from ``head`` and then from a copy of ``rng``,
-    the generator past it, and compares only those. A NaN or +inf among the
-    redrawn values is a :class:`SamplerDomainError`.
+    the generator past it, and compares only those. The values past the head
+    are checked as they are drawn, as the head's were.
     """
     redrawn = np.empty(count)
     pending = np.arange(count)
@@ -453,14 +470,10 @@ def _rejection_rounds(sampler, head: np.ndarray, rng, size: int, count: int, flo
         if fresh.size < pending.size:
             if past_head is None:
                 past_head = copy.deepcopy(rng)
-            past = np.asarray(sampler.sample(past_head, pending.size - fresh.size), dtype=float)
-            fresh = np.concatenate((fresh, past))
+            fresh = np.concatenate((fresh, _draw(sampler, past_head, pending.size - fresh.size)))
         offset += pending.size
         redrawn[pending] = fresh
         pending = pending[fresh < floor]
-    peak = redrawn.max(initial=-math.inf)
-    if not peak < math.inf:
-        raise SamplerDomainError(f"sampler produced non-finite SNR {peak}")
     return redrawn
 
 
@@ -504,7 +517,9 @@ def outage_demand(
     rejection rounds take the values after them (see the module docstring).
     The last stream is kept between calls, so calls with one seed and an
     equal-valued sampler share its draws; the result does not depend on what
-    was called before.
+    was called before. A NaN or +inf draw, the stream's own or one past it,
+    raises :class:`SamplerDomainError` where it is drawn, and a sampler
+    overflow is +inf.
     """
     n_cloud = _whole("n_cloud", n_cloud, 1)
     if not 0.0 < eps_comp < 1.0:
@@ -517,9 +532,7 @@ def outage_demand(
         stream = _stream(sampler, seed, size)
         # a referenced head cannot grow, so holding it until the rejection
         # rounds have read past the prefix keeps the stream as it is
-        head, rng, clean = stream.head, stream.rng, stream.clean
-    if clean < size:
-        raise SamplerDomainError(f"sampler produced non-finite SNR {head[clean]}")
+        head, rng = stream.head, stream.rng
     draws = head[:size].reshape(n_mc, n_cloud)
     # whole realizations per block, each summed alone: the sums do not
     # depend on where the blocks end

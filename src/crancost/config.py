@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 from .complexity import SERVER_COST, DecoderParams, make_snr_sampler, processing_cost_rate
 from .costs import C2_CONVENTIONS, USER_BS_DISTANCES, Architecture, Scenario
 from .dimensioning import DRAN_POOLING_FACTOR, OFFSET_PRESETS, invert_for_bs_intensity, spectral_efficiency_target
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 
 __all__ = [
     "default_scenario",
@@ -296,7 +296,10 @@ class ConfigFile:
         self.complexity = ComplexitySettings(sampler_params=sampler_params)
         for row, value in values.items():
             if row.section == "complexity":
-                self.complexity = _replaced(self.complexity, row.names, value)
+                try:
+                    self.complexity = _replaced(self.complexity, row.names, value)
+                except ParameterError as exc:  # DecoderParams checks what one key cannot
+                    raise ConfigError(str(exc), key=row.key) from None
         sweep = {row.key: value for row, value in values.items() if row.section == "sweep"}
         self.sweep = sweep if has_sweep else None
         if self.sweep is not None and not {"axis", "values"} <= self.sweep.keys():

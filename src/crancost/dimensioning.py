@@ -148,14 +148,24 @@ def invert_for_bs_intensity(target: float, lambda_0: float) -> float:
 
     Since the rate is C * sqrt(lambda_1) with C independent of lambda_1, the
     inverse is (target / C)^2; the round trip through
-    :func:`spatial_avg_rate` is exact to floating precision.
+    :func:`spatial_avg_rate` is exact to floating precision. An intensity
+    that is not finite and > 0 is a :class:`ParameterError`.
     """
     if not 0 < target < math.inf:
         raise ParameterError(f"target spectral efficiency must be finite and > 0, got {target}")
     if not 0 < lambda_0 < math.inf:
         raise ParameterError(f"user intensity must be finite and > 0, got {lambda_0}")
     coeff = _rate_coefficient(lambda_0, PAPER_LTE_10MHZ)
-    return (target / coeff) ** 2
+    try:
+        lambda_1 = (target / coeff) ** 2
+    except OverflowError:
+        lambda_1 = math.inf
+    if not 0 < lambda_1 < math.inf:
+        raise ParameterError(
+            f"base-station intensity for target {target} at user intensity {lambda_0} "
+            f"must be finite and > 0, got {lambda_1}"
+        )
+    return lambda_1
 
 
 def spectral_efficiency_target(gamma_offset_db: float) -> float:

@@ -124,13 +124,26 @@ def _converged(coarse: float, fine: float, what: str) -> float:
 def ppp_contact_moment(beta: float, intensity: float) -> float:
     """E[R^beta] of the distance to the nearest point of a PPP.
 
-    Equals Gamma(beta/2 + 1) / (pi * intensity)^(beta/2).
+    Equals Gamma(beta/2 + 1) / (pi * intensity)^(beta/2). Where a factor
+    leaves the float range the same moment is taken through logarithms; a
+    moment past the float range is a :class:`ParameterError`.
     """
     if intensity <= 0:
         raise ParameterError(f"intensity must be > 0, got {intensity}")
     if beta < 0:
         raise ParameterError(f"beta must be >= 0, got {beta}")
-    return math.gamma(beta / 2.0 + 1.0) / (math.pi * intensity) ** (beta / 2.0)
+    half = beta / 2.0
+    try:
+        moment = math.gamma(half + 1.0) / (math.pi * intensity) ** half
+    except (OverflowError, ZeroDivisionError):
+        # not the log form everywhere: it moves Gamma(2) / (pi * 3) by one ulp
+        try:
+            moment = math.exp(math.lgamma(half + 1.0) - half * math.log(math.pi * intensity))
+        except OverflowError:
+            moment = math.inf
+    if moment == math.inf:
+        raise ParameterError(f"contact moment of exponent {beta} at intensity {intensity} is past the float range")
+    return moment
 
 
 def gaussian_disc_mass(center_dist, sigma: float, radius):

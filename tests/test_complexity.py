@@ -111,6 +111,11 @@ class TestDecoderParams:
         with pytest.raises(ParameterError, match="nu_db \\+ gamma_offset_db"):
             DecoderParams(nu_db=nu_db, gamma_offset_db=offset)
 
+    @pytest.mark.parametrize("nu_db,offset", [(1e12, 0.0), (0.2, 1e12), (2000.0, 2000.0)])
+    def test_the_total_margin_must_be_finite_in_linear_units(self, nu_db, offset):
+        with pytest.raises(ParameterError, match="finite in linear units"):
+            DecoderParams(nu_db=nu_db, gamma_offset_db=offset)
+
 
 class TestSnrThresholds:
     def test_capacity_threshold(self):
@@ -142,6 +147,11 @@ class TestSnrThresholds:
     def test_non_finite_rates_rejected(self, rates):
         with pytest.raises(ParameterError, match="finite"):
             snr_thresholds(rates)
+
+    def test_a_threshold_past_the_float_range_is_rejected(self):
+        # a margin of 10^307.5 is finite, but not times the top capacity
+        with pytest.raises(ParameterError, match="float range"):
+            snr_thresholds(default_mcs_rates(), DecoderParams(nu_db=3075.0))
 
 
 def _searchsorted_select(mcs, gamma):
@@ -645,6 +655,28 @@ class TestSharedStream:
         finally:
             sys.setswitchinterval(interval)
         assert results == [serial[seed] for _ in range(4) for seed in (0, 0, 1)]
+
+    def test_a_growth_that_meets_a_nan_keeps_no_non_finite_head(self):
+        class RareNanSampler:
+            """Keeps the stream contract; about one draw in 10^4 is NaN."""
+
+            def sample(self, rng, size):
+                u = rng.random(size)
+                return np.where(u < 1e-4, np.nan, 3.0 + u)
+
+        sampler, (mcs, params) = RareNanSampler(), TABLES[0.0]
+        first_nan = int(np.argmax(np.isnan(sampler.sample(np.random.default_rng(1), 10**6))))
+        assert first_nan > 1
+        complexity._memo = None
+        outage_demand(1, 0.1, sampler, mcs, params, n_mc=first_nan, seed=1)
+        # the head grows past the NaN, and the growth raises
+        with pytest.raises(SamplerDomainError, match="non-finite"):
+            outage_demand(2, 0.1, sampler, mcs, params, n_mc=first_nan, seed=1)
+        kept = complexity._memo
+        assert kept is None or not np.any(np.isnan(kept.head) | (kept.head == np.inf))
+        got = outage_demand(1, 0.1, sampler, mcs, params, n_mc=first_nan // 2, seed=1)
+        complexity._memo = None
+        assert got.hex() == outage_demand(1, 0.1, sampler, mcs, params, n_mc=first_nan // 2, seed=1).hex()
 
     def test_the_memo_keeps_one_head_at_most(self):
         sampler = make_snr_sampler("nearest_bs")

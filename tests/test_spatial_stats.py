@@ -72,6 +72,21 @@ class TestPppContactMoment:
         with pytest.raises(ParameterError):
             ppp_contact_moment(-1.0, 1.0)
 
+    def test_the_direct_form_holds_inside_the_float_range(self):
+        # the log form would move this by one ulp
+        assert ppp_contact_moment(2.0, 3.0) == math.gamma(2.0) / (math.pi * 3.0)
+
+    @pytest.mark.parametrize("intensity", [3.0, 100.0])
+    def test_factors_past_the_float_range_keep_the_recurrence(self, intensity):
+        """E[R^(b+2)] = E[R^b] (b/2 + 1) / (pi lambda), across Gamma's overflow at 171.6."""
+        below = ppp_contact_moment(340.0, intensity)
+        assert ppp_contact_moment(342.0, intensity) == pytest.approx(below * 171.0 / (math.pi * intensity), rel=1e-12)
+
+    @pytest.mark.parametrize("beta,intensity", [(4.0, 1e-300), (1e12, 3.0), (600.0, 1e-3)])
+    def test_a_moment_past_the_float_range_is_a_parameter_error(self, beta, intensity):
+        with pytest.raises(ParameterError, match="float range"):
+            ppp_contact_moment(beta, intensity)
+
 
 class TestGaussianDiscMass:
     def test_empty_disc(self):

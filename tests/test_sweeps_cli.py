@@ -4,20 +4,24 @@ import argparse
 import configparser
 import csv
 import hashlib
+import inspect
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
-from crancost.cli import _SHARED_OPTIONS, build_parser, main
-from crancost.config import default_scenario
+from crancost.cli import _EXIT_CODES, _SHARED_OPTIONS, build_parser, main
+from crancost.complexity import _SAMPLERS
+from crancost.config import _SCHEMA, default_scenario
 from crancost.costs import Architecture, datacenter_cost
 from crancost.errors import ParameterError
 from crancost.sweeps import (
@@ -740,3 +744,85 @@ class TestCli:
             main(["--version"])
         assert exc.value.code == 0
         assert "0.1.0" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# Every value at the edges of the float range: an answer or a typed error
+
+#: the values each scanned key or flag is set to, alone
+EDGE_VALUES = ("0", "1e-300", "1e-12", "1e12", "1e300")
+
+#: keys of the scanned sections left out of the scan, and why; kappa is
+#: sigma * sqrt(lambda_1c), and a cost evaluation's time grows about as 1 / kappa
+UNSCANNED = {
+    **dict.fromkeys(("lambda0", "lambda1c", "lambda1m", "sigma2"), "a small kappa runs for minutes"),
+    "n_mc": "a large value is a memory request, not a domain error",
+    "sampler": "a name, not a number",
+}
+
+SCENARIO_RUNS = {
+    "evaluate": ["evaluate"],
+    "sweep": ["sweep", "--axis", "lambda3", "--values", "1 3", "--format", "csv"],
+}
+COMPLEXITY_RUN = ["complexity", "--pool-sizes", "1 5", "--offsets", "0", "--n-mc", "200", "--format", "csv"]
+
+
+def _scan_cases():
+    """(id, argv, config text) for every scanned key, sampler parameter and flag at every edge value."""
+    for row in _SCHEMA:
+        if row.section not in ("geometry", "costs", "complexity") or row.key in UNSCANNED:
+            continue
+        runs = {"complexity": COMPLEXITY_RUN} if row.section == "complexity" else SCENARIO_RUNS
+        for command, argv in runs.items():
+            for value in EDGE_VALUES:
+                yield f"{command}-{row.key}={value}", argv, f"[{row.section}]\n{row.key} = {value}\n"
+    for name, sampler in _SAMPLERS.items():
+        for key in inspect.signature(sampler).parameters:
+            for value in EDGE_VALUES:
+                params = json.dumps({key: float(value)})
+                yield f"{name}-{key}={value}", [*COMPLEXITY_RUN, "--sampler", name, "--sampler-params", params], None
+    # the Poisson contact moment with one factor past the float range
+    for value in ("1e300", "1e-300"):
+        for command, argv in SCENARIO_RUNS.items():
+            text = f"[geometry]\nlambda2_mw = {value}\n[costs]\nbeta12_mw = 4\n"
+            yield f"{command}-lambda2_mw={value}-beta12_mw=4", argv, text
+    # the lognormal sampler multiplies a median of 0.0 by an overflowed spread
+    params = json.dumps({"median_db": -4000.0, "sigma_db": 3000.0})
+    argv = [*COMPLEXITY_RUN, "--sampler", "lognormal", "--sampler-params", params]
+    yield "lognormal-median_db=-4000-sigma_db=3000", argv, None
+    for flag, argv in (("--target", ["dimension"]), ("--lambda0", ["dimension"]), ("--offsets", COMPLEXITY_RUN)):
+        for value in EDGE_VALUES:
+            yield f"{argv[0]}{flag}={value}", [*argv, flag, value], None
+
+
+SCAN_CASES = list(_scan_cases())
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-finite number {name} in the output")
+
+
+@pytest.mark.parametrize("argv,text", [case[1:] for case in SCAN_CASES], ids=[case[0] for case in SCAN_CASES])
+def test_every_value_gets_an_answer_or_a_typed_error(tmp_path, capsys, argv, text):
+    """Exit 0 with every number finite (a sweep's all-nan error rows allowed), or a typed exit with one JSON line."""
+    out = tmp_path / "out"
+    if text is not None:
+        (tmp_path / "scenario.ini").write_text(text)
+        argv = [*argv, "--config", str(tmp_path / "scenario.ini")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    if code != 0:
+        error = json.loads(err)
+        assert err.count("\n") == 1 and _EXIT_CODES[error["error"]] == code and 2 <= code <= 7
+        return
+    assert err == ""
+    if argv[0] in ("evaluate", "dimension"):
+        json.loads(out.read_text(), parse_constant=_reject_constant)
+        return
+    for row in csv.DictReader(io.StringIO(out.read_text())):
+        if argv[0] == "sweep" and all(row[column] == "nan" for column in CSV_COLUMNS[4:]):
+            continue  # an error row
+        numbers = [float(cell) for column, cell in row.items() if column not in ("axis", "architecture")]
+        assert all(map(math.isfinite, numbers)), row
