@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Produce the plot-ready cost tables: every sweep axis, all architectures.
 
-Writes one CSV per axis into the output directory (default ./results).
+Writes one CSV per axis into the output directory (default ./results), each
+through ``crancost sweep``.
 """
 
 import argparse
 import pathlib
+import sys
 
-from crancost.config import default_scenario
-from crancost.sweeps import SweepSpec, emit, run_sweep
+from crancost.cli import main as crancost
+from crancost.sweeps import ARCHITECTURE_VARIANTS
 
 SWEEPS = {
     "lambda3": [0.5 * k for k in range(1, 13)],
@@ -27,13 +29,14 @@ def main() -> None:
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = default_scenario()
     for axis, values in SWEEPS.items():
-        spec = SweepSpec(axis=axis, values=tuple(values))
-        result = run_sweep(spec, base, threads=args.threads)
         target = out_dir / f"cost_vs_{axis}.csv"
-        emit(result, "csv", target)
-        print(f"wrote {target} ({len(result.rows)} rows)")
+        # repr writes each value so that it parses back to the same float
+        argv = ["sweep", "--axis", axis, "--values", " ".join(map(repr, values)), "--format", "csv"]
+        code = crancost([*argv, "--threads", str(args.threads), "--out", str(target)])
+        if code:
+            sys.exit(code)
+        print(f"wrote {target} ({len(values) * len(ARCHITECTURE_VARIANTS)} rows)")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from .complexity import (
     servers_required,
     snr_thresholds,
 )
-from .config import default_scenario, load_scenario, redimension, save_scenario
+from .config import default_scenario, load_scenario, redimension
 from .costs import (
     Architecture,
     CostBreakdown,
@@ -60,5 +60,5 @@ from .spatial_stats import (
     ppp_contact_moment,
     void_probability,
 )
-from .sweeps import SweepResult, SweepSpec, emit, run_sweep
+from .sweeps import SweepResult, SweepSpec, run_sweep
 from .sweeps import TOOL_VERSION as __version__

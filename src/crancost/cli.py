@@ -17,12 +17,16 @@ count (``--threads``, else ``CRANCOST_THREADS``) before they do anything
 else; those with ``--seed`` reject a negative seed as a config error.
 ``dimension`` rejects a ``--gamma-offset-db`` with no preset as a config
 error, as a config's ``gamma_offset_db`` is.
+
+Every output goes through one writer: :func:`_emit` writes a command's
+JSON payload, with the tool, numpy and scipy versions, or its CSV table
+(:func:`_csv`), and :func:`_write` is the one place a file is opened for
+writing.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -35,17 +39,18 @@ from .config import (
     ComplexitySettings,
     load_scenario,
     parse_names,
+    parse_setting,
     parse_values,
     read_config,
-    save_scenario,
     scenario_hash,
+    scenario_to_config,
 )
 from .costs import Architecture, Scenario, datacenter_cost
 from .dimensioning import OFFSET_PRESETS, invert_for_bs_intensity, spectral_efficiency_target
 from .errors import ConfigError, CrancostError
 from .geometry import Window
 from .simulate import compare_to_closed_form, estimate_mean_dc_cost, realization_rows, simulate_realization
-from .sweeps import ARCHITECTURE_VARIANTS, SWEEP_AXES, SweepSpec, TOOL_VERSION, render, run_sweep
+from .sweeps import ARCHITECTURE_VARIANTS, SWEEP_AXES, SweepSpec, TOOL_VERSION, run_sweep, tabulate
 
 _EXIT_CODES = {
     "config": 2,
@@ -102,6 +107,26 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _csv(columns, rows) -> str:
+    """The header, then one line per row: a float cell to 6 significant digits, any other cell ``str``."""
+    return "".join(
+        ",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in line) + "\n" for line in (columns, *rows)
+    )
+
+
+def _emit(args, payload: dict, columns=(), rows=()) -> None:
+    """The JSON payload, with the versions its bits rest on, or the CSV table, to --out or stdout.
+
+    numpy's generators draw the oracle's and the outage Monte Carlo's
+    samples, and scipy's KD-tree makes the oracle's assignments.
+    """
+    if getattr(args, "format", "json") == "json":
+        versions = {"tool_version": TOOL_VERSION, "numpy_version": np.__version__, "scipy_version": scipy.__version__}
+        _write(json.dumps({**payload, **versions}, indent=2, sort_keys=True) + "\n", args.out)
+    else:
+        _write(_csv(columns, rows), args.out)
+
+
 def _load(args):
     # evaluate's --architecture replaces the config's before re-dimensioning
     mode = getattr(args, "architecture", None)
@@ -111,22 +136,18 @@ def _load(args):
 def cmd_evaluate(args) -> int:
     scenario = _load(args)
     breakdown = datacenter_cost(scenario)
-    if args.format == "json":
-        payload = {
-            "scenario_hash": scenario_hash(scenario),
-            "architecture": scenario.architecture.value,
-            "gamma_offset_db": scenario.gamma_offset_db,
-            "lambda_3": scenario.lambda_3,
-            "per_data_center": breakdown.as_dict(),
-            "c_phi3": breakdown.c_phi3,
-            "total_per_km2": breakdown.total_per_km2,
-        }
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        terms = {**breakdown.as_dict(), "c_phi3": breakdown.c_phi3, "total_per_km2": breakdown.total_per_km2}
-        _write("term,per_data_center\n" + "".join(f"{k},{v:.6g}\n" for k, v in terms.items()), args.out)
+    totals = {"c_phi3": breakdown.c_phi3, "total_per_km2": breakdown.total_per_km2}
+    payload = {
+        "scenario_hash": scenario_hash(scenario),
+        "architecture": scenario.architecture.value,
+        "gamma_offset_db": scenario.gamma_offset_db,
+        "lambda_3": scenario.lambda_3,
+        "per_data_center": breakdown.as_dict(),
+        **totals,
+    }
+    _emit(args, payload, ("term", "per_data_center"), {**breakdown.as_dict(), **totals}.items())
     if args.dump_config:
-        save_scenario(scenario, args.dump_config)
+        _write(scenario_to_config(scenario), args.dump_config)
     return 0
 
 
@@ -153,23 +174,16 @@ def cmd_sweep(args) -> int:
     section = config.sweep or {}
     axis = args.axis or section.get("axis")
     values = section.get("values") if args.values is None else parse_values(args.values, "values")
-    architectures = section.get("architectures") if args.architectures is None else parse_names(args.architectures)
+    architectures = (
+        section.get("architectures", tuple(ARCHITECTURE_VARIANTS))
+        if args.architectures is None
+        else parse_names(args.architectures, "architectures")
+    )
     if axis is None or values is None:
         raise ConfigError("sweep needs --axis and --values, as flags or in a [sweep] config section", key="sweep")
-    spec = SweepSpec(axis=axis, values=values, architectures=architectures or tuple(ARCHITECTURE_VARIANTS))
-    result = run_sweep(spec, scenario, threads=threads)
-    _write(render(result, args.format), args.out)
+    spec = SweepSpec(axis=axis, values=values, architectures=architectures)
+    _emit(args, *tabulate(run_sweep(spec, scenario, threads=threads)))
     return 0
-
-
-def _provenance(**inputs) -> dict:
-    """A run's inputs and the versions its bits rest on: numpy's generators and, for the oracle, scipy's KD-tree."""
-    return {
-        **inputs,
-        "tool_version": TOOL_VERSION,
-        "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
-    }
 
 
 def cmd_simulate(args) -> int:
@@ -180,12 +194,8 @@ def cmd_simulate(args) -> int:
     # the estimate first: it refuses a scenario the oracle cannot check before anything is written
     est = estimate_mean_dc_cost(scenario, window, args.reps, seed, threads=threads)
     if args.dump_realization is not None:
-        real = simulate_realization(scenario, window, seed)
-        with open(args.dump_realization, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["layer", "x", "y", "parent_index", "subtree_count"])
-            for row in realization_rows(real):
-                writer.writerow([row[0], f"{row[1]:.6g}", f"{row[2]:.6g}", row[3], row[4]])
+        rows = realization_rows(simulate_realization(scenario, window, seed))
+        _write(_csv(("layer", "x", "y", "parent_index", "subtree_count"), rows), args.dump_realization)
     payload = {
         "scenario_hash": scenario_hash(scenario),
         "window_km": [window.width, window.height],
@@ -195,9 +205,10 @@ def cmd_simulate(args) -> int:
         "std_error": est.std_error,
         "per_term_means": est.per_term_means,
         "per_term_std_errors": est.per_term_std_errors,
-        **_provenance(seed=args.seed, reps=args.reps),
+        "seed": seed,
+        "reps": args.reps,
     }
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(args, payload)
     return 0
 
 
@@ -215,18 +226,12 @@ def cmd_compare(args) -> int:
         "discard_rate": report.estimate.discard_rate,
         "window_note": report.window_note,
         "rows": report.rows(),
-        **_provenance(seed=args.seed, reps=args.reps),
+        "seed": seed,
+        "reps": args.reps,
     }
-    if args.format == "json":
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        buf = ["term,closed_form,empirical,std_error,z,pass"]
-        for row in report.rows():
-            buf.append(
-                f"{row['term']},{row['closed_form']:.6g},{row['empirical']:.6g},"
-                f"{row['std_error']:.6g},{row['z']:.4g},{row['pass']}"
-            )
-        _write("\n".join(buf) + "\n", args.out)
+    # z to 4 significant digits, as a text cell
+    rows = [{**row, "z": f"{row['z']:.4g}"} for row in payload["rows"]]
+    _emit(args, payload, tuple(rows[0]), [row.values() for row in rows])
     return 0
 
 
@@ -238,18 +243,14 @@ def cmd_complexity(args) -> int:
         raise ConfigError(f"expected integers >= 1, got {args.pool_sizes!r}", key="pool-sizes")
     offsets = parse_values(args.offsets, "offsets")
     sampler = _sampler(args, settings)
-    eps_comp = args.eps_comp if args.eps_comp is not None else settings.eps_comp
-    n_mc = args.n_mc if args.n_mc is not None else settings.n_mc
+    # the flags are read as their [complexity] keys are, so a value has one check and one exit code
+    eps_comp, n_mc = (
+        getattr(settings, key) if raw is None else parse_setting("complexity", key, raw, key.replace("_", "-"))
+        for key, raw in (("eps_comp", args.eps_comp), ("n_mc", args.n_mc))
+    )
     rows = pooling_table(offsets, pool_sizes, eps_comp, sampler, settings.decoder, n_mc=n_mc, seed=seed)
-    if args.format == "json":
-        payload = {"rows": rows, **_provenance(seed=seed, n_mc=n_mc, eps_comp=eps_comp)}
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        cols = list(rows[0].keys())
-        buf = [",".join(cols)]
-        for row in rows:
-            buf.append(",".join(f"{row[c]:.6g}" if isinstance(row[c], float) else str(row[c]) for c in cols))
-        _write("\n".join(buf) + "\n", args.out)
+    payload = {"rows": rows, "seed": seed, "n_mc": n_mc, "eps_comp": eps_comp}
+    _emit(args, payload, tuple(rows[0]), [row.values() for row in rows])
     return 0
 
 
@@ -267,7 +268,7 @@ def cmd_dimension(args) -> int:
         "spectral_efficiency_target": target,
         "lambda1": lambda_1,
     }
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(args, payload)
     return 0
 
 
@@ -310,11 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cx.add_argument("--pool-sizes", default="1 2 5 10 20 50")
     p_cx.add_argument("--offsets", default=" ".join(f"{g:g}" for g in OFFSET_PRESETS))
     p_cx.add_argument(
-        "--eps-comp", type=float, default=None,
+        "--eps-comp", default=None,
         help=f"outage target (default from config, {ComplexitySettings.eps_comp})",
     )
     p_cx.add_argument(
-        "--n-mc", type=int, default=None,
+        "--n-mc", default=None,
         help=f"Monte Carlo draws (default from config, {ComplexitySettings.n_mc})",
     )
     p_cx.add_argument("--sampler", default=None, help="override the configured SNR sampler")

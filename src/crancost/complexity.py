@@ -335,9 +335,10 @@ _SAMPLERS = {
 def make_snr_sampler(name: str = "nearest_bs", **params):
     """Instantiate a named SNR sampler from a config-style spec.
 
-    Every parameter must be one the sampler takes and a finite number; an
-    unknown name or key, or any other value, is a :class:`ParameterError`
-    naming the sampler and the key.
+    Every parameter must be one the sampler takes and a finite number, and a
+    ``*_db`` level must be finite in linear units; an unknown name or key, or
+    any other value, is a :class:`ParameterError` naming the sampler and the
+    key.
 
     Every sampler keeps the stream contract that :func:`outage_demand`
     relies on: its draws depend only on the generator and on its type and
@@ -355,6 +356,11 @@ def make_snr_sampler(name: str = "nearest_bs", **params):
             raise ParameterError(f"{where} is unknown; the sampler takes {sorted(accepted)}")
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
             raise ParameterError(f"{where} must be a finite number, got {value!r}")
+        if key.endswith("_db"):  # a level in dB must be a float in linear units too
+            try:
+                db_to_linear(value)
+            except ParameterError:
+                raise ParameterError(f"{where} is {value} dB, past the float range in linear units") from None
     return cls(**params)
 
 

@@ -36,7 +36,7 @@ __all__ = [
     "load_complexity_settings",
     "parse_values",
     "parse_names",
-    "save_scenario",
+    "parse_setting",
     "scenario_to_config",
     "scenario_hash",
 ]
@@ -176,9 +176,12 @@ def parse_values(raw: str, key: str) -> tuple[float, ...]:
     return values
 
 
-def parse_names(raw: str) -> tuple[str, ...]:
-    """The entries of a comma-separated list, stripped, empty entries skipped."""
-    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+def parse_names(raw: str, key: str) -> tuple[str, ...]:
+    """The entries of a comma-separated list, stripped, empty entries skipped; at least one is required."""
+    names = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+    if not names:
+        raise ConfigError(f"expected one or more comma-separated names, got {raw!r}", key=key)
+    return names
 
 
 _NUMBER = _number()
@@ -274,7 +277,7 @@ _SCHEMA = (
     _Key("complexity", "n_mc", "", _number(lo=1, integer=True)),
     _Key("sweep", "axis", "", _TEXT),
     _Key("sweep", "values", "", _Kind(parse_values)),
-    _Key("sweep", "architectures", "", _Kind(lambda raw, key: parse_names(raw))),
+    _Key("sweep", "architectures", "", _Kind(parse_names)),
 )
 
 _SECTIONS = {section: {row.key: row for row in rows} for section, rows in groupby(_SCHEMA, attrgetter("section"))}
@@ -360,6 +363,11 @@ def read_config(path=None, text: str | None = None) -> ConfigFile:
     return ConfigFile(values, sampler_params, parser.has_section("sweep"))
 
 
+def parse_setting(section: str, key: str, raw: str, name: str):
+    """``raw`` read as the value of the [section] ``key``; a :class:`ConfigError` names ``name``."""
+    return _SECTIONS[section][key].kind.parse(raw, name)
+
+
 def load_scenario(path=None, text: str | None = None, architecture: Architecture | None = None) -> Scenario:
     """The scenario of a config file; see :meth:`ConfigFile.scenario`."""
     return read_config(path, text).scenario(architecture)
@@ -382,11 +390,6 @@ def scenario_to_config(scenario: Scenario) -> str:
         lines += (f"{row.key} = {row.kind.show(reduce(getattr, row.names, scenario))}" for row in rows)
         lines.append("")
     return "\n".join(lines) + "\n"
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(scenario_to_config(scenario))
 
 
 def scenario_hash(scenario: Scenario) -> str:

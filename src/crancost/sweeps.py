@@ -1,15 +1,14 @@
-"""Parameter sweeps over the closed-form cost and plot-ready table emission.
+"""Parameter sweeps over the closed-form cost, and the sweep as a plot-ready table.
 
 Every sweep point is re-dimensioned with :func:`crancost.config.redimension`
 for its architecture variant, so a base scenario's station intensity and
-processing cost never carry over between variants.
+processing cost never carry over between variants. :func:`tabulate` turns a
+sweep into its JSON payload and its CSV columns and rows; the command line
+writes them.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -29,7 +28,7 @@ __all__ = [
     "SweepResult",
     "scenario_for_point",
     "run_sweep",
-    "emit",
+    "tabulate",
 ]
 
 TOOL_VERSION = "0.1.0"  # also crancost.__version__ and the pyproject.toml version
@@ -58,6 +57,8 @@ class SweepSpec:
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ParameterError("sweep values must be non-empty")
+        if not self.architectures:
+            raise ParameterError("sweep architectures must be non-empty")
         if any(not math.isfinite(v) for v in vals):
             raise ParameterError("sweep values must be finite")
         if any(b < a for a, b in zip(vals, vals[1:])):
@@ -151,8 +152,9 @@ def run_sweep(spec: SweepSpec, base: Scenario, threads: int = 1) -> SweepResult:
     return SweepResult(spec=spec, rows=rows, metadata=metadata)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
+def _round(x: float) -> float:
+    """``x`` to 6 significant digits, as the CSV writes it."""
+    return float(f"{x:.6g}")
 
 
 CSV_COLUMNS = (
@@ -168,58 +170,31 @@ CSV_COLUMNS = (
 )
 
 
-def _row_cells(row: SweepRow) -> dict[str, str]:
-    cells = {
-        "axis": row.axis,
-        "value": _fmt(row.value),
-        "architecture": row.architecture,
-        "gamma_offset_db": _fmt(row.gamma_offset_db),
-    }
+def _row_cells(row: SweepRow) -> list:
+    cells = [row.axis, row.value, row.architecture, row.gamma_offset_db]
     if row.breakdown is None:
-        cells.update({k: "nan" for k in CSV_COLUMNS[4:]})
-        return cells
+        return cells + [math.nan] * len(CSV_COLUMNS[4:])
     b = row.breakdown
     scale = row.lambda_3  # per-data-center terms -> per km^2
-    cells.update(
-        {
-            "total_per_km2": _fmt(b.total_per_km2),
-            # the data-center equipment share is the remainder of the total
-            # over the per-data-center terms
-            "equipment": _fmt(scale * b.equipment + (b.total_per_km2 - scale * b.c_phi3)),
-            "capacity": _fmt(scale * b.capacity),
-            "infrastructure": _fmt(scale * b.infrastructure),
-            "processing": _fmt(scale * b.processing),
-        }
-    )
-    return cells
+    return cells + [
+        b.total_per_km2,
+        # the data-center equipment share is the remainder of the total
+        # over the per-data-center terms
+        scale * b.equipment + (b.total_per_km2 - scale * b.c_phi3),
+        scale * b.capacity,
+        scale * b.infrastructure,
+        scale * b.processing,
+    ]
 
 
-def emit(result: SweepResult, format: str, path) -> None:
-    """Write the table :func:`render` makes to ``path``."""
-    text = render(result, format)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def tabulate(result: SweepResult) -> tuple[dict, tuple[str, ...], list[list]]:
+    """The sweep as a JSON payload, and as CSV columns and rows.
 
-
-def render(result: SweepResult, format: str) -> str:
-    """The sweep table as CSV or JSON text.
-
-    CSV columns are fixed; grouped cost columns are per km^2 (so they sum to
-    the total). JSON mirrors the rows and adds the metadata block. Output is
-    byte-identical across runs for the same inputs. Rows that failed evaluate
-    to "nan" cells in CSV and carry an "error" entry in JSON. Any other
-    format is a :class:`ParameterError`.
+    The CSV columns are fixed; grouped cost columns are per km^2 (so they sum
+    to the total). The JSON mirrors the rows, its costs to 6 significant
+    digits, and adds the metadata block. Rows that failed evaluate to nan
+    cells in CSV and carry an "error" entry in JSON.
     """
-    if format not in ("csv", "json"):
-        raise ParameterError(f"format must be 'csv' or 'json', got {format!r}")
-    if format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for row in result.rows:
-            writer.writerow(_row_cells(row))
-        return buf.getvalue()
-
     rows = []
     for row in result.rows:
         entry: dict = {
@@ -231,7 +206,8 @@ def render(result: SweepResult, format: str) -> str:
         if row.breakdown is None:
             entry["error"] = row.error
         else:
-            entry["total_per_km2"] = float(_fmt(row.breakdown.total_per_km2))
-            entry["breakdown"] = {k: float(_fmt(v)) for k, v in row.breakdown.as_dict().items()}
+            entry["total_per_km2"] = _round(row.breakdown.total_per_km2)
+            entry["breakdown"] = {k: _round(v) for k, v in row.breakdown.as_dict().items()}
         rows.append(entry)
-    return json.dumps({"metadata": result.metadata, "rows": rows}, indent=2, sort_keys=True) + "\n"
+    payload = {"metadata": result.metadata, "rows": rows}
+    return payload, CSV_COLUMNS, [_row_cells(row) for row in result.rows]

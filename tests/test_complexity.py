@@ -476,6 +476,11 @@ def test_sampler_registry_rejects_unknown_names():
         ("lognormal", {"sigma_db": None}, "sigma_db"),
         ("rayleigh_fading", {"mean_db": True}, "mean_db"),
         ("nearest_bs", {"lambda_1": math.inf}, "lambda_1"),
+        # a dB level past the float range in linear units
+        ("lognormal", {"median_db": 1e12}, "median_db"),
+        ("lognormal", {"sigma_db": 1e12}, "sigma_db"),
+        ("rayleigh_fading", {"mean_db": 1e12}, "mean_db"),
+        ("nearest_bs", {"snr_median_db": 1e12}, "snr_median_db"),
     ],
 )
 def test_sampler_registry_rejects_unknown_keys_and_non_numbers(name, params, key):

@@ -16,7 +16,6 @@ from crancost.config import (
     load_scenario,
     read_config,
     redimension,
-    save_scenario,
     scenario_hash,
     scenario_to_config,
 )
@@ -320,19 +319,23 @@ class TestSweepSection:
             read_config(text="[sweep]\naxis = lambda3\n")
 
 
+def _dump_config(tmp_path, text: str):
+    """The scenario ``evaluate --dump-config`` writes for the config ``text``, loaded back."""
+    cfg, path = tmp_path / "given.ini", tmp_path / "scenario.ini"
+    cfg.write_text(text)
+    assert main(["evaluate", "--config", str(cfg), "--dump-config", str(path), "--out", str(tmp_path / "e.json")]) == 0
+    return load_scenario(path)
+
+
 class TestRoundTrip:
     def test_load_emit_load_reproduces_the_scenario(self, tmp_path):
         scen = default_scenario(architecture=Architecture.CLOUD_RAN, gamma_offset_db=0.4)
-        path = tmp_path / "scenario.ini"
-        save_scenario(scen, path)
-        again = load_scenario(path)
-        assert again == scen
+        assert _dump_config(tmp_path, "[architecture]\nmode = cloud_ran\ngamma_offset_db = 0.4\n") == scen
+        assert load_scenario(text=scenario_to_config(scen)) == scen
 
     def test_roundtrip_preserves_overrides(self, tmp_path):
-        scen = load_scenario(text="[geometry]\nlambda3 = 2.25\np = 0.125\n[costs]\nc_of = 4321\n")
-        path = tmp_path / "scenario.ini"
-        save_scenario(scen, path)
-        assert load_scenario(path) == scen
+        text = "[geometry]\nlambda3 = 2.25\np = 0.125\n[costs]\nc_of = 4321\n"
+        assert _dump_config(tmp_path, text) == load_scenario(text=text)
 
     def test_hash_stability(self):
         a = scenario_hash(default_scenario())

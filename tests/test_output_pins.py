@@ -1,0 +1,179 @@
+"""Every command's table, pinned byte for byte at small sizes.
+
+The CSV texts pin the one writer's format: header first, a float cell to 6
+significant digits, compare's z to 4, an error row's cells "nan". The JSON
+pins hold the rows (and dimension's whole payload) without the version keys
+every payload carries.
+"""
+
+import json
+
+import pytest
+
+from crancost.cli import main
+
+CSV_PINS = {
+    "evaluate": (
+        ["evaluate", "--architecture", "dran"],
+        """\
+term,per_data_center
+equipment_backhaul,291667
+processing,55504.9
+capacity_dc,55926.9
+infra_dc,17216.4
+equipment_bs,433371
+capacity_bs_backhaul,45561.1
+infra_bs_backhaul,230227
+capacity_user_bs,24.4314
+infra_user_bs,3682.08
+c_phi3,1.13318e+06
+total_per_km2,3.39954e+06
+""",
+    ),
+    "sweep": (
+        ["sweep", "--axis", "sigma2", "--values", "-1 0.5", "--architectures", "dran,cloud_ran@0.4db"],
+        """\
+axis,value,architecture,gamma_offset_db,total_per_km2,equipment,capacity,infrastructure,processing
+sigma2,-1,dran,0,nan,nan,nan,nan,nan
+sigma2,-1,cloud_ran@0.4db,0.4,nan,nan,nan,nan,nan
+sigma2,0.5,dran,0,3.39954e+06,2.17511e+06,304537,753378,166515
+sigma2,0.5,cloud_ran@0.4db,0.4,2.83401e+06,1.661e+06,304534,770046,98435
+""",
+    ),
+    "compare": (
+        ["compare", "--reps", "6", "--window", "3"],
+        """\
+term,closed_form,empirical,std_error,z,pass
+equipment_backhaul,291667,238735,41515.8,-1.275,True
+processing,37037.3,37154.3,469.582,0.2492,True
+capacity_dc,55926.9,64910.8,10045.6,0.8943,True
+infra_dc,17216.4,20435,5831.78,0.5519,True
+equipment_bs,216686,205833,8379.95,-1.295,True
+capacity_bs_backhaul,45561.1,57473.7,14446.9,0.8246,True
+infra_bs_backhaul,230227,303815,99703.8,0.7381,True
+capacity_user_bs,24.4314,26.099,3.20053,0.521,True
+infra_user_bs,3682.08,3855.6,189.926,0.9136,True
+c_phi3,898028,932238,88825.8,0.3851,True
+""",
+    ),
+    "complexity": (
+        ["complexity", "--n-mc", "500", "--pool-sizes", "1 5", "--offsets", "0 0.4"],
+        """\
+gamma_offset_db,n_cloud,pooled_per_station,distributed_per_station,pooled_servers,distributed_servers
+0,1,9.29873,9.29873,0.183069,0.183069
+0,5,6.38186,9.29873,0.628214,0.915344
+0.4,1,8.03601,8.03601,0.158209,0.158209
+0.4,5,5.01826,8.03601,0.493985,0.791044
+""",
+    ),
+}
+
+_ERROR = "parameter: sigma2 must be > 0, got -1.0"
+_BREAKDOWN = {
+    "capacity_bs_backhaul": 45561.1,
+    "capacity_dc": 55926.9,
+    "equipment_backhaul": 291667.0,
+    "infra_dc": 17216.4,
+}
+
+JSON_ROW_PINS = {
+    "sweep": [
+        {"architecture": "dran", "axis": "sigma2", "error": _ERROR, "gamma_offset_db": 0.0, "value": -1.0},
+        {"architecture": "cloud_ran@0.4db", "axis": "sigma2", "error": _ERROR, "gamma_offset_db": 0.4, "value": -1.0},
+        {
+            "architecture": "dran",
+            "axis": "sigma2",
+            "breakdown": {
+                **_BREAKDOWN,
+                "capacity_user_bs": 24.4314,
+                "equipment_bs": 433371.0,
+                "infra_bs_backhaul": 230227.0,
+                "infra_user_bs": 3682.08,
+                "processing": 55504.9,
+            },
+            "gamma_offset_db": 0.0,
+            "total_per_km2": 3399540.0,
+            "value": 0.5,
+        },
+        {
+            "architecture": "cloud_ran@0.4db",
+            "axis": "sigma2",
+            "breakdown": {
+                **_BREAKDOWN,
+                "capacity_user_bs": 23.2408,
+                "equipment_bs": 222000.0,
+                "infra_bs_backhaul": 235874.0,
+                "infra_user_bs": 3592.16,
+                "processing": 32811.7,
+            },
+            "gamma_offset_db": 0.4,
+            "total_per_km2": 2834010.0,
+            "value": 0.5,
+        },
+    ],
+    "complexity": [
+        {
+            "distributed_per_station": 9.29872851804914,
+            "distributed_servers": 0.18306871769909247,
+            "gamma_offset_db": 0.0,
+            "n_cloud": 1,
+            "pooled_per_station": 9.29872851804914,
+            "pooled_servers": 0.18306871769909247,
+        },
+        {
+            "distributed_per_station": 9.29872851804914,
+            "distributed_servers": 0.9153435884954623,
+            "gamma_offset_db": 0.0,
+            "n_cloud": 5,
+            "pooled_per_station": 6.3818591110216385,
+            "pooled_servers": 0.6282142562411925,
+        },
+        {
+            "distributed_per_station": 8.036006519804216,
+            "distributed_servers": 0.1582088783586455,
+            "gamma_offset_db": 0.4,
+            "n_cloud": 1,
+            "pooled_per_station": 8.036006519804216,
+            "pooled_servers": 0.1582088783586455,
+        },
+        {
+            "distributed_per_station": 8.036006519804216,
+            "distributed_servers": 0.7910443917932277,
+            "gamma_offset_db": 0.4,
+            "n_cloud": 5,
+            "pooled_per_station": 5.018259412731185,
+            "pooled_servers": 0.49398491094072594,
+        },
+    ],
+}
+
+VERSION_KEYS = ("tool_version", "numpy_version", "scipy_version")
+
+
+@pytest.mark.parametrize("command", sorted(CSV_PINS))
+def test_csv_text_is_pinned(tmp_path, command):
+    argv, text = CSV_PINS[command]
+    out = tmp_path / "table.csv"
+    assert main([*argv, "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("command", sorted(JSON_ROW_PINS))
+def test_json_rows_are_pinned(tmp_path, command):
+    out = tmp_path / "table.json"
+    assert main([*CSV_PINS[command][0], "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["rows"] == JSON_ROW_PINS[command]
+
+
+def test_dimension_json_is_pinned(tmp_path):
+    out = tmp_path / "dim.json"
+    assert main(["dimension", "--lambda0", "170", "--gamma-offset-db", "0.4", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    payload = {k: v for k, v in json.loads(text).items() if k not in VERSION_KEYS}
+    assert payload == {
+        "gamma_offset_db": 0.4,
+        "lambda0": 170.0,
+        "lambda1": 51.23070387199999,
+        "spectral_efficiency_target": 1.09792,
+    }

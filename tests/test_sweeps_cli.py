@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 import scipy
 
-from crancost.cli import _EXIT_CODES, _SHARED_OPTIONS, build_parser, main
+from crancost.cli import _EXIT_CODES, _SHARED_OPTIONS, _csv, build_parser, main
 from crancost.complexity import _SAMPLERS
 from crancost.config import _SCHEMA, default_scenario
 from crancost.costs import Architecture, datacenter_cost
@@ -30,10 +30,14 @@ from crancost.sweeps import (
     TOOL_VERSION,
     SweepResult,
     SweepSpec,
-    emit,
-    render,
     run_sweep,
+    tabulate,
 )
+
+
+def _sweep_csv(result: SweepResult) -> str:
+    """The CSV text ``crancost sweep --format csv`` writes for ``result``."""
+    return _csv(*tabulate(result)[1:])
 
 
 class TestSweepSpec:
@@ -50,6 +54,10 @@ class TestSweepSpec:
     def test_rejects_unknown_architecture(self):
         with pytest.raises(ParameterError):
             SweepSpec(axis="lambda3", values=(1.0,), architectures=("cloud_ran@7db",))
+
+    def test_rejects_empty_architectures(self):
+        with pytest.raises(ParameterError, match="architectures"):
+            SweepSpec(axis="lambda3", values=(1.0,), architectures=())
 
 
 class TestRunSweep:
@@ -68,7 +76,7 @@ class TestRunSweep:
         spec = SweepSpec(axis="alpha", values=(0.0, 0.5, 1.0), architectures=("cloud_ran@0db",))
         serial = run_sweep(spec, default_scenario(), threads=1)
         parallel = run_sweep(spec, default_scenario(), threads=3)
-        assert render(serial, "csv") == render(parallel, "csv")
+        assert _sweep_csv(serial) == _sweep_csv(parallel)
 
     def test_lambda3_sweep_shapes(self):
         """Interior minimum for the centralized curve; cheaper than distributed
@@ -118,71 +126,56 @@ class TestRunSweep:
         assert not any(hasattr(obj, "__dict__") for r in rows for obj in (r, r.breakdown))
 
 
-class TestEmit:
-    def test_csv_columns_exact(self, tmp_path):
+class TestTabulate:
+    def test_csv_columns_exact(self):
         spec = SweepSpec(axis="lambda3", values=(3.0,), architectures=("cloud_ran@0db",))
-        result = run_sweep(spec, default_scenario())
-        out = tmp_path / "table.csv"
-        emit(result, "csv", out)
-        with open(out) as fh:
-            rows = list(csv.reader(fh))
+        rows = list(csv.reader(io.StringIO(_sweep_csv(run_sweep(spec, default_scenario())))))
         assert rows[0] == list(CSV_COLUMNS)
         assert len(rows) == 2
 
-    def test_empty_result_is_header_only(self, tmp_path):
+    def test_empty_result_is_header_only(self):
         spec = SweepSpec(axis="lambda3", values=(3.0,), architectures=("cloud_ran@0db",))
         empty = SweepResult(spec=spec, rows=[], metadata={})
-        out = tmp_path / "empty.csv"
-        emit(empty, "csv", out)
-        assert out.read_text() == ",".join(CSV_COLUMNS) + "\n"
+        assert _sweep_csv(empty) == ",".join(CSV_COLUMNS) + "\n"
 
-    def test_grouped_columns_sum_to_total(self, tmp_path):
+    def test_grouped_columns_sum_to_total(self):
         spec = SweepSpec(axis="lambda3", values=(2.0, 3.0), architectures=("cloud_ran@0db", "dran"))
         result = run_sweep(spec, default_scenario())
-        out = tmp_path / "table.csv"
-        emit(result, "csv", out)
-        with open(out) as fh:
-            for row in csv.DictReader(fh):
-                parts = (
-                    float(row["equipment"])
-                    + float(row["capacity"])
-                    + float(row["infrastructure"])
-                    + float(row["processing"])
-                )
-                assert parts == pytest.approx(float(row["total_per_km2"]), rel=1e-4)
+        for row in csv.DictReader(io.StringIO(_sweep_csv(result))):
+            parts = (
+                float(row["equipment"])
+                + float(row["capacity"])
+                + float(row["infrastructure"])
+                + float(row["processing"])
+            )
+            assert parts == pytest.approx(float(row["total_per_km2"]), rel=1e-4)
 
     def test_byte_identical_across_runs(self, tmp_path):
-        spec = SweepSpec(axis="p", values=(0.0, 0.5, 1.0), architectures=("cloud_ran@0db",))
+        argv = ["sweep", "--axis", "p", "--values", "0 0.5 1", "--architectures", "cloud_ran@0db"]
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        emit(run_sweep(spec, default_scenario()), "json", a)
-        emit(run_sweep(spec, default_scenario()), "json", b)
+        assert main([*argv, "--out", str(a)]) == 0
+        assert main([*argv, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_json_carries_metadata(self, tmp_path):
+    def test_json_carries_metadata(self):
         spec = SweepSpec(axis="lambda3", values=(3.0,), architectures=("dran",))
-        result = run_sweep(spec, default_scenario())
-        out = tmp_path / "table.json"
-        emit(result, "json", out)
-        payload = json.loads(out.read_text())
+        payload = tabulate(run_sweep(spec, default_scenario()))[0]
         assert payload["metadata"]["axis"] == "lambda3"
         assert "base_scenario_hash" in payload["metadata"]
         assert payload["rows"][0]["architecture"] == "dran"
 
-    def test_error_rows_serialize(self, tmp_path):
+    def test_error_rows_serialize(self):
         spec = SweepSpec(axis="lambda3", values=(0.0,), architectures=("cloud_ran@0db",))
         result = run_sweep(spec, default_scenario())
-        assert "nan" in render(result, "csv")
-        assert "error" in json.loads(render(result, "json"))["rows"][0]
+        assert "nan" in _sweep_csv(result)
+        assert "error" in tabulate(result)[0]["rows"][0]
 
-
-    def test_render_rejects_unknown_format(self, tmp_path):
-        spec = SweepSpec(axis="lambda3", values=(3.0,), architectures=("dran",))
-        result = run_sweep(spec, default_scenario())
-        with pytest.raises(ParameterError, match="xml"):
-            render(result, "xml")
-        with pytest.raises(ParameterError, match="xml"):
-            emit(result, "xml", tmp_path / "table.xml")
-        assert not (tmp_path / "table.xml").exists()
+    def test_unknown_format_is_a_usage_error(self, tmp_path):
+        out = tmp_path / "table.xml"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--axis", "lambda3", "--values", "3", "--format", "xml", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
 
 #: a quick run of each command that takes --config, given a config of only [geometry] lambda3
@@ -482,6 +475,29 @@ class TestCli:
         code = main(["sweep", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag,text",
+        [
+            (",", None),
+            (" , ", "[sweep]\naxis = alpha\nvalues = 0\narchitectures = dran\n"),
+            (None, "[sweep]\naxis = alpha\nvalues = 0\narchitectures =\n"),
+        ],
+        ids=["flag", "flag-over-config", "config"],
+    )
+    def test_an_empty_architecture_list_is_a_config_error(self, tmp_path, capsys, flag, text):
+        """An empty list is refused, not replaced by every variant or dropped for the config's."""
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--axis", "alpha", "--values", "0", "--out", str(out)]
+        if flag is not None:
+            argv += ["--architectures", flag]
+        if text is not None:
+            (tmp_path / "scenario.ini").write_text(text)
+            argv += ["--config", str(tmp_path / "scenario.ini")]
+        assert main(argv) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "config" and "'architectures'" in error["message"]
+        assert not out.exists()
+
     def test_complexity_sampler_from_config(self, tmp_path):
         cfg = tmp_path / "scenario.ini"
         cfg.write_text("[complexity]\nsampler = degenerate\nsampler_gamma = 3.0\nn_mc = 64\n")
@@ -510,6 +526,20 @@ class TestCli:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == category
         assert all(word in error["message"] for word in words)
+
+    @pytest.mark.parametrize("key,value", [("eps_comp", "1.5"), ("eps_comp", "0"), ("n_mc", "0")])
+    def test_complexity_flag_and_key_share_one_check(self, tmp_path, capsys, key, value):
+        """--eps-comp and --n-mc are read as their [complexity] keys are: one check, one exit code."""
+        out, cfg = tmp_path / "cx.json", tmp_path / "scenario.ini"
+        cfg.write_text(f"[complexity]\n{key} = {value}\n")
+        flag = key.replace("_", "-")
+        argv = ["complexity", "--pool-sizes", "1", "--offsets", "0", "--out", str(out)]
+        assert main([*argv, f"--{flag}", value]) == 2
+        assert main([*argv, "--config", str(cfg)]) == 2
+        errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [e["error"] for e in errors] == ["config", "config"]
+        assert f"'{flag}'" in errors[0]["message"] and f"'{key}'" in errors[1]["message"]
+        assert not out.exists()
 
     def test_complexity_config_sampler_key_error_is_typed(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.ini"
@@ -644,6 +674,22 @@ class TestCli:
         assert error["error"] == "config"
         assert "gamma" in error["message"] and "[0.0, 0.4, 0.9]" in error["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate"],
+            ["sweep", "--axis", "alpha", "--values", "0", "--architectures", "dran"],
+            ["dimension"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_json_payload_records_the_versions(self, tmp_path, argv):
+        out = tmp_path / "out.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["tool_version"] == TOOL_VERSION
+        assert (payload["numpy_version"], payload["scipy_version"]) == (np.__version__, scipy.__version__)
 
     def test_dimension_subcommand(self, tmp_path):
         out = tmp_path / "dim.json"
