@@ -4,18 +4,19 @@ Closed-form contact moments for Poisson layers, and the cluster-process
 quantities (void probability, J-function, nearest-neighbor distribution,
 distance moments) that feed the user-to-base-station cost terms. The 2D integrals are reduced to 1D radial integrals by
 isotropy and evaluated with composite Gauss-Legendre rules on fixed grids: an
-outer grid over the radius r, uniform in u = sqrt(r / r_max) so that it is
+outer grid over the radius r, uniform in u = sqrt(r / r_cut) so that it is
 graded toward r = 0, and for every r an inner grid over the distance s to a
 cluster center. The inner Gaussian-disc mass uses the noncentral-chi-squared
 identity and is evaluated for the whole (r, s) grid in one broadcast call,
 so a distance moment costs one vectorized survival curve instead of nested
-adaptive quadrature. The curve stops at the radius where the macros alone,
-which the stations include, leave the ball empty with probability below
-e^-60, and the finer of its two grids stops sooner, where the coarse grid's
-void exponent has reached 38 and the survival rounds to 0.0; beyond either
-stop the survival is set to exactly 0, which moves a moment by at most
-about e^-38 r_max^exponent and, in double precision, by nothing. The unit
-Gauss-Legendre rules of both grids are built once, at import. Every quantity
+adaptive quadrature. The curve spans [0, r_cut], where r_cut is the radius
+at which the macros alone, which the stations include, leave the ball empty
+with probability e^-60; the finer of its two grids stops sooner, where the
+coarse grid's void exponent has reached 38 and the survival rounds to 0.0.
+Past either end the survival is taken as exactly 0. That moves a moment by
+at most about e^-38 r_cut^exponent, and the fine grid's stop moves it by
+nothing in double precision. The unit Gauss-Legendre rules of both grids are
+built once, at import. Every quantity
 is computed on a grid and on one with twice the panels; the difference is
 the error estimate. One rule, the module constant :data:`DEFAULT_QUAD`,
 accepts it: the error must not exceed max(abs_tol + rel_tol * |result|,
@@ -73,13 +74,12 @@ class QuadratureSettings:
     A result is accepted when it differs from the same rule on a grid of half
     the panels by at most ``max(abs_tol + rel_tol * |result|, 1e3 * abs_tol)``;
     the second term is an absolute floor, 1e-5 at the default ``abs_tol``.
-    ``max_radius_factor`` truncates the integration range at that multiple of
-    the relevant length scale (mean point spacing for distance moments, the
-    kernel width for the cluster integrals). Within that range the distance
-    moments also drop the radii where the macro void probability is below
-    e^-60, and the fine grid those where the coarse grid's survival already
-    rounds to 0 (see ``_survival_curve``). The coarse grids have 12 outer and 6
-    inner panels; the fine grids twice as many.
+    ``max_radius_factor`` F sets the inner range, the distance to a cluster
+    center, to F kernel widths. The outer range of the distance moments is
+    [0, r_cut], where the macro void probability reaches e^-60, and the fine
+    grid stops where the coarse grid's survival already rounds to 0 (see
+    ``_survival_curve``). The coarse grids have 6 outer and 4 inner panels;
+    the fine grids twice as many.
     """
 
     abs_tol: float = 1e-8
@@ -92,9 +92,9 @@ DEFAULT_QUAD = QuadratureSettings()
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_R_PANELS = 12  # outer panels, uniform in u with r = r_max * u^2
-_S_PANELS = 6  # inner panels over the distance to a cluster center
-_VOID_CUTOFF = 60.0  # survival is 0 where lambda_1c pi r^2 exceeds this, see _survival_curve
+_R_PANELS = 6  # outer panels, uniform in u with r = r_cut * u^2
+_S_PANELS = 4  # inner panels over the distance to a cluster center
+_VOID_CUTOFF = 60.0  # lambda_1c pi r_cut^2: the outer grid ends at r_cut, see _survival_curve
 _TAIL_ZERO = 38.0  # a void exponent past which 1 - cdf rounds to 0.0, see _survival_curve
 
 
@@ -266,24 +266,26 @@ def _survival_curve(
     """The nearest-distance survival curve on the coarse and the fine r-grid.
 
     Each grid is (r1, r nodes, weights, tail). The nodes are Gauss-Legendre
-    nodes on uniform panels in u, mapped by r = r_max u^2 with the Jacobian
-    folded into the weights, and r_max = F max(1/sqrt(lambda_1c), sigma): the
-    survival function decays on the scale of the sparser of the cluster
-    centers and the kernel spread. The moment integrand
+    nodes on uniform panels in u, mapped by r = r_cut u^2 with the Jacobian
+    folded into the weights. The moment integrand
     exponent * r^(exponent-1) * survival is singular at r = 0 for exponents
     below 1. The survival function is 1 + O(r^2) there, so tail is the
     survival function less 1 on the first panel [0, r1], whose 1 integrates
     exactly to r1^exponent; the remainder is smooth in u for every
     exponent > 0.
 
-    The grids stop early: every node beyond max(r1, r_cut) has tail
-    exactly 0. Two radii bound r_cut:
+    Two radii end the grids; past each, the tail is exactly 0:
 
-    * a priori, sqrt(T / (pi lambda_1c)) with T = 60 (``_VOID_CUTOFF``).
-      The stations include the macros, so the survival at r is at most the
-      macro void probability exp(-lambda_1c pi r^2) <= e^-T there; in the
-      code the void exponent is lambda_1c (pi r^2 + 2 pi outer) with
-      outer >= 0 and J <= 1, so the dropped tails are below e^-60.
+    * both grids span [0, r_cut] with r_cut = sqrt(T / (pi lambda_1c)) and
+      T = 60 (``_VOID_CUTOFF``). The stations include the macros, so the
+      survival at r is at most the macro void probability
+      exp(-lambda_1c pi r^2) <= e^-T past r_cut; in the code the void
+      exponent is lambda_1c (pi r^2 + 2 pi outer) with outer >= 0 and
+      J <= 1. The range scales with every length of the process. At large
+      kappa = sigma sqrt(lambda_1c) the survival decays on the scale of a
+      PPP of intensity lambda_1c (1 + lambda_1m), a factor
+      sqrt(1 + lambda_1m) inside r_cut; far above 32 micros per macro it
+      falls inside the first panel again.
     * once the coarse grid is evaluated, its first node whose computed void
       exponent is at least 38 (``_TAIL_ZERO``); the fine grid stops there.
       cdf = -expm1(-exponent), or 1 - exp(-exponent) J with J <= 1, rounds
@@ -292,29 +294,31 @@ def _survival_curve(
       decrease in r, and the inner rule computes it to about 1e-12, so the
       fine grid's exponent stays above 37.43 past that node. At the defaults
       four of five stations are micros, and this stop comes well inside
-      the macro bound.
+      r_cut.
 
-    Either way the dropped tails already round to 0 in double precision, so
-    no bit of a moment moves; without rounding, the dropped part would be at
-    most about e^-38 r_max^exponent, 3.1e-17 r_max^exponent. Nodes of the
-    first panel are never dropped: their tail is -CDF, not the survival.
+    The tails past the fine grid's stop already round to 0 in double
+    precision, so that stop moves no bit of a moment; without rounding, the
+    part it drops would be at most about e^-38 r_cut^exponent,
+    3.1e-17 r_cut^exponent. The part of a moment past r_cut is below
+    e^-60 r_cut^exponent for every exponent up to 120. Nodes of the first
+    panel are never dropped: their tail is -CDF, not the survival.
 
     The single entry serves the two moments of one cost evaluation; a caller
     that alternates cluster sets rebuilds the curve each time.
     """
     params = ClusterParams(lambda_1c, lambda_1m, sigma)
-    upper = DEFAULT_QUAD.max_radius_factor * max(1.0 / math.sqrt(lambda_1c), sigma)
     r_cut = math.sqrt(_VOID_CUTOFF / (math.pi * lambda_1c))
+    stop = r_cut
     grids = []
     for k, ((u, wu), inner) in enumerate(_RULES, 1):
-        r, w = upper * u * u, 2.0 * upper * u * wu
-        r1 = upper / (k * _R_PANELS) ** 2
-        kept = r[: np.searchsorted(r, max(r1, r_cut), side="right")]
+        r, w = r_cut * u * u, 2.0 * r_cut * u * wu
+        r1 = r_cut / (k * _R_PANELS) ** 2
+        kept = r[: np.searchsorted(r, max(r1, stop), side="right")]
         exponent, j = _void_exponent_and_j(kept, params, inner, distance == "palm")
         # on the coarse pass this sets where the fine pass stops
         zero = np.flatnonzero(exponent >= _TAIL_ZERO)
         if zero.size:
-            r_cut = min(r_cut, float(kept[zero[0]]))
+            stop = min(stop, float(kept[zero[0]]))
         cdf = -np.expm1(-exponent) if j is None else 1.0 - np.exp(-exponent) * j
         tail = np.zeros_like(r)
         tail[: kept.size] = np.where(kept < r1, -cdf, 1.0 - cdf)

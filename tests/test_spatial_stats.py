@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -351,15 +351,6 @@ class TestClusterNnMoment:
         with pytest.raises(ParameterError):
             cluster_nn_moment(2.0, PAPERLIKE, distance="nearest")
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=QuadratureError,
-        reason=(
-            "at sigma*sqrt(lambda_1c) >= 100 the radius grid spans 10*sigma, so the "
-            "survival's whole range (r <= r_cut) falls inside the first coarse panel "
-            "and the coarse and fine grids disagree past the tolerance"
-        ),
-    )
     @pytest.mark.parametrize(
         "params,exponent",
         [
@@ -391,18 +382,29 @@ def test_non_convergence_carries_the_achieved_error(monkeypatch):
     assert exc.value.achieved_error is not None and exc.value.achieved_error > 0
 
 
-@pytest.mark.parametrize("exponent", [1.0, 2.0])
+@pytest.mark.parametrize("exponent", [1.0, 4.0])
 def test_a_moment_that_is_not_positive_is_a_quadrature_error(exponent):
-    """At sigma = 1e6 km the first panel's r1^e cancels against its tails to 0.0 and -2.4e-7."""
+    """At 1e12 micros per macro the survival lies inside the first panel, whose r1^e cancels to 0.0 and -1.5e-23."""
     with pytest.raises(QuadratureError, match="not positive") as exc:
-        cluster_nn_moment(exponent, ClusterParams(10, 4, 1e6), "contact")
+        cluster_nn_moment(exponent, ClusterParams(10, 1e12, 0.7), "contact")
     assert exc.value.achieved_error is not None and exc.value.achieved_error >= 0
 
 
 def test_a_moment_beyond_the_float_range_is_a_typed_error():
-    """At sigma = 1e150 km the first panel's r1^4 alone exceeds the largest float."""
+    """At exponent 3000 the grid's r^3000 past r = 1.27 km exceeds the largest float."""
+    from crancost.config import default_scenario
+
     with pytest.raises(CrancostError, match="not a finite float"):
-        cluster_nn_moment(4.0, ClusterParams(10, 4, 1e150))
+        cluster_nn_moment(3000.0, default_scenario().cluster_params)
+
+
+@pytest.mark.parametrize(
+    "sigma,exponent,distance", [(1e6, 1.0, "contact"), (1e6, 2.0, "contact"), (1e150, 4.0, "palm")]
+)
+def test_a_kernel_far_wider_than_the_spacing_gives_the_poisson_limit(sigma, exponent, distance):
+    """At sigma = 1e6 and 1e150 km the stations are a PPP of intensity lambda_1c (1 + lambda_1m)."""
+    got = cluster_nn_moment(exponent, ClusterParams(10, 4, sigma), distance)
+    assert got == pytest.approx(ppp_contact_moment(exponent, 10 * (1 + 4)), rel=1e-12)
 
 
 # values of the nested adaptive quadrature this package used before the fixed
@@ -500,9 +502,9 @@ def test_cost_with_fractional_user_link_exponents_converges():
     )
 
 
-# cluster sets for the survival-curve cutoff: the default, three sets from
+# cluster sets for the survival-curve stop: the default, three sets from
 # sparse to tight clustering, and three with large sigma * sqrt(lambda_1c),
-# where the cutoff radius falls inside the first outer panel
+# where the survival ends well inside r_cut
 CUTOFF_SETS = [
     None,
     (50.0, 1.0, 0.1),
@@ -536,13 +538,12 @@ def cold_survival_curve():
 @pytest.mark.parametrize("params", CUTOFF_SETS)
 @pytest.mark.parametrize("distance", ["contact", "palm"])
 def test_survival_cutoff_leaves_every_moment_bit_identical(monkeypatch, cold_survival_curve, params, distance):
-    """Cutting the radius grid where its tails are 0 changes no bit, nor which sets raise."""
+    """Stopping the fine grid where its tails are 0 changes no bit, nor which sets raise."""
     from crancost.config import default_scenario
 
     params = default_scenario().cluster_params if params is None else ClusterParams(*params)
     exponents = (0.5, 2.0, 4.0)
     cut = [_moment_or_error(e, params, distance) for e in exponents]
-    monkeypatch.setattr(cold_survival_curve, "_VOID_CUTOFF", math.inf)
     monkeypatch.setattr(cold_survival_curve, "_TAIL_ZERO", math.inf)
     cold_survival_curve._survival_curve.cache_clear()
     assert [_moment_or_error(e, params, distance) for e in exponents] == cut
@@ -561,13 +562,12 @@ CLUSTER_SETS = st.tuples(
 @given(params=CLUSTER_SETS, distance=st.sampled_from(["contact", "palm"]))
 @settings(max_examples=40, deadline=None)
 def test_survival_curve_tails_match_the_uncut_curve(params, distance):
-    """Both stops drop only nodes whose tail is 0.0: every r1 and tail equals the uncut grid's."""
+    """The fine grid's stop drops only nodes whose tail is 0.0: every r1 and tail equals the unstopped grid's."""
     from crancost import spatial_stats
 
     spatial_stats._survival_curve.cache_clear()
     cut = spatial_stats._survival_curve(*params, distance)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spatial_stats, "_VOID_CUTOFF", math.inf)
         mp.setattr(spatial_stats, "_TAIL_ZERO", math.inf)
         spatial_stats._survival_curve.cache_clear()
         uncut = spatial_stats._survival_curve(*params, distance)
@@ -575,6 +575,40 @@ def test_survival_curve_tails_match_the_uncut_curve(params, distance):
     for (r1, _, _, tail), (r1_uncut, _, _, tail_uncut) in zip(cut, uncut, strict=True):
         assert r1 == r1_uncut
         assert np.array_equal(tail, tail_uncut)
+
+
+def _moments_on_a_grid_with_4x_the_panels(params, exponents, distance):
+    """The moments on 4x the outer and inner panels over the same [0, r_cut]."""
+    from crancost import spatial_stats
+
+    r_panels, s_panels = 4 * spatial_stats._R_PANELS, 4 * spatial_stats._S_PANELS
+    rules = tuple((spatial_stats._unit_rule(k * r_panels), spatial_stats._unit_rule(k * s_panels)) for k in (1, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spatial_stats, "_R_PANELS", r_panels)
+        mp.setattr(spatial_stats, "_RULES", rules)
+        spatial_stats._survival_curve.cache_clear()
+        moments = [cluster_nn_moment(e, ClusterParams(*params), distance=distance) for e in exponents]
+    spatial_stats._survival_curve.cache_clear()
+    return moments
+
+
+@given(params=CLUSTER_SETS.filter(lambda p: p[2] * math.sqrt(p[0]) >= 0.1))
+@example(params=(100.0, 4.0, 10.0))
+@example(params=(1000.0, 4.0, 5.0))
+@example(params=(1e4, 2.0, 1.0))
+@example(params=(300.7, 0.26, 8.0))
+@example(params=(48.2, 3.29, 8.3))
+@settings(max_examples=60, deadline=None)
+def test_moments_match_a_grid_with_4x_the_panels(params):
+    """At sigma * sqrt(lambda_1c) >= 0.1 every moment converges and is within 1e-8 of the denser grid."""
+    from crancost import spatial_stats
+
+    exponents = (0.25, 1.0, 2.0, 4.0)
+    for distance in ("contact", "palm"):
+        spatial_stats._survival_curve.cache_clear()
+        got = [cluster_nn_moment(e, ClusterParams(*params), distance=distance) for e in exponents]
+        want = _moments_on_a_grid_with_4x_the_panels(params, exponents, distance)
+        assert got == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
 def _converged_or_skip(f, *args, **kwargs):
@@ -595,31 +629,23 @@ def _assert_moment_scales(params, c, exponent, distance):
 
 
 @given(
-    params=CLUSTER_SETS.filter(lambda p: p[2] * math.sqrt(p[0]) <= 30.0),
+    params=CLUSTER_SETS,
     c=_log_uniform(0.1, 10.0),
     exponent=st.sampled_from([0.25, 1.0, 2.0, 4.0]),
     distance=st.sampled_from(["contact", "palm"]),
 )
 @settings(max_examples=60, deadline=None)
 def test_moment_scales_with_every_length(params, c, exponent, distance):
-    """The identity holds to 1e-12 at sigma * sqrt(lambda_1c) <= 30, a scale-free condition."""
+    """The grid spans [0, r_cut], which scales with every length, so the identity holds to 1e-12 at every kappa."""
     _assert_moment_scales(params, c, exponent, distance)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason=(
-        "ROADMAP item 8: at sigma*sqrt(lambda_1c) >~ 60 the survival curve lies inside the first "
-        "outer panel, whose r1^e exceeds the exponent-4 moment 1e6-fold and more and cancels "
-        "against the panel's tails, so the rounding of the scaled grid shows at 6e-12 and 9e-10"
-    ),
-)
 @pytest.mark.parametrize(
     "params,c,distance",
     [((math.exp(9.0), 0.0, math.exp(2.0)), math.e, "contact"), ((7750.2, 10.5, 6.64), 8.34, "palm")],
 )
 def test_moment_scales_with_every_length_at_large_kappa(params, c, distance):
+    """Where the survival once lay inside the first outer panel and cancelled against its r1^4."""
     _assert_moment_scales(params, c, 4.0, distance)
 
 
@@ -638,15 +664,6 @@ def test_void_probability_scales_with_every_length(params, c, r_scaled):
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason=(
-        "ROADMAP item 8: the radius grid spans 10*sigma, so from sigma*sqrt(lambda_1c) ~ 50 the "
-        "survival curve falls into the first outer panels, and the 1e-5 absolute floor of the "
-        "acceptance rule lets exponent-4 moments through up to 2.7% low"
-    ),
-)
 @pytest.mark.parametrize("params", [(1000.0, 4.0, 5.0), (1e4, 2.0, 1.0), (300.7, 0.26, 8.0)])
 def test_dense_wide_clusters_reach_the_poisson_limit(params):
     """At sigma * sqrt(lambda_1c) >> 1 the stations are a PPP of intensity lambda_1c (1 + lambda_1m) at the survival's scale."""
@@ -669,7 +686,7 @@ def test_void_probability_is_below_the_macro_void_probability(lambda_1c, lambda_
     assert void_probability(r, params) <= math.exp(-params.lambda_1c * math.pi * r**2) * (1 + 1e-12)
 
 
-def test_cold_cost_evaluation_passes_at_most_7700_disc_mass_cells(monkeypatch, cold_survival_curve):
+def test_cold_cost_evaluation_passes_at_most_5600_disc_mass_cells(monkeypatch, cold_survival_curve):
     """The survival curve evaluates the disc mass only where the survival can round to more than 0."""
     from crancost.config import default_scenario
     from crancost.costs import datacenter_cost
@@ -683,4 +700,4 @@ def test_cold_cost_evaluation_passes_at_most_7700_disc_mass_cells(monkeypatch, c
 
     monkeypatch.setattr(cold_survival_curve, "gaussian_disc_mass", counting)
     datacenter_cost(default_scenario())
-    assert 0 < sum(cells) <= 7_700
+    assert 0 < sum(cells) <= 5_600

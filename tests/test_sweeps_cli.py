@@ -24,6 +24,7 @@ from crancost.complexity import _SAMPLERS
 from crancost.config import _SCHEMA, default_scenario
 from crancost.costs import Architecture, datacenter_cost
 from crancost.errors import ParameterError
+from crancost.spatial_stats import ppp_contact_moment
 from crancost.sweeps import (
     ARCHITECTURE_VARIANTS,
     CSV_COLUMNS,
@@ -33,6 +34,16 @@ from crancost.sweeps import (
     run_sweep,
     tabulate,
 )
+
+
+def _poisson_limit_user_link_terms(s) -> tuple[float, float]:
+    """The user-link capacity and infrastructure terms when the stations are a PPP of intensity lambda_1."""
+    link, intensity = s.links.user_bs, s.lambda_1c * (1.0 + s.lambda_1m)
+    users_per_dc = s.lambda_0 / s.lambda_3
+    return (
+        users_per_dc * link.a * ppp_contact_moment(link.beta, intensity),
+        users_per_dc * link.b * ppp_contact_moment(link.theta, intensity),
+    )
 
 
 def _sweep_csv(result: SweepResult) -> str:
@@ -366,23 +377,18 @@ class TestCli:
             assert rows[0]["error"].startswith("parameter: ") and "total_per_km2" in rows[1]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize(
-        "axis, values, bad",
-        [("sigma2", "0.5 1e300", 1), ("lambda3", "1e-300 3", 0)],
-        ids=["moment-overflows", "cost-overflows"],
-    )
-    def test_sweep_non_finite_cost_is_an_error_row(self, tmp_path, fmt, axis, values, bad):
+    def test_sweep_non_finite_cost_is_an_error_row(self, tmp_path, fmt):
         out = tmp_path / f"sweep.{fmt}"
-        argv = ["sweep", "--axis", axis, "--values", values, "--architectures", "dran", "--format", fmt]
+        argv = ["sweep", "--axis", "lambda3", "--values", "1e-300 3", "--architectures", "dran", "--format", fmt]
         assert main([*argv, "--out", str(out)]) == 0
         if fmt == "csv":
             with open(out) as fh:
                 rows = list(csv.DictReader(fh))
-            assert all(rows[bad][column] == "nan" for column in CSV_COLUMNS[4:])
-            assert all(math.isfinite(float(rows[1 - bad][column])) for column in CSV_COLUMNS[4:])
+            assert all(rows[0][column] == "nan" for column in CSV_COLUMNS[4:])
+            assert all(math.isfinite(float(rows[1][column])) for column in CSV_COLUMNS[4:])
         else:
             rows = json.loads(out.read_text())["rows"]
-            assert rows[bad]["error"].startswith("parameter: ") and "total_per_km2" in rows[1 - bad]
+            assert rows[0]["error"].startswith("parameter: ") and "total_per_km2" in rows[1]
 
     def test_evaluate_non_finite_cost_is_a_parameter_error(self, tmp_path, capsys):
         cfg, out = tmp_path / "scenario.ini", tmp_path / "cost.csv"
@@ -393,23 +399,49 @@ class TestCli:
         assert not out.exists()
 
     def test_evaluate_non_positive_moment_is_a_numerical_error(self, tmp_path, capsys):
-        # at sigma = 1e6 km the contact moments cancel to 0.0 and -2.4e-7;
-        # without a01 the user-link term would not read them
+        # at 1e12 micros per macro the survival lies inside the first grid
+        # panel, and the contact moments cancel to 0.0 and -1.5e-23
         cfg, out = tmp_path / "scenario.ini", tmp_path / "cost.csv"
-        cfg.write_text("[geometry]\nsigma2 = 1e12\n[costs]\na01 = 0\n")
+        cfg.write_text("[geometry]\nlambda1c = 10\nlambda1m = 1e12\n")
         assert main(["evaluate", "--config", str(cfg), "--format", "csv", "--out", str(out)]) == 4
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "numerical" and "not positive" in error["message"]
         assert not out.exists()
 
-    def test_sweep_non_positive_moment_is_an_error_row(self, tmp_path):
+    def test_sweep_unconverged_moment_is_an_error_row(self, tmp_path):
+        # at 1000 micros per macro and sigma2 = 0.1 the coarse and fine grids disagree
         cfg, out = tmp_path / "scenario.ini", tmp_path / "sweep.json"
-        cfg.write_text("[costs]\na01 = 0\n")
-        argv = ["sweep", "--config", str(cfg), "--axis", "sigma2", "--values", "0.5 1e12", "--architectures", "dran"]
+        cfg.write_text("[geometry]\nlambda1m = 1000\n")
+        argv = ["sweep", "--config", str(cfg), "--axis", "sigma2", "--values", "0.001 0.1", "--architectures", "dran"]
         assert main([*argv, "--out", str(out)]) == 0
         rows = json.loads(out.read_text())["rows"]
         assert "total_per_km2" in rows[0] and rows[0]["total_per_km2"] > 0
-        assert rows[1]["error"].startswith("numerical: ") and "not positive" in rows[1]["error"]
+        assert rows[1]["error"].startswith("numerical: ") and "did not converge" in rows[1]["error"]
+
+    @pytest.mark.parametrize("sigma2", ["1e12", "1e300"])
+    def test_evaluate_at_a_huge_kernel_gives_the_poisson_limit(self, tmp_path, sigma2):
+        """At sigma = 1e6 and 1e150 km the stations are a PPP of intensity lambda_1c (1 + lambda_1m)."""
+        cfg, out = tmp_path / "scenario.ini", tmp_path / "cost.json"
+        cfg.write_text(f"[geometry]\nsigma2 = {sigma2}\n")
+        assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
+        terms = json.loads(out.read_text())["per_data_center"]
+        got = terms["capacity_user_bs"], terms["infra_user_bs"]
+        assert got == pytest.approx(_poisson_limit_user_link_terms(default_scenario()), rel=1e-12)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_at_a_huge_kernel_prints_the_poisson_limit(self, tmp_path, fmt):
+        out = tmp_path / f"sweep.{fmt}"
+        argv = ["sweep", "--axis", "sigma2", "--values", "0.5 1e12 1e300", "--architectures", "dran", "--format", fmt]
+        assert main([*argv, "--out", str(out)]) == 0
+        if fmt == "csv":
+            with open(out) as fh:
+                rows = list(csv.DictReader(fh))
+            assert all(math.isfinite(float(row[column])) for row in rows for column in CSV_COLUMNS[4:])
+            return
+        # the sweep JSON prints 6 significant digits
+        want = tuple(float(f"{v:.6g}") for v in _poisson_limit_user_link_terms(default_scenario(Architecture.DRAN)))
+        for row in json.loads(out.read_text())["rows"][1:]:
+            assert (row["breakdown"]["capacity_user_bs"], row["breakdown"]["infra_user_bs"]) == want
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
@@ -801,7 +833,8 @@ EDGE_VALUES = ("0", "1e-300", "1e-12", "1e12", "1e300")
 #: keys of the scanned sections left out of the scan, and why; kappa is
 #: sigma * sqrt(lambda_1c), and a cost evaluation's time grows about as 1 / kappa
 UNSCANNED = {
-    **dict.fromkeys(("lambda0", "lambda1c", "lambda1m", "sigma2"), "a small kappa runs for minutes"),
+    **dict.fromkeys(("lambda0", "lambda1c", "lambda1m"), "a small kappa runs for minutes"),
+    "sigma2": "a small kappa runs for minutes; its large values are scanned on their own",
     "n_mc": "a large value is a memory request, not a domain error",
     "sampler": "a name, not a number",
 }
@@ -827,6 +860,10 @@ def _scan_cases():
             for value in EDGE_VALUES:
                 params = json.dumps({key: float(value)})
                 yield f"{name}-{key}={value}", [*COMPLEXITY_RUN, "--sampler", name, "--sampler-params", params], None
+    # a kernel far wider than the station spacing: the moments reach the Poisson limit
+    for value in ("1e12", "1e300"):
+        for command, argv in SCENARIO_RUNS.items():
+            yield f"{command}-sigma2={value}", argv, f"[geometry]\nsigma2 = {value}\n"
     # the Poisson contact moment with one factor past the float range
     for value in ("1e300", "1e-300"):
         for command, argv in SCENARIO_RUNS.items():
