@@ -11,17 +11,18 @@ identity and is evaluated for the whole (r, s) grid in one broadcast call,
 so a distance moment costs one vectorized survival curve instead of nested
 adaptive quadrature. The curve spans [0, r_cut], where r_cut is the radius
 at which the macros alone, which the stations include, leave the ball empty
-with probability e^-60; the finer of its two grids stops sooner, where the
-coarse grid's void exponent has reached 38 and the survival rounds to 0.0.
-Past either end the survival is taken as exactly 0. That moves a moment by
-at most about e^-38 r_cut^exponent, and the fine grid's stop moves it by
-nothing in double precision. The unit Gauss-Legendre rules of both grids are
-built once, at import. Every quantity
-is computed on a grid and on one with twice the panels; the difference is
-the error estimate. One rule, the module constant :data:`DEFAULT_QUAD`,
-accepts it: the error must not exceed max(abs_tol + rel_tol * |result|,
-1e3 * abs_tol), where the second term is an absolute floor of 1e-5 at the
-default abs_tol of 1e-8.
+with probability e^-60. Its rows are evaluated only up to r_hi, where the
+macros alone reach the void exponent 38 and the survival rounds to 0.0, and
+the fine grid's rows only up to where the coarse grid's exponent has reached
+38. Past these ends the survival is taken as exactly 0. That moves a moment
+by at most about e^-38 r_cut^exponent, which rounds away, and the part past
+r_cut is below e^-60 r_cut^exponent. The unit Gauss-Legendre rules of both
+grids are built once, at import. Every quantity is computed with 8 nodes per
+panel and with 12 on the same panels (the first outer panel halved); the
+difference is the error estimate of the 12-node value. One rule, the module
+constant :data:`DEFAULT_QUAD`, accepts it: the error must not exceed
+max(abs_tol + rel_tol * |result|, 1e3 * abs_tol), where the second term is
+an absolute floor of 1e-5 at the default abs_tol of 1e-8.
 """
 
 from __future__ import annotations
@@ -71,15 +72,17 @@ class ClusterParams:
 class QuadratureSettings:
     """The acceptance rule and range of the fixed-grid radial integrals.
 
-    A result is accepted when it differs from the same rule on a grid of half
-    the panels by at most ``max(abs_tol + rel_tol * |result|, 1e3 * abs_tol)``;
-    the second term is an absolute floor, 1e-5 at the default ``abs_tol``.
+    A result, the 12-node Gauss-Legendre value, is accepted when it differs
+    from the 8-node value on the same panels by at most
+    ``max(abs_tol + rel_tol * |result|, 1e3 * abs_tol)``; the second term is
+    an absolute floor, 1e-5 at the default ``abs_tol``.
     ``max_radius_factor`` F sets the inner range, the distance to a cluster
     center, to F kernel widths. The outer range of the distance moments is
-    [0, r_cut], where the macro void probability reaches e^-60, and the fine
-    grid stops where the coarse grid's survival already rounds to 0 (see
-    ``_survival_curve``). The coarse grids have 6 outer and 4 inner panels;
-    the fine grids twice as many.
+    [0, r_cut], where the macro void probability reaches e^-60, and no row
+    is evaluated where the survival already rounds to 0 (see
+    ``_survival_curve``). Both grids have 6 outer and 4 inner panels, 8
+    nodes per panel on the coarse grid and 12 on the fine one, whose first
+    outer panel is halved (see ``_rules``).
     """
 
     abs_tol: float = 1e-8
@@ -91,26 +94,42 @@ class QuadratureSettings:
 DEFAULT_QUAD = QuadratureSettings()
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _R_PANELS = 6  # outer panels, uniform in u with r = r_cut * u^2
 _S_PANELS = 4  # inner panels over the distance to a cluster center
 _VOID_CUTOFF = 60.0  # lambda_1c pi r_cut^2: the outer grid ends at r_cut, see _survival_curve
 _TAIL_ZERO = 38.0  # a void exponent past which 1 - cdf rounds to 0.0, see _survival_curve
 
 
-def _unit_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite Gauss-Legendre rule over ``panels`` uniform panels of [0, 1]."""
-    edges = np.linspace(0.0, 1.0, panels + 1)
+def _unit_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite ``order``-node Gauss-Legendre rule over the panels between ``edges``."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
     a, b = edges[:-1, None], edges[1:, None]
     half = (b - a) / 2.0
-    rule = (half * _GL_NODES + (a + b) / 2.0).ravel(), (half * _GL_WEIGHTS).ravel()
+    rule = (half * nodes + (a + b) / 2.0).ravel(), (half * weights).ravel()
     for x in rule:
         x.setflags(write=False)
     return rule
 
 
-#: the coarse and the fine grid: outer (u, wu) and inner (t, wt) unit rules, built once
-_RULES = tuple((_unit_rule(k * _R_PANELS), _unit_rule(k * _S_PANELS)) for k in (1, 2))
+def _rules(r_panels: int, s_panels: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]:
+    """Outer (u, wu) and inner (t, wt) unit rules of the coarse and the fine grid.
+
+    The coarse grid puts 8 Gauss-Legendre nodes on each of ``r_panels`` outer
+    and ``s_panels`` inner uniform panels of [0, 1]; the fine grid puts 12 on
+    the same panels, with the first outer panel halved, because the survival
+    of tight clusters (palm, sigma sqrt(lambda_1c) < 0.1) and of dense ones
+    (lambda_1m >> 32) changes on a scale far below that panel.
+    """
+    u = np.linspace(0.0, 1.0, r_panels + 1)
+    t = np.linspace(0.0, 1.0, s_panels + 1)
+    return (
+        (_unit_rule(u, 8), _unit_rule(t, 8)),
+        (_unit_rule(np.insert(u, 1, u[1] / 2.0), 12), _unit_rule(t, 12)),
+    )
+
+
+#: the coarse and the fine grid, built once
+_RULES = _rules(_R_PANELS, _S_PANELS)
 
 
 def _converged(coarse: float, fine: float, what: str) -> float:
@@ -266,62 +285,77 @@ def _survival_curve(
     """The nearest-distance survival curve on the coarse and the fine r-grid.
 
     Each grid is (r1, r nodes, weights, tail). The nodes are Gauss-Legendre
-    nodes on uniform panels in u, mapped by r = r_cut u^2 with the Jacobian
-    folded into the weights. The moment integrand
+    nodes on panels in u (see ``_rules``), mapped by r = r_cut u^2 with the
+    Jacobian folded into the weights. The moment integrand
     exponent * r^(exponent-1) * survival is singular at r = 0 for exponents
     below 1. The survival function is 1 + O(r^2) there, so tail is the
-    survival function less 1 on the first panel [0, r1], whose 1 integrates
-    exactly to r1^exponent; the remainder is smooth in u for every
-    exponent > 0.
+    survival function less 1 below r1 = r_cut / 6^2, the edge of the first
+    coarse panel, whose 1 integrates exactly to r1^exponent; the remainder is
+    smooth in u for every exponent > 0. Both grids share that edge.
 
-    Two radii end the grids; past each, the tail is exactly 0:
+    The grids span [0, r_cut] with r_cut = sqrt(T / (pi lambda_1c)) and
+    T = 60 (``_VOID_CUTOFF``). The stations include the macros, so the
+    survival at r is at most the macro void probability
+    exp(-lambda_1c pi r^2) <= e^-T past r_cut; in the code the void exponent
+    is lambda_1c (pi r^2 + 2 pi outer) with outer >= 0 and J <= 1. The range
+    scales with every length of the process. At large
+    kappa = sigma sqrt(lambda_1c) the survival decays on the scale of a PPP
+    of intensity lambda_1c (1 + lambda_1m), a factor sqrt(1 + lambda_1m)
+    inside r_cut; far above 32 micros per macro it falls inside the first
+    panel again.
 
-    * both grids span [0, r_cut] with r_cut = sqrt(T / (pi lambda_1c)) and
-      T = 60 (``_VOID_CUTOFF``). The stations include the macros, so the
-      survival at r is at most the macro void probability
-      exp(-lambda_1c pi r^2) <= e^-T past r_cut; in the code the void
-      exponent is lambda_1c (pi r^2 + 2 pi outer) with outer >= 0 and
-      J <= 1. The range scales with every length of the process. At large
-      kappa = sigma sqrt(lambda_1c) the survival decays on the scale of a
-      PPP of intensity lambda_1c (1 + lambda_1m), a factor
-      sqrt(1 + lambda_1m) inside r_cut; far above 32 micros per macro it
-      falls inside the first panel again.
-    * once the coarse grid is evaluated, its first node whose computed void
-      exponent is at least 38 (``_TAIL_ZERO``); the fine grid stops there.
-      cdf = -expm1(-exponent), or 1 - exp(-exponent) J with J <= 1, rounds
-      to 1.0 once exp(-exponent) < 2^-54, that is exponent > 54 ln 2 ~ 37.43,
-      so the tail 1 - cdf is 0.0. The true exponent -log V(r) does not
-      decrease in r, and the inner rule computes it to about 1e-12, so the
-      fine grid's exponent stays above 37.43 past that node. At the defaults
-      four of five stations are micros, and this stop comes well inside
-      r_cut.
+    Where the computed void exponent is at least 38 (``_TAIL_ZERO``), the
+    tail is 0.0: cdf = -expm1(-exponent), or 1 - exp(-exponent) J with
+    J <= 1, rounds to 1.0 once exp(-exponent) < 2^-54, that is
+    exponent > 54 ln 2 ~ 37.43. So rows are evaluated only up to two stops;
+    past them the tail is exactly 0 and no bit of a moment moves:
 
-    The tails past the fine grid's stop already round to 0 in double
-    precision, so that stop moves no bit of a moment; without rounding, the
-    part it drops would be at most about e^-38 r_cut^exponent,
-    3.1e-17 r_cut^exponent. The part of a moment past r_cut is below
-    e^-60 r_cut^exponent for every exponent up to 120. Nodes of the first
-    panel are never dropped: their tail is -CDF, not the survival.
+    * r_hi = sqrt(38 / (pi lambda_1c)). Past it the computed exponent is at
+      least lambda_1c pi r^2, which is 38 up to rounding, on either grid.
+    * the first coarse node whose computed exponent is at least 38. The true
+      exponent -log V(r) does not decrease in r, and either inner rule
+      computes it to about 1e-12, so both grids' exponents stay above 37.43
+      past that node. At the defaults four of five stations are micros, and
+      this stop comes well inside r_hi.
+
+    The coarse pass evaluates its rows up to
+    r_mid = r_hi (1 + lambda_1m)^(-1/4) first, the geometric mean of r_hi
+    and r_hi / sqrt(1 + lambda_1m), where a PPP of the whole intensity
+    reaches 38. It evaluates the rows up to r_hi only if none of those
+    reached 38; r_mid only splits the work. The fine pass evaluates its rows
+    up to the earlier stop. Rows below r1 are always evaluated: their tail
+    is -CDF, not the survival. Without rounding, the part of a moment past
+    the stops would be at most about e^-38 r_cut^exponent,
+    3.1e-17 r_cut^exponent, and the part past r_cut is below
+    e^-60 r_cut^exponent for every exponent up to 120.
 
     The single entry serves the two moments of one cost evaluation; a caller
     that alternates cluster sets rebuilds the curve each time.
     """
     params = ClusterParams(lambda_1c, lambda_1m, sigma)
     r_cut = math.sqrt(_VOID_CUTOFF / (math.pi * lambda_1c))
-    stop = r_cut
+    r_hi = math.sqrt(_TAIL_ZERO / (math.pi * lambda_1c))
+    r1 = r_cut / _R_PANELS**2
+    ends = (max(r1, r_hi * (1.0 + lambda_1m) ** -0.25), r_hi)  # the coarse pass: r_mid, then r_hi
     grids = []
-    for k, ((u, wu), inner) in enumerate(_RULES, 1):
+    for (u, wu), inner in _RULES:
         r, w = r_cut * u * u, 2.0 * r_cut * u * wu
-        r1 = r_cut / (k * _R_PANELS) ** 2
-        kept = r[: np.searchsorted(r, max(r1, stop), side="right")]
-        exponent, j = _void_exponent_and_j(kept, params, inner, distance == "palm")
-        # on the coarse pass this sets where the fine pass stops
-        zero = np.flatnonzero(exponent >= _TAIL_ZERO)
-        if zero.size:
-            stop = min(stop, float(kept[zero[0]]))
-        cdf = -np.expm1(-exponent) if j is None else 1.0 - np.exp(-exponent) * j
         tail = np.zeros_like(r)
-        tail[: kept.size] = np.where(kept < r1, -cdf, 1.0 - cdf)
+        done, stop = 0, r_hi
+        for end in ends:
+            n = int(np.searchsorted(r, end, side="right"))
+            if n <= done:
+                continue
+            rows = r[done:n]
+            exponent, j = _void_exponent_and_j(rows, params, inner, distance == "palm")
+            cdf = -np.expm1(-exponent) if j is None else 1.0 - np.exp(-exponent) * j
+            tail[done:n] = np.where(rows < r1, -cdf, 1.0 - cdf)
+            done = n
+            zero = np.flatnonzero(exponent >= _TAIL_ZERO)
+            if zero.size:
+                stop = float(rows[zero[0]])
+                break
+        ends = (max(r1, stop),)  # the fine pass
         for a in (r, w, tail):
             a.setflags(write=False)
         grids.append((r1, r, w, tail))
@@ -342,7 +376,8 @@ def cluster_nn_moment(exponent: float, params: ClusterParams, distance: str = "p
 
     Computed as Int_0^inf exponent * r^(exponent-1) * (1 - CDF(r)) dr; the
     degenerate case lambda_1m = 0 reproduces the PPP contact moment either way.
-    A moment of positive exponent that does not come out positive is a
+    A moment of positive exponent that does not come out above its error
+    estimate, the gap between the coarse and the fine grid, is a
     :class:`QuadratureError`.
     """
     if exponent < 0:
@@ -364,10 +399,13 @@ def cluster_nn_moment(exponent: float, params: ClusterParams, distance: str = "p
     if not (math.isfinite(coarse) and math.isfinite(fine)):
         raise ParameterError(f"the distance moment of exponent {exponent} at {params} is not a finite float")
     moment = _converged(coarse, fine, "nearest-distance moment integral")
-    if not moment > 0:
-        # a distance moment is positive; the grid's panels cancelled it away
+    err = abs(coarse - fine)
+    if not moment > err:
+        # a distance moment is positive; the grid's panels cancelled it away,
+        # which the absolute floor of the acceptance rule lets through
         raise QuadratureError(
-            f"the distance moment of exponent {exponent} at {params} came out {moment!r}, not positive",
-            achieved_error=abs(coarse - fine),
+            f"the distance moment of exponent {exponent} at {params} came out {moment!r}, "
+            f"not positive by more than its error estimate {err!r}",
+            achieved_error=err,
         )
     return moment
