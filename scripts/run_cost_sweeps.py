@@ -24,7 +24,6 @@ SWEEPS = {
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     out_dir = pathlib.Path(args.out_dir)
@@ -33,7 +32,7 @@ def main() -> None:
         target = out_dir / f"cost_vs_{axis}.csv"
         # repr writes each value so that it parses back to the same float
         argv = ["sweep", "--axis", axis, "--values", " ".join(map(repr, values)), "--format", "csv"]
-        code = crancost([*argv, "--threads", str(args.threads), "--out", str(target)])
+        code = crancost([*argv, "--out", str(target)])
         if code:
             sys.exit(code)
         print(f"wrote {target} ({len(values) * len(ARCHITECTURE_VARIANTS)} rows)")

@@ -6,9 +6,11 @@ prints the per-term z-score table for each.
 """
 
 import argparse
+import sys
 import time
 from dataclasses import replace
 
+from crancost.cli import exit_status
 from crancost.config import default_scenario
 from crancost.geometry import Window
 from crancost.simulate import compare_to_closed_form
@@ -28,20 +30,24 @@ def run_case(name, scenario, window, reps, seed):
     print(report.window_note)
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--reps", type=int, default=2000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--window", type=float, default=10.0)
-    args = parser.parse_args()
-
+def check_both(args) -> int:
     window = Window(args.window, args.window)
     degenerate = replace(
         default_scenario(), lambda_1c=10.0, lambda_1m=0.0, p_mw=1.0, lambda_2_mw=5.0
     )
     run_case("all-Poisson degenerate", degenerate, window, args.reps, args.seed)
     run_case("clustered default", default_scenario(), window, args.reps, args.seed + 1)
+    return 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--reps", type=int, default=2000)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--window", type=float, default=10.0)
+    # a typed error exits as it does through crancost: a JSON line on stderr and its exit code
+    return exit_status(check_both, parser.parse_args())
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

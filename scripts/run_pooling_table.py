@@ -8,21 +8,15 @@ default ``[complexity]`` settings.
 """
 
 import argparse
+import sys
 
+from crancost.cli import exit_status
 from crancost.complexity import pooling_table
 from crancost.config import ComplexitySettings
 from crancost.dimensioning import OFFSET_PRESETS
 
 
-def main() -> None:
-    settings = ComplexitySettings()
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--pool-sizes", type=int, nargs="+", default=[1, 2, 5, 10, 20, 50])
-    parser.add_argument("--offsets", type=float, nargs="+", default=list(OFFSET_PRESETS))
-    parser.add_argument("--n-mc", type=int, default=settings.n_mc)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-
+def print_table(args, settings: ComplexitySettings) -> int:
     rows = pooling_table(
         args.offsets, args.pool_sizes, settings.eps_comp, settings.make_sampler(), settings.decoder,
         n_mc=args.n_mc, seed=args.seed,
@@ -34,7 +28,19 @@ def main() -> None:
             f"{row['gamma_offset_db']:9.1f} {row['n_cloud']:4d} {pooled:10.3f} {alone:10.3f} "
             f"{row['pooled_servers']:9.3f} {alone / pooled:6.2f}x"
         )
+    return 0
+
+
+def main() -> int:
+    settings = ComplexitySettings()
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--pool-sizes", type=int, nargs="+", default=[1, 2, 5, 10, 20, 50])
+    parser.add_argument("--offsets", type=float, nargs="+", default=list(OFFSET_PRESETS))
+    parser.add_argument("--n-mc", type=int, default=settings.n_mc)
+    parser.add_argument("--seed", type=int, default=0)
+    # a typed error exits as it does through crancost: a JSON line on stderr and its exit code
+    return exit_status(print_table, parser.parse_args(), settings)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -12,16 +12,18 @@ Each subcommand takes only the shared options it reads. A ``--config``
 file is parsed once per command by ``config.read_config``, which checks
 every section whatever the command reads of it; evaluate's
 ``--architecture`` takes the place of the config's before re-dimensioning.
-The commands with ``--threads`` (sweep, simulate, compare) check the worker
-count (``--threads``, else ``CRANCOST_THREADS``) before they do anything
-else; those with ``--seed`` reject a negative seed as a config error.
+``simulate`` and ``compare`` check the worker count (``--threads``, else
+``CRANCOST_THREADS``) before they do anything else; a sweep runs serially.
+The commands with ``--seed`` reject a negative seed as a config error.
 ``dimension`` rejects a ``--gamma-offset-db`` with no preset as a config
 error, as a config's ``gamma_offset_db`` is.
 
 Every output goes through one writer: :func:`_emit` writes a command's
 JSON payload, with the tool, numpy and scipy versions, or its CSV table
 (:func:`_csv`), and :func:`_write` is the one place a file is opened for
-writing.
+writing. Every failure goes through :func:`exit_status`, which the
+experiment scripts that call the library directly share: a typed error
+becomes one JSON line on stderr and its exit code.
 """
 
 from __future__ import annotations
@@ -167,7 +169,6 @@ def _sampler(args, settings):
 
 
 def cmd_sweep(args) -> int:
-    threads = _threads(args)
     config = read_config(args.config)
     scenario = config.sweep_scenario()
     # each flag given wins over its own [sweep] key
@@ -182,7 +183,7 @@ def cmd_sweep(args) -> int:
     if axis is None or values is None:
         raise ConfigError("sweep needs --axis and --values, as flags or in a [sweep] config section", key="sweep")
     spec = SweepSpec(axis=axis, values=values, architectures=architectures)
-    _emit(args, *tabulate(run_sweep(spec, scenario, threads=threads)))
+    _emit(args, *tabulate(run_sweep(spec, scenario)))
     return 0
 
 
@@ -287,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_sweep = sub.add_parser("sweep", help="cost along one axis")
-    _add_options(p_sweep, "config", "format", "threads")
+    _add_options(p_sweep, "config", "format")
     p_sweep.add_argument("--axis", default=None, choices=SWEEP_AXES)
     p_sweep.add_argument("--values", default=None, help="space- or comma-separated numbers")
     p_sweep.add_argument(
@@ -332,17 +333,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def exit_status(func, *args) -> int:
+    """``func(*args)``, or the exit code of the typed error it raises, reported as one JSON line on stderr.
+
+    A :class:`CrancostError` exits with its category's code, an ``OSError`` with 8.
+    """
     try:
-        return args.func(args)
+        return func(*args)
     except CrancostError as exc:
         sys.stderr.write(json.dumps({"error": exc.category, "message": str(exc)}) + "\n")
         return _EXIT_CODES.get(exc.category, 1)
     except OSError as exc:
         sys.stderr.write(json.dumps({"error": "io", "message": str(exc)}) + "\n")
         return 8
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return exit_status(args.func, args)
 
 
 if __name__ == "__main__":

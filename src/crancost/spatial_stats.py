@@ -62,10 +62,11 @@ class ClusterParams:
     sigma: float
 
     def __post_init__(self):
-        if self.lambda_1c < 0 or self.lambda_1m < 0:
-            raise ParameterError("cluster intensities must be >= 0")
-        if self.sigma <= 0:
-            raise ParameterError("sigma must be > 0")
+        # written so that NaN fails them
+        if not (0 <= self.lambda_1c < math.inf and 0 <= self.lambda_1m < math.inf):
+            raise ParameterError(f"cluster intensities must be finite and >= 0, got {self.lambda_1c}, {self.lambda_1m}")
+        if not 0 < self.sigma < math.inf:
+            raise ParameterError(f"sigma must be finite and > 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -147,10 +148,10 @@ def ppp_contact_moment(beta: float, intensity: float) -> float:
     leaves the float range the same moment is taken through logarithms; a
     moment past the float range is a :class:`ParameterError`.
     """
-    if intensity <= 0:
-        raise ParameterError(f"intensity must be > 0, got {intensity}")
-    if beta < 0:
-        raise ParameterError(f"beta must be >= 0, got {beta}")
+    if not 0 < intensity < math.inf:
+        raise ParameterError(f"intensity must be finite and > 0, got {intensity}")
+    if not 0 <= beta < math.inf:
+        raise ParameterError(f"beta must be finite and >= 0, got {beta}")
     half = beta / 2.0
     try:
         moment = math.gamma(half + 1.0) / (math.pi * intensity) ** half
@@ -175,13 +176,13 @@ def gaussian_disc_mass(center_dist, sigma: float, radius):
     arrays ``center_dist`` and ``radius`` that broadcast against each other;
     returns a float when both are scalars.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise ParameterError(f"sigma must be > 0, got {sigma}")
     rad = np.asarray(radius, dtype=float)
-    if np.any(rad < 0):
-        raise ParameterError(f"radius must be >= 0, got {radius}")
+    if not np.all((rad >= 0) & (rad < np.inf)):
+        raise ParameterError(f"radius must be finite and >= 0, got {radius}")
     d = np.asarray(center_dist, dtype=float)
-    if np.any(d < 0):
+    if not np.all(d >= 0):
         raise ParameterError("center_dist must be >= 0")
     x = (rad / sigma) ** 2
     nc = (d / sigma) ** 2
@@ -219,21 +220,23 @@ def _void_exponent_and_j(
         np.concatenate([s_void, np.broadcast_to(s_j, s_void.shape)], axis=1) if with_j else s_void, sigma, rr
     )
     n = t.size
-    # inside the ball the bracket of the void integral is 1 and gives pi r^2
-    outer = span * ((s_void * -np.expm1(-lam_m * mass[:, :n])) @ wt)
+    # inside the ball the bracket of the void integral is 1 and gives pi r^2;
+    # einsum sums each row alone, where BLAS's matrix-vector kernel (picked
+    # by the row count) moves a row by an ulp with the length of the call
+    outer = span * np.einsum("ij,j->i", s_void * -np.expm1(-lam_m * mass[:, :n]), wt)
     exponent = params.lambda_1c * (area + 2.0 * math.pi * outer)
     if not with_j:
         return exponent, None
     f_radial = (s_j / sigma**2) * np.exp(-s_j * s_j / (2.0 * sigma**2))
-    member_term = span * ((f_radial * np.exp(-lam_m * mass[:, n:])) @ wt)
+    member_term = span * np.einsum("ij,j->i", f_radial * np.exp(-lam_m * mass[:, n:]), wt)
     w = 1.0 / (1.0 + lam_m)
     return exponent, w + (1.0 - w) * member_term
 
 
 def _at_radius(r: float, params: ClusterParams, what: str, value) -> float:
     """``value(minus log void probability, J)`` at one radius, checked coarse against fine."""
-    if r < 0:
-        raise ParameterError(f"r must be >= 0, got {r}")
+    if not 0 <= r < math.inf:
+        raise ParameterError(f"r must be finite and >= 0, got {r}")
     if r == 0.0:
         return value(0.0, 1.0)
     values = []

@@ -10,7 +10,6 @@ writes them.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import costs
@@ -116,32 +115,27 @@ def scenario_for_point(base: Scenario, variant: str, axis: str, value: float) ->
 
 
 def run_sweep(spec: SweepSpec, base: Scenario, threads: int = 1) -> SweepResult:
-    """Evaluate the total cost at every (value, architecture) point.
+    """Evaluate the total cost at every (value, architecture) point, in one serial loop.
 
-    Row evaluation errors are recorded in the row and the sweep continues.
-    Output ordering (values outer, architectures inner) is deterministic
-    regardless of the thread-pool size.
+    Rows come out values outer, architectures inner. A row whose evaluation
+    fails records the error and the sweep continues. ``threads`` must be 1.
     """
-    points = [(value, variant) for value in spec.values for variant in spec.architectures]
-
-    def evaluate(point) -> SweepRow:
-        value, variant = point
-        _, gamma = ARCHITECTURE_VARIANTS[variant]
-        try:
-            scen = scenario_for_point(base, variant, spec.axis, value)
-            breakdown = costs.datacenter_cost(scen)
-            return SweepRow(spec.axis, value, variant, gamma, breakdown, lambda_3=scen.lambda_3)
-        except CrancostError as exc:
-            return SweepRow(
-                spec.axis, value, variant, gamma, None, lambda_3=base.lambda_3,
-                error=f"{exc.category}: {exc}",
-            )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(evaluate, points))
-    else:
-        rows = [evaluate(pt) for pt in points]
+    # only perfbench passes threads (always 1); the next benchmark revision deletes it
+    if threads != 1:
+        raise ParameterError(f"a sweep runs serially; threads must be 1, got {threads!r}")
+    rows = []
+    for value in spec.values:
+        for variant in spec.architectures:
+            _, gamma = ARCHITECTURE_VARIANTS[variant]
+            try:
+                scen = scenario_for_point(base, variant, spec.axis, value)
+                row = SweepRow(spec.axis, value, variant, gamma, costs.datacenter_cost(scen), lambda_3=scen.lambda_3)
+            except CrancostError as exc:
+                row = SweepRow(
+                    spec.axis, value, variant, gamma, None, lambda_3=base.lambda_3,
+                    error=f"{exc.category}: {exc}",
+                )
+            rows.append(row)
 
     metadata = {
         "tool_version": TOOL_VERSION,

@@ -5,17 +5,19 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from crancost.cli import main
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def _run(monkeypatch, name: str, *argv: str) -> None:
+def _run(monkeypatch, name: str, *argv: str):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
-    module.main()
+    return module.main()
 
 
 def test_run_cost_sweeps(monkeypatch, tmp_path, capsys):
@@ -31,6 +33,21 @@ def test_run_oracle_check(monkeypatch, capsys):
     assert "== all-Poisson degenerate (4 replications" in out
     assert "== clustered default (4 replications" in out
     assert out.count("verdict: ") == 2
+
+
+@pytest.mark.parametrize(
+    "name,argv,message",
+    [
+        ("run_pooling_table", ("--seed", "-1"), "seed"),
+        ("run_pooling_table", ("--n-mc", "0"), "n_mc"),
+        ("run_oracle_check", ("--reps", "1", "--window", "3"), "n_reps"),
+    ],
+)
+def test_a_typed_error_exits_as_through_the_cli(monkeypatch, capsys, name, argv, message):
+    """A JSON error line on stderr and the category's exit code, not a traceback."""
+    assert _run(monkeypatch, name, *argv) == 3
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "parameter" and message in error["message"]
 
 
 def test_run_pooling_table(monkeypatch, capsys):

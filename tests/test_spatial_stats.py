@@ -72,6 +72,13 @@ class TestPppContactMoment:
         with pytest.raises(ParameterError):
             ppp_contact_moment(-1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "beta,intensity", [(math.nan, 3.0), (2.0, math.nan), (math.inf, 3.0), (2.0, math.inf), (2.0, -1.0)]
+    )
+    def test_an_argument_not_finite_and_in_its_domain_is_a_parameter_error(self, beta, intensity):
+        with pytest.raises(ParameterError, match="must be finite"):
+            ppp_contact_moment(beta, intensity)
+
     def test_the_direct_form_holds_inside_the_float_range(self):
         # the log form would move this by one ulp
         assert ppp_contact_moment(2.0, 3.0) == math.gamma(2.0) / (math.pi * 3.0)
@@ -134,11 +141,54 @@ class TestGaussianDiscMass:
         with pytest.raises(ParameterError):
             gaussian_disc_mass(1.0, 1.0, np.array([0.5, -0.1]))
 
+    @pytest.mark.parametrize(
+        "center_dist,sigma,radius,what",
+        [
+            (math.nan, 1.0, 1.0, "center_dist"),
+            (np.array([0.5, math.nan]), 1.0, 1.0, "center_dist"),
+            (1.0, math.nan, 1.0, "sigma"),
+            (1.0, 1.0, math.nan, "radius"),
+            (1.0, 1.0, math.inf, "radius"),
+            (1.0, 1.0, np.array([0.5, math.nan]), "radius"),
+        ],
+    )
+    def test_a_nan_argument_or_an_infinite_radius_is_a_parameter_error(self, center_dist, sigma, radius, what):
+        with pytest.raises(ParameterError, match=what):
+            gaussian_disc_mass(center_dist, sigma, radius)
+
 
 PAPERLIKE = ClusterParams(10.0, 4.0, math.sqrt(0.5))
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        (math.nan, 4.0, 0.7),
+        (10.0, math.nan, 0.7),
+        (10.0, 4.0, math.nan),
+        (math.inf, 4.0, 0.7),
+        (10.0, math.inf, 0.7),
+        (10.0, 4.0, math.inf),
+        (-1.0, 4.0, 0.7),
+        (10.0, -1.0, 0.7),
+        (10.0, 4.0, 0.0),
+    ],
+)
+def test_cluster_params_need_every_field_finite_and_in_its_domain(fields):
+    with pytest.raises(ParameterError, match="must be finite"):
+        ClusterParams(*fields)
+
+
+#: radii that are not finite and >= 0
+BAD_RADII = [math.nan, math.inf, -1.0]
+
+
 class TestVoidProbability:
+    @pytest.mark.parametrize("r", BAD_RADII)
+    def test_a_radius_not_finite_and_nonnegative_is_a_parameter_error(self, r):
+        with pytest.raises(ParameterError, match="r must be finite"):
+            void_probability(r, PAPERLIKE)
+
     def test_zero_radius(self):
         assert void_probability(0.0, PAPERLIKE) == 1.0
 
@@ -192,6 +242,11 @@ def riemann_j_member_term(params, r, half_extent=8.0, n=1200):
 
 
 class TestJFunction:
+    @pytest.mark.parametrize("r", BAD_RADII)
+    def test_a_radius_not_finite_and_nonnegative_is_a_parameter_error(self, r):
+        with pytest.raises(ParameterError, match="r must be finite"):
+            j_function(r, PAPERLIKE)
+
     def test_at_zero_radius(self):
         assert j_function(0.0, PAPERLIKE) == 1.0
 
@@ -241,6 +296,11 @@ def empirical_nn_cdf_grid(params, window_side, n_rep, seed, quantiles):
 
 
 class TestNnDistanceCdf:
+    @pytest.mark.parametrize("r", BAD_RADII)
+    def test_a_radius_not_finite_and_nonnegative_is_a_parameter_error(self, r):
+        with pytest.raises(ParameterError, match="r must be finite"):
+            nn_distance_cdf(r, PAPERLIKE)
+
     def test_zero_at_origin(self):
         assert nn_distance_cdf(0.0, PAPERLIKE) == 0.0
 
@@ -549,6 +609,36 @@ def test_survival_cutoff_leaves_every_moment_bit_identical(monkeypatch, cold_sur
     assert [_moment_or_error(e, params, distance) for e in exponents] == cut
 
 
+@pytest.mark.parametrize("params", [None, (2.92, 959.0, 0.0268)])
+@pytest.mark.parametrize("distance", ["contact", "palm"])
+def test_a_survival_row_does_not_move_with_the_call_that_evaluates_it(params, distance):
+    """Every row of both grids, evaluated alone and in calls of every length, gives the same exponent and J.
+
+    The tail bit-identity tests above rest on this: a stop or a split of the
+    coarse pass changes which call evaluates a row.
+    """
+    from crancost import spatial_stats
+    from crancost.config import default_scenario
+
+    params = default_scenario().cluster_params if params is None else ClusterParams(*params)
+    palm = distance == "palm"
+    r_cut = math.sqrt(spatial_stats._VOID_CUTOFF / (math.pi * params.lambda_1c))
+    for (u, _), inner in spatial_stats._RULES:
+        r = r_cut * u * u
+
+        def in_calls_of(length):
+            """Each row's exponent, and its J for palm, from calls of ``length`` rows."""
+            calls = [
+                spatial_stats._void_exponent_and_j(r[i : i + length], params, inner, palm)
+                for i in range(0, r.size, length)
+            ]
+            return np.concatenate([np.column_stack([e, j]) if palm else e[:, None] for e, j in calls])
+
+        alone = in_calls_of(1)
+        for length in range(2, r.size + 1):
+            assert np.array_equal(in_calls_of(length), alone), length
+
+
 def _log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
@@ -736,3 +826,17 @@ def test_a_moment_far_above_32_micros_per_macro_reaches_the_poisson_limit():
     """At a million micros per macro the stations are a PPP of intensity lambda_1c (1 + lambda_1m)."""
     got = cluster_nn_moment(4.0, ClusterParams(10.0, 1e6, 0.7), "contact")
     assert got == pytest.approx(ppp_contact_moment(4.0, 10.0 * (1.0 + 1e6)), rel=1e-3, abs=0.0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=QuadratureError,
+    reason="ROADMAP item 8: the Palm survival of tight clusters changes near sigma / sqrt(lambda_1m), "
+    "inside the first coarse panel, which the 8-node error estimate does not resolve",
+)
+@pytest.mark.parametrize("exponent", [0.25, 1.0])
+def test_palm_moments_of_tight_clusters_converge(exponent):
+    """At kappa = 0.033 and 11 micros per macro the 4x-panel grid converges (0.4253474 and 0.0723628)."""
+    params = (0.61, 11.1, 0.0422)
+    (want,) = _moments_on_a_grid_with_4x_the_panels(params, (exponent,), "palm")
+    assert cluster_nn_moment(exponent, ClusterParams(*params), "palm") == pytest.approx(want, rel=1e-6)

@@ -24,6 +24,7 @@ from crancost.complexity import _SAMPLERS
 from crancost.config import _SCHEMA, default_scenario
 from crancost.costs import Architecture, datacenter_cost
 from crancost.errors import ParameterError
+from crancost.simulate import compare_to_closed_form
 from crancost.spatial_stats import ppp_contact_moment
 from crancost.sweeps import (
     ARCHITECTURE_VARIANTS,
@@ -83,11 +84,11 @@ class TestRunSweep:
         assert result.rows[0].error is not None and result.rows[0].breakdown is None
         assert result.rows[1].error is None and result.rows[1].breakdown is not None
 
-    def test_thread_pool_does_not_change_output(self):
-        spec = SweepSpec(axis="alpha", values=(0.0, 0.5, 1.0), architectures=("cloud_ran@0db",))
-        serial = run_sweep(spec, default_scenario(), threads=1)
-        parallel = run_sweep(spec, default_scenario(), threads=3)
-        assert _sweep_csv(serial) == _sweep_csv(parallel)
+    @pytest.mark.parametrize("threads", [0, 2, 3])
+    def test_a_sweep_runs_serially(self, threads):
+        spec = SweepSpec(axis="alpha", values=(0.0,), architectures=("dran",))
+        with pytest.raises(ParameterError, match="threads must be 1"):
+            run_sweep(spec, default_scenario(), threads=threads)
 
     def test_lambda3_sweep_shapes(self):
         """Interior minimum for the centralized curve; cheaper than distributed
@@ -731,14 +732,22 @@ class TestCli:
         assert payload["lambda1"] == pytest.approx(50.03, abs=0.5)
 
     def test_threads_env_var_honored(self, tmp_path, monkeypatch):
+        from crancost import cli
+
+        workers = []
+
+        def recorded(*args, threads):
+            workers.append(threads)
+            return compare_to_closed_form(*args, threads=threads)
+
+        monkeypatch.setattr(cli, "compare_to_closed_form", recorded)
         monkeypatch.setenv("CRANCOST_THREADS", "2")
-        out = tmp_path / "sweep.json"
-        code = main(["sweep", "--axis", "alpha", "--values", "0 1", "--out", str(out)])
-        assert code == 0
+        assert main([*CONFIG_COMMANDS["compare"], "--out", str(tmp_path / "compare.json")]) == 0
+        assert workers == [2]
 
     @pytest.mark.parametrize("raw", ["0", "-1", "abc"])
     def test_invalid_thread_count_is_a_config_error(self, tmp_path, monkeypatch, capsys, raw):
-        argv = ["sweep", "--axis", "alpha", "--values", "0", "--out", str(tmp_path / "x.csv")]
+        argv = [*CONFIG_COMMANDS["compare"], "--out", str(tmp_path / "out")]
         assert main([*argv, "--threads", raw]) == 2
         monkeypatch.setenv("CRANCOST_THREADS", raw)
         assert main(argv) == 2
@@ -753,6 +762,7 @@ class TestCli:
             ("evaluate", "--reps", "3"),
             ("evaluate", "--threads", "2"),
             ("sweep", "--seed", "1"),
+            ("sweep", "--threads", "2"),
             ("simulate", "--format", "csv"),
             ("evaluate", "--preset", "paper-default"),
             ("complexity", "--preset", "paper-default"),
@@ -790,9 +800,10 @@ class TestCli:
         }
         assert documented == taken
 
-    def test_thread_count_is_only_checked_where_it_is_read(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_thread_count_is_only_checked_where_it_is_read(self, tmp_path, monkeypatch, command):
         monkeypatch.setenv("CRANCOST_THREADS", "abc")
-        assert main(["evaluate", "--out", str(tmp_path / "e.json")]) == 0
+        assert main([*CONFIG_COMMANDS[command], "--out", str(tmp_path / "out")]) == 0
 
     def test_readme_example_config_evaluates(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
