@@ -230,8 +230,11 @@ def cmd_compare(args) -> int:
         "seed": seed,
         "reps": args.reps,
     }
-    # z to 4 significant digits, as a text cell
-    rows = [{**row, "z": f"{row['z']:.4g}"} for row in payload["rows"]]
+    # z to 4 significant digits, as a text cell; no reps_to_1pct is an empty one
+    rows = [
+        {**row, "z": f"{row['z']:.4g}", "reps_to_1pct": "" if row["reps_to_1pct"] is None else row["reps_to_1pct"]}
+        for row in payload["rows"]
+    ]
     _emit(args, payload, tuple(rows[0]), [row.values() for row in rows])
     return 0
 

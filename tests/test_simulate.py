@@ -6,8 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from crancost import simulate
 from crancost.config import default_scenario
 from crancost.costs import (
+    COST_TERMS,
     Architecture,
     EquipmentCosts,
     LinkCost,
@@ -16,8 +18,10 @@ from crancost.costs import (
     datacenter_cost,
 )
 from crancost.errors import AssignmentError, ConfigError, EstimationError, ParameterError
-from crancost.geometry import BackhaulDraw, BackhaulTech, MarkedBaseStationSet, Window
+from crancost.geometry import BackhaulDraw, BackhaulTech, MarkedBaseStationSet, Window, sample_ppp
 from crancost.simulate import (
+    USER_FRACTION,
+    _replication_terms,
     compare_to_closed_form,
     estimate_mean_dc_cost,
     price_layers,
@@ -153,15 +157,15 @@ class TestEstimateMeanDcCost:
                 Window(4.0, 4.0),
                 11,
                 {
-                    "equipment_backhaul": "0x1.33613c71c71c8p+18",
-                    "processing": "0x1.215a82a077035p+15",
-                    "capacity_dc": "0x1.937d0b83756e8p+15",
-                    "infra_dc": "0x1.a1ada24fb07c8p+13",
+                    "equipment_backhaul": "0x1.0e4ae0e38e38fp+18",
+                    "processing": "0x1.21485ad07d01fp+15",
+                    "capacity_dc": "0x1.c2fc37ecaeb0bp+15",
+                    "infra_dc": "0x1.f8a89e222aa61p+13",
                     "equipment_bs": "0x1.991238e38e38fp+17",
-                    "capacity_bs_backhaul": "0x1.14aec1ca65156p+15",
-                    "infra_bs_backhaul": "0x1.262b9739bd7d2p+17",
-                    "capacity_user_bs": "0x1.8744e3e50e769p+4",
-                    "infra_user_bs": "0x1.cd31c2d4852ddp+11",
+                    "capacity_bs_backhaul": "0x1.6f353a0b0737fp+15",
+                    "infra_bs_backhaul": "0x1.cf470944fc19cp+17",
+                    "capacity_user_bs": "0x1.90c88fc2c947dp+4",
+                    "infra_user_bs": "0x1.cfff1bff350dbp+11",
                 },
             ),
             (
@@ -169,15 +173,15 @@ class TestEstimateMeanDcCost:
                 Window(4.0, 4.0),
                 13,
                 {
-                    "equipment_backhaul": "0x1.235bac71c71c8p+18",
-                    "processing": "0x1.afc59edd4fdf3p+15",
-                    "capacity_dc": "0x1.cae0be3daea71p+15",
-                    "infra_dc": "0x1.1fcfeeb1f7269p+14",
+                    "equipment_backhaul": "0x1.2ac68b8e38e3ap+18",
+                    "processing": "0x1.ade979c9ed394p+15",
+                    "capacity_dc": "0x1.b8b94c0969384p+15",
+                    "infra_dc": "0x1.2687cb5d4c621p+14",
                     "equipment_bs": "0x1.af1c955555555p+18",
-                    "capacity_bs_backhaul": "0x1.72381225970f3p+15",
-                    "infra_bs_backhaul": "0x1.f9f01a23ef46fp+17",
-                    "capacity_user_bs": "0x1.66adc2f013003p+4",
-                    "infra_user_bs": "0x1.bc703d07f0e0bp+11",
+                    "capacity_bs_backhaul": "0x1.51f800da7ba75p+15",
+                    "infra_bs_backhaul": "0x1.acd37f7505988p+17",
+                    "capacity_user_bs": "0x1.6c5d36376d845p+4",
+                    "infra_user_bs": "0x1.bb2c5e0729544p+11",
                 },
             ),
         ],
@@ -188,6 +192,37 @@ class TestEstimateMeanDcCost:
         est = estimate_mean_dc_cost(default_scenario(architecture), window, 6, seed=seed)
         assert (est.n_reps, est.n_discarded) == (6, 0)
         assert {name: mean.hex() for name, mean in est.per_term_means.items()} == expected
+
+    def test_conditioning_on_the_backhaul_draw_is_exact(self):
+        """At p = 0.5 a replication's totals are the mean of its p = 1 and p = 0 totals.
+
+        Each technology's layer has its own stream, so the layers priced at
+        p = 0.5 are those priced at p = 1 and at p = 0. ``equipment_backhaul``
+        is left out: its ``c2`` depends on p.
+        """
+        scen = default_scenario()
+        for rep in range(3):
+            half, mw, of = (
+                _replication_terms((replace(scen, p_mw=p), Window(4.0, 4.0), 17, rep)) for p in (0.5, 1.0, 0.0)
+            )
+            for j, name in enumerate(COST_TERMS):
+                if name != "equipment_backhaul":
+                    assert half[j] == pytest.approx(0.5 * mw[j] + 0.5 * of[j], rel=1e-12), (rep, name)
+
+    @pytest.mark.parametrize("p_mw", [0.0, 1.0])
+    def test_a_technology_of_weight_zero_is_not_sampled(self, monkeypatch, p_mw):
+        """At p = 0 or 1 a replication samples thinned users, data centers and one backhaul layer."""
+        scen = replace(default_scenario(), p_mw=p_mw)
+        intensities = []
+
+        def recording(intensity, window, seed):
+            intensities.append(intensity)
+            return sample_ppp(intensity, window, seed)
+
+        monkeypatch.setattr(simulate, "sample_ppp", recording)
+        estimate_mean_dc_cost(scen, Window(4.0, 4.0), 3, seed=5)
+        backhaul = scen.lambda_2_mw if p_mw == 1.0 else scen.lambda_2_of
+        assert intensities == 3 * [USER_FRACTION * scen.lambda_0, scen.lambda_3, backhaul]
 
     def test_worker_count_does_not_change_results(self):
         scen = default_scenario()
@@ -239,6 +274,21 @@ class TestCompareToClosedForm:
         ]
         assert abs(z) > 3.0
 
+    def test_negative_control_on_a_backhaul_term_at_40_replications(self):
+        """A 10% error in the closed form's ``infra_bs_backhaul`` shows at 40 default replications.
+
+        Priced under both technologies, that term's standard error is about
+        0.7% of its mean at 40 replications on the 10 km torus, so the error
+        sits about 13 standard errors out. With one Bernoulli draw of the
+        technology per replication it was about 15%, and the same error
+        would hide inside one standard error.
+        """
+        scen = default_scenario()
+        est = estimate_mean_dc_cost(scen, TORUS10, 40, seed=31)
+        corrupted = 1.1 * datacenter_cost(scen).infra_bs_backhaul
+        z = (est.per_term_means["infra_bs_backhaul"] - corrupted) / est.per_term_std_errors["infra_bs_backhaul"]
+        assert abs(z) > 3.0
+
     @pytest.mark.parametrize("oracle", [estimate_mean_dc_cost, compare_to_closed_form])
     def test_palm_scenario_is_refused(self, oracle):
         """The oracle prices users at contact distances; Palm moments are not what it samples."""
@@ -253,6 +303,18 @@ class TestCompareToClosedForm:
         assert [r["term"] for r in rows][-1] == "c_phi3"
         assert len(rows) == 10
         assert "discard rate" in report.window_note
+        n = report.estimate.n_reps
+        for row in rows:
+            # the fewest replications whose standard error, at this variance, is 1% of the closed form
+            target, reps = 0.01 * row["closed_form"], row["reps_to_1pct"]
+            assert row["std_error"] * math.sqrt(n / reps) <= target
+            assert reps == 1 or row["std_error"] * math.sqrt(n / (reps - 1)) > target
+
+    def test_reps_to_1pct_is_none_where_the_closed_form_is_zero(self):
+        scen = replace(default_scenario(), links=replace(default_scenario().links, processing_base=0.0))
+        rows = {row["term"]: row for row in compare_to_closed_form(scen, Window(4.0, 4.0), 4, seed=3).rows()}
+        assert rows["processing"]["reps_to_1pct"] is None
+        assert isinstance(rows["infra_dc"]["reps_to_1pct"], int)
 
 
 def test_realization_rows_roundtrip():

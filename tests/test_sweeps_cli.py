@@ -655,6 +655,18 @@ class TestCli:
         assert (payload["numpy_version"], payload["scipy_version"]) == (np.__version__, scipy.__version__)
         assert payload["window_km"] == [6.0, 6.0]
 
+    def test_compare_reports_no_reps_to_1pct_where_the_closed_form_is_zero(self, tmp_path):
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text("[costs]\na01 = 0\n")
+        argv = ["compare", "--config", str(cfg), "--window", "3", "--reps", "2"]
+        assert main([*argv, "--format", "csv", "--out", str(tmp_path / "cmp.csv")]) == 0
+        with open(tmp_path / "cmp.csv") as fh:
+            cells = {row["term"]: row["reps_to_1pct"] for row in csv.DictReader(fh)}
+        assert cells["capacity_user_bs"] == "" and int(cells["infra_user_bs"]) >= 1
+        assert main([*argv, "--out", str(tmp_path / "cmp.json")]) == 0
+        rows = {row["term"]: row for row in json.loads((tmp_path / "cmp.json").read_text())["rows"]}
+        assert rows["capacity_user_bs"]["reps_to_1pct"] is None
+
     def test_complexity_json_records_what_produced_it(self, tmp_path):
         out = tmp_path / "cx.json"
         argv = ["complexity", "--pool-sizes", "1 5", "--offsets", "0", "--n-mc", "500", "--seed", "7"]
