@@ -7,6 +7,8 @@ probability, the nearest-neighbor CDF and the distance moments.
 """
 
 import math
+import time
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.spatial import cKDTree
 
 from crancost.errors import CrancostError, ParameterError, QuadratureError
@@ -38,6 +41,21 @@ def riemann_disc_mass(center_dist, sigma, radius, n_r=400, n_phi=400):
     yy = rr * np.sin(pp)
     density = np.exp(-(xx**2 + yy**2) / (2 * sigma**2)) / (2 * np.pi * sigma**2)
     return float(np.sum(density * rr) * (radius / n_r) * (2 * np.pi / n_phi))
+
+
+def gauss_legendre_disc_mass(a, b, lo, hi, panels=40, order=20):
+    """Mass of a unit Gaussian centered a from the center, between the radii b + lo and b + hi.
+
+    A float64 composite Gauss-Legendre integral of the radial density
+    t exp(-(t - a)^2 / 2) i0e(a t), with t = b + u over u in [lo, hi], so
+    that t - a = u + (b - a) keeps its digits at large b.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = (edges[1:, None] - edges[:-1, None]) / 2.0
+    u = half * nodes + (edges[1:, None] + edges[:-1, None]) / 2.0
+    density = (b + u) * np.exp(-0.5 * (u + (b - a)) ** 2) * special.i0e(a * (b + u))
+    return float(np.sum(half * weights * density))
 
 
 class TestPppContactMoment:
@@ -155,6 +173,49 @@ class TestGaussianDiscMass:
     def test_a_nan_argument_or_an_infinite_radius_is_a_parameter_error(self, center_dist, sigma, radius, what):
         with pytest.raises(ParameterError, match=what):
             gaussian_disc_mass(center_dist, sigma, radius)
+
+    @pytest.mark.parametrize("a", [10.0, 12.5, 100.0, 1e4, 1e10, 1e50, 1e150])
+    def test_the_mass_centered_on_the_disc_edge_is_half_of_one_minus_i0e(self, a):
+        """At center_dist = radius = a kernel widths the mass is (1 - e^(-a^2) I_0(a^2)) / 2, with no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gaussian_disc_mass(a, 1.0, a)
+        assert got == pytest.approx(0.5 * (1.0 - special.i0e(a * a)), rel=2e-15, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "center_dist,sigma,radius,want",
+        [(1e155, 1.0, 1e155, 0.5), (1e200, 1.0, 1e-10, 0.0), (1e300, 1e-300, 1.0, 0.0), (1.0, 1e-300, 1e300, 1.0)],
+    )
+    def test_finite_arguments_past_the_float_range_in_kernel_widths_give_the_limit(
+        self, center_dist, sigma, radius, want
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gaussian_disc_mass(center_dist, sigma, radius) == want
+
+    def test_the_large_xi_expansion_matches_chndtr_to_1e_14(self):
+        """2000 cells with xi = ab from 100 to 1e4 and |a - b| <= 10, in kernel widths."""
+        rng = np.random.default_rng(27)
+        xi = 10.0 ** rng.uniform(2.0, 4.0, 2000)
+        gap = rng.uniform(-10.0, 10.0, 2000)
+        b = (np.sqrt(gap * gap + 4.0 * xi) - gap) / 2.0
+        a = b + gap
+        assert np.mean(a * b >= 100.0) > 0.99
+        np.testing.assert_allclose(gaussian_disc_mass(a, 1.0, b), special.chndtr(b * b, 2.0, a * a), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("b", np.geomspace(10.0, 1e5, 9))
+    def test_the_mass_outside_the_disc_matches_a_gauss_legendre_integral(self, b):
+        """Relative accuracy of the small masses of a kernel centered outside the disc, at xi = ab >= 100."""
+        a = b + np.array([0.0, 0.5, 2.0, 5.0, 10.0])
+        want = [gauss_legendre_disc_mass(x, b, max(-b, -40.0), 0.0) for x in a]
+        np.testing.assert_allclose(gaussian_disc_mass(a, 1.0, b), want, rtol=3e-14, atol=0.0)
+
+    @pytest.mark.parametrize("b", [10.0, 300.0, 1e5])
+    @pytest.mark.parametrize("gap", [-2.0, -1e-3, 0.0, 1e-3, 2.0])
+    def test_the_mass_inside_and_the_integral_outside_the_disc_sum_to_one(self, b, gap):
+        """P + Q = 1 with the center on either side of the disc edge, Q integrated over [b, b + 40]."""
+        a = b + gap
+        assert gaussian_disc_mass(a, 1.0, b) + gauss_legendre_disc_mass(a, b, 0.0, 40.0) == pytest.approx(1.0, abs=1e-14)
 
 
 PAPERLIKE = ClusterParams(10.0, 4.0, math.sqrt(0.5))
@@ -781,15 +842,15 @@ def test_void_probability_is_below_the_macro_void_probability(lambda_1c, lambda_
 
 
 def _count_disc_mass_cells(monkeypatch, spatial_stats):
-    """The cell count of every disc-mass call from here on, in call order."""
+    """The cell count of every disc-mass kernel call from here on, in call order."""
     cells = []
-    original = spatial_stats.gaussian_disc_mass
+    original = spatial_stats._disc_mass
 
-    def counting(center_dist, sigma, radius):
-        cells.append(np.broadcast(np.asarray(center_dist), np.asarray(radius)).size)
-        return original(center_dist, sigma, radius)
+    def counting(a, b):
+        cells.append(np.broadcast(a, b).size)
+        return original(a, b)
 
-    monkeypatch.setattr(spatial_stats, "gaussian_disc_mass", counting)
+    monkeypatch.setattr(spatial_stats, "_disc_mass", counting)
     return cells
 
 
@@ -801,6 +862,44 @@ def test_cold_cost_evaluation_passes_at_most_4000_disc_mass_cells(monkeypatch, c
     cells = _count_disc_mass_cells(monkeypatch, cold_survival_curve)
     datacenter_cost(default_scenario())
     assert 0 < sum(cells) <= 4_000
+
+
+@pytest.mark.parametrize("kappa", [None, 0.01])
+def test_the_survival_grid_takes_its_masses_from_gaussian_disc_mass_bit_for_bit(monkeypatch, cold_survival_curve, kappa):
+    """Every disc-mass cell of a Palm curve, in kernel widths, is what the public function gives on that cell.
+
+    At the default kappa = sigma sqrt(lambda_1c) = 2.24 every cell has xi = ab below 100; at kappa = 0.01 most
+    cells take the large-xi expansion.
+    """
+    from crancost.config import default_scenario
+
+    params = default_scenario().cluster_params
+    if kappa is not None:
+        params = replace(params, sigma=kappa / math.sqrt(params.lambda_1c))
+    calls = []
+    original = cold_survival_curve._disc_mass
+
+    def recording(a, b):
+        calls.append((a, b, original(a, b)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(cold_survival_curve, "_disc_mass", recording)
+    cold_survival_curve._survival_curve(params.lambda_1c, params.lambda_1m, params.sigma, "palm")
+    monkeypatch.undo()  # gaussian_disc_mass calls the kernel too
+    largest_xi = max(np.max(a * b) for a, b, _ in calls)
+    assert largest_xi < 100.0 if kappa is None else largest_xi > 1e4
+    for a, b, mass in calls:
+        np.testing.assert_array_equal(gaussian_disc_mass(a, 1.0, b), mass)
+
+
+def test_a_cold_contact_moment_of_tight_clusters_takes_well_under_a_second(cold_survival_curve):
+    """At kappa = 1e-5 the micros sit on their macros: E[R] is the PPP(lambda_1c) moment, less about 2 kappa."""
+    kappa, lambda_1c = 1e-5, 10.0
+    params = ClusterParams(lambda_1c, 4.0, kappa / math.sqrt(lambda_1c))
+    start = time.perf_counter()
+    got = cluster_nn_moment(1.0, params, "contact")
+    assert time.perf_counter() - start < 0.5
+    assert got == pytest.approx(ppp_contact_moment(1.0, lambda_1c), rel=3 * kappa, abs=0.0)
 
 
 @pytest.mark.parametrize("params,calls", [(None, 2), (PAST_R_MID, 3)])
