@@ -24,7 +24,7 @@ from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .complexity import SERVER_COST, DecoderParams, make_snr_sampler, processing_cost_rate
-from .costs import C2_CONVENTIONS, USER_BS_DISTANCES, Architecture, Scenario
+from .costs import C2_CONVENTIONS, Architecture, Scenario
 from .dimensioning import DRAN_POOLING_FACTOR, OFFSET_PRESETS, invert_for_bs_intensity, spectral_efficiency_target
 from .errors import ConfigError, ParameterError
 
@@ -257,7 +257,6 @@ _SCENARIO_KEYS = (
     _Key("costs", "b23_of", "links.backhaul_dc_of.b", _NONNEG),
     _Key("costs", "theta23_of", "links.backhaul_dc_of.theta", _NONNEG),
     _Key("costs", "a23_processing", "links.processing_base", _NONNEG, "derived"),
-    _Key("simulation", "user_bs_distance", "", _choice(USER_BS_DISTANCES)),
     _Key("simulation", "c2_convention", "", _choice(C2_CONVENTIONS)),
 )
 

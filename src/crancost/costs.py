@@ -11,12 +11,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import ParameterError
 from .spatial_stats import ClusterParams, cluster_nn_moment, ppp_contact_moment
 
 __all__ = [
-    "USER_BS_DISTANCES",
     "C2_CONVENTIONS",
     "Architecture",
     "EquipmentCosts",
@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 
-#: the accepted values of ``Scenario.user_bs_distance`` and ``Scenario.c2_convention``
-USER_BS_DISTANCES = ("contact", "palm")
+#: the accepted values of ``Scenario.c2_convention``
 C2_CONVENTIONS = ("literal", "normalized")
 
 
@@ -58,8 +57,9 @@ class EquipmentCosts:
     alpha: float = 0.5
 
     def __post_init__(self):
-        if min(self.c_macro, self.c_micro, self.c_mw, self.c_of, self.c_dc) < 0:
-            raise ParameterError("equipment costs must be >= 0")
+        # every check is written so that NaN fails it
+        if not all(0 <= c < math.inf for c in (self.c_macro, self.c_micro, self.c_mw, self.c_of, self.c_dc)):
+            raise ParameterError("equipment costs must be finite and >= 0")
         if not 0.0 <= self.alpha <= 1.0:
             raise ParameterError("alpha must lie in [0, 1]")
 
@@ -74,10 +74,10 @@ class LinkCost:
     theta: float  # infrastructure exponent
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise ParameterError("cost bases must be >= 0")
-        if self.beta < 0 or self.theta < 0:
-            raise ParameterError("cost exponents must be >= 0")
+        if not (0 <= self.a < math.inf and 0 <= self.b < math.inf):
+            raise ParameterError("cost bases must be finite and >= 0")
+        if not (0 <= self.beta < math.inf and 0 <= self.theta < math.inf):
+            raise ParameterError("cost exponents must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -98,21 +98,20 @@ class LinkCostParams:
     processing_base: float = 0.0
 
     def __post_init__(self):
-        if self.processing_base < 0:
-            raise ParameterError("processing_base must be >= 0")
+        if not 0 <= self.processing_base < math.inf:
+            raise ParameterError("processing_base must be finite and >= 0")
 
 
 @dataclass(frozen=True)
 class Scenario:
     """Full parameter record for one cost evaluation.
 
-    Intensities are per km^2. ``user_bs_distance`` picks the distance
-    distribution for the user-to-base-station terms: ``"contact"`` measures
-    from a random user location (exact for the Thomas process and what the
-    deployment simulator reproduces), ``"palm"`` measures from a typical
-    base station. ``c2_convention`` keeps the backhaul equipment constant in
-    its literal intensity-weighted form (``"literal"``) or normalizes it to a
-    per-node average (``"normalized"``).
+    Intensities are per km^2. The user-to-base-station terms take the
+    moments of the contact distance, from a user to its nearest station,
+    which are exact for the Thomas process and what the deployment
+    simulator samples. ``c2_convention`` keeps the backhaul equipment
+    constant in its literal intensity-weighted form (``"literal"``) or
+    normalizes it to a per-node average (``"normalized"``).
     """
 
     lambda_0: float = 170.0
@@ -127,20 +126,25 @@ class Scenario:
     links: LinkCostParams = LinkCostParams()
     architecture: Architecture = Architecture.CLOUD_RAN
     gamma_offset_db: float = 0.0
-    user_bs_distance: str = "contact"
     c2_convention: str = "literal"
+    #: not a field and not settable: the one user-link distance, kept as a
+    #: name because the benchmark's reference check (perfbench/workloads.py)
+    #: reads it
+    user_bs_distance: ClassVar[str] = "contact"
 
     def __post_init__(self):
-        if min(self.lambda_0, self.lambda_1c, self.lambda_1m, self.lambda_2_mw, self.lambda_2_of) < 0:
-            raise ParameterError("intensities must be >= 0")
-        if self.lambda_3 < 0:
-            raise ParameterError("lambda_3 must be >= 0")
+        # every check is written so that NaN fails it
+        intensities = (self.lambda_0, self.lambda_1c, self.lambda_1m, self.lambda_2_mw, self.lambda_2_of)
+        if not all(0 <= x < math.inf for x in intensities):
+            raise ParameterError("intensities must be finite and >= 0")
+        if not 0 <= self.lambda_3 < math.inf:
+            raise ParameterError("lambda_3 must be finite and >= 0")
         if not 0.0 <= self.p_mw <= 1.0:
             raise ParameterError("p_mw must lie in [0, 1]")
-        if self.sigma <= 0:
-            raise ParameterError("sigma must be > 0")
-        if self.user_bs_distance not in USER_BS_DISTANCES:
-            raise ParameterError("user_bs_distance must be 'contact' or 'palm'")
+        if not 0 < self.sigma < math.inf:
+            raise ParameterError("sigma must be finite and > 0")
+        if not math.isfinite(self.gamma_offset_db):
+            raise ParameterError("gamma_offset_db must be finite")
         if self.c2_convention not in C2_CONVENTIONS:
             raise ParameterError("c2_convention must be 'literal' or 'normalized'")
 
@@ -326,18 +330,10 @@ def datacenter_cost(scenario: Scenario) -> CostBreakdown:
 
     cluster = s.cluster_params
     capacity_user_bs = (
-        users_per_dc
-        * links.user_bs.a
-        * cluster_nn_moment(links.user_bs.beta, cluster, distance=s.user_bs_distance)
-        if links.user_bs.a > 0
-        else 0.0
+        users_per_dc * links.user_bs.a * cluster_nn_moment(links.user_bs.beta, cluster) if links.user_bs.a > 0 else 0.0
     )
     infra_user_bs = (
-        users_per_dc
-        * links.user_bs.b
-        * cluster_nn_moment(links.user_bs.theta, cluster, distance=s.user_bs_distance)
-        if links.user_bs.b > 0
-        else 0.0
+        users_per_dc * links.user_bs.b * cluster_nn_moment(links.user_bs.theta, cluster) if links.user_bs.b > 0 else 0.0
     )
 
     terms = (

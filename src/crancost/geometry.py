@@ -141,11 +141,19 @@ def sample_ppp(intensity: float, window: Window, seed) -> np.ndarray:
 
     The count is Poisson(intensity * area) and positions are i.i.d. uniform.
     """
-    if intensity < 0:
-        raise ParameterError(f"intensity must be >= 0, got {intensity}")
+    if not 0 <= intensity < math.inf:
+        raise ParameterError(f"intensity must be finite and >= 0, got {intensity}")
     rng = np.random.default_rng(seed)
-    n = rng.poisson(intensity * window.area)
+    n = _poisson(rng, intensity * window.area)
     return rng.random((n, 2)) * window.spans
+
+
+def _poisson(rng: np.random.Generator, mean: float, size=None):
+    """Poisson(``mean``) counts; a mean numpy cannot draw (about 9.2e18 and up, or inf) is a ParameterError."""
+    try:
+        return rng.poisson(mean, size)
+    except ValueError:
+        raise ParameterError(f"a mean count of {mean} is past what numpy can draw") from None
 
 
 def sample_backhaul(p: float, lambda_mw: float, lambda_of: float, window: Window, seed) -> BackhaulDraw:
@@ -180,16 +188,16 @@ def sample_cluster_bs(
     ``lambda_1c * (1 + lambda_1m)``. Displaced micros wrap back into the
     torus, so every micro is kept.
     """
-    if lambda_1c < 0 or lambda_1m < 0:
-        raise ParameterError("cluster intensities must be >= 0")
-    if sigma <= 0:
-        raise ParameterError(f"kernel standard deviation must be > 0, got {sigma}")
+    if not (0 <= lambda_1c < math.inf and 0 <= lambda_1m < math.inf):
+        raise ParameterError("cluster intensities must be finite and >= 0")
+    if not 0 < sigma < math.inf:
+        raise ParameterError(f"kernel standard deviation must be finite and > 0, got {sigma}")
     rng = np.random.default_rng(seed)
     macros = sample_ppp(lambda_1c, window, rng)
     n_mac = len(macros)
     if n_mac == 0 or lambda_1m == 0:
         return MarkedBaseStationSet(macros, n_mac, np.empty(0, dtype=int))
-    offspring_counts = rng.poisson(lambda_1m, size=n_mac)
+    offspring_counts = _poisson(rng, lambda_1m, n_mac)
     parents = np.repeat(np.arange(n_mac), offspring_counts)
     displacements = rng.standard_normal((parents.shape[0], 2)) * sigma
     micros = window.wrap_points(macros[parents] + displacements)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import COST_TERMS, CostBreakdown, Scenario, datacenter_cost
-from .errors import AssignmentError, ConfigError, EstimationError, ParameterError
+from .errors import AssignmentError, EstimationError, ParameterError
 from .geometry import (
     BackhaulDraw,
     BackhaulTech,
@@ -277,15 +277,9 @@ def estimate_mean_dc_cost(
     2.4-7.3%, and takes about 27% less time per replication.
 
     Users are priced at their distance from a uniform location to the
-    nearest station, the contact distance, so a scenario whose user links
-    take Palm moments (``user_bs_distance = "palm"``) is a
-    :class:`ConfigError`: the oracle would check a model it does not sample.
+    nearest station, the contact distance, whose moments the closed form
+    takes.
     """
-    if scenario.user_bs_distance != "contact":
-        raise ConfigError(
-            "the oracle measures contact distances from users; a palm scenario has no oracle",
-            key="user_bs_distance",
-        )
     if n_reps < 2:
         raise ParameterError("n_reps must be >= 2")
     jobs = [(scenario, window, seed, rep) for rep in range(n_reps)]
@@ -381,7 +375,7 @@ def compare_to_closed_form(
     """Run the oracle and score each breakdown term against the closed form.
 
     A term passes when its z-score is within :data:`Z_THRESHOLD` standard
-    errors. A Palm scenario is refused by :func:`estimate_mean_dc_cost`.
+    errors.
     """
     closed = datacenter_cost(scenario)
     est = estimate_mean_dc_cost(scenario, window, n_reps, seed, threads=threads)

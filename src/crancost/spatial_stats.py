@@ -1,31 +1,32 @@
 """Distributional quantities of the point-process layers.
 
-Closed-form contact moments for Poisson layers, and the cluster-process
-quantities (void probability, J-function, nearest-neighbor distribution,
-distance moments) that feed the user-to-base-station cost terms. The 2D integrals are reduced to 1D radial integrals by
-isotropy and evaluated with composite Gauss-Legendre rules on fixed grids: an
-outer grid over the radius r, uniform in u = sqrt(r / r_cut) so that it is
-graded toward r = 0, and for every r an inner grid over the distance s to a
-cluster center. The inner Gaussian-disc mass, 1 - Q_1(s/sigma, r/sigma), is
-evaluated for the whole (r, s) grid in one broadcast call of one private
-kernel: the noncentral-chi-squared CDF where xi = (s/sigma)(r/sigma) is
-below 100, and Temme's large-xi expansion of the Marcum Q function past it,
-whose cost per cell does not grow with r/sigma. So a distance moment costs
-one vectorized survival curve instead of nested adaptive quadrature, and
-tight clusters cost no more than wide ones. The curve spans [0, r_cut], where r_cut is the radius
-at which the macros alone, which the stations include, leave the ball empty
-with probability e^-60. Its rows are evaluated only up to r_hi, where the
-macros alone reach the void exponent 38 and the survival rounds to 0.0, and
-the fine grid's rows only up to where the coarse grid's exponent has reached
-38. Past these ends the survival is taken as exactly 0. That moves a moment
-by at most about e^-38 r_cut^exponent, which rounds away, and the part past
-r_cut is below e^-60 r_cut^exponent. The unit Gauss-Legendre rules of both
-grids are built once, at import. Every quantity is computed with 8 nodes per
-panel and with 12 on the same panels (the first outer panel halved); the
-difference is the error estimate of the 12-node value. One rule, the module
-constant :data:`DEFAULT_QUAD`, accepts it: the error must not exceed
-max(abs_tol + rel_tol * |result|, 1e3 * abs_tol), where the second term is
-an absolute floor of 1e-5 at the default abs_tol of 1e-8.
+Closed-form contact moments for Poisson layers, the contact-distance moments
+of the cluster process that feed the user-to-base-station cost terms, and its
+void probability, J-function and nearest-neighbor distribution. The 2D
+integrals are reduced to 1D radial integrals by isotropy and evaluated with
+composite Gauss-Legendre rules on fixed grids: an outer grid over the radius
+r, uniform in u = sqrt(r / r_cut) so that it is graded toward r = 0, and for
+every r an inner grid over the distance s to a cluster center. The inner
+Gaussian-disc mass, 1 - Q_1(s/sigma, r/sigma), is evaluated for the whole
+(r, s) grid in one broadcast call of one private kernel: the
+noncentral-chi-squared CDF where xi = (s/sigma)(r/sigma) is below 100, and
+Temme's large-xi expansion of the Marcum Q function past it, whose cost per
+cell does not grow with r/sigma. So a distance moment costs one vectorized
+survival curve instead of nested adaptive quadrature, and tight clusters cost
+no more than wide ones. The curve spans [0, r_cut], where r_cut is the
+radius at which the macros alone, which the stations include, leave the ball
+empty with probability e^-60. Its rows are evaluated only up to r_hi, where
+the macros alone reach the void exponent 38 and the survival rounds to 0.0,
+and the fine grid's rows only up to where the coarse grid's exponent has
+reached 38. Past these ends the survival is taken as exactly 0. That moves a
+moment by at most about e^-38 r_cut^exponent, which rounds away, and the
+part past r_cut is below e^-60 r_cut^exponent. The unit Gauss-Legendre rules
+of both grids are built once, at import. Every quantity is computed with 8
+nodes per panel and with 12 on the same panels (the first outer panel
+halved); the difference is the error estimate of the 12-node value. One rule,
+the module constant :data:`DEFAULT_QUAD`, accepts it: the error must not
+exceed max(abs_tol + rel_tol * |result|, 1e3 * abs_tol), where the second
+term is an absolute floor of 1e-5 at the default abs_tol of 1e-8.
 """
 
 from __future__ import annotations
@@ -121,8 +122,8 @@ def _rules(r_panels: int, s_panels: int) -> tuple[tuple[tuple[np.ndarray, np.nda
     The coarse grid puts 8 Gauss-Legendre nodes on each of ``r_panels`` outer
     and ``s_panels`` inner uniform panels of [0, 1]; the fine grid puts 12 on
     the same panels, with the first outer panel halved, because the survival
-    of tight clusters (palm, sigma sqrt(lambda_1c) < 0.1) and of dense ones
-    (lambda_1m >> 32) changes on a scale far below that panel.
+    of dense clusters (lambda_1m >> 32) changes on a scale far below that
+    panel.
     """
     u = np.linspace(0.0, 1.0, r_panels + 1)
     t = np.linspace(0.0, 1.0, s_panels + 1)
@@ -371,9 +372,9 @@ def nn_distance_cdf(r: float, params: ClusterParams) -> float:
 
 @lru_cache(maxsize=1)
 def _survival_curve(
-    lambda_1c: float, lambda_1m: float, sigma: float, distance: str
+    lambda_1c: float, lambda_1m: float, sigma: float
 ) -> tuple[tuple[float, np.ndarray, np.ndarray, np.ndarray], ...]:
-    """The nearest-distance survival curve on the coarse and the fine r-grid.
+    """The contact-distance survival curve, the void probability, on the coarse and the fine r-grid.
 
     Each grid is (r1, r nodes, weights, tail). The nodes are Gauss-Legendre
     nodes on panels in u (see ``_rules``), mapped by r = r_cut u^2 with the
@@ -388,18 +389,18 @@ def _survival_curve(
     T = 60 (``_VOID_CUTOFF``). The stations include the macros, so the
     survival at r is at most the macro void probability
     exp(-lambda_1c pi r^2) <= e^-T past r_cut; in the code the void exponent
-    is lambda_1c (pi r^2 + 2 pi outer) with outer >= 0 and J <= 1. The range
-    scales with every length of the process. At large
+    is lambda_1c (pi r^2 + 2 pi outer) with outer >= 0. The range scales
+    with every length of the process. At large
     kappa = sigma sqrt(lambda_1c) the survival decays on the scale of a PPP
     of intensity lambda_1c (1 + lambda_1m), a factor sqrt(1 + lambda_1m)
     inside r_cut; far above 32 micros per macro it falls inside the first
     panel again.
 
     Where the computed void exponent is at least 38 (``_TAIL_ZERO``), the
-    tail is 0.0: cdf = -expm1(-exponent), or 1 - exp(-exponent) J with
-    J <= 1, rounds to 1.0 once exp(-exponent) < 2^-54, that is
-    exponent > 54 ln 2 ~ 37.43. So rows are evaluated only up to two stops;
-    past them the tail is exactly 0 and no bit of a moment moves:
+    tail is 0.0: cdf = -expm1(-exponent) rounds to 1.0 once
+    exp(-exponent) < 2^-54, that is exponent > 54 ln 2 ~ 37.43. So rows are
+    evaluated only up to two stops; past them the tail is exactly 0 and no
+    bit of a moment moves:
 
     * r_hi = sqrt(38 / (pi lambda_1c)). Past it the computed exponent is at
       least lambda_1c pi r^2, which is 38 up to rounding, on either grid.
@@ -438,8 +439,8 @@ def _survival_curve(
             if n <= done:
                 continue
             rows = r[done:n]
-            exponent, j = _void_exponent_and_j(rows, params, inner, distance == "palm")
-            cdf = -np.expm1(-exponent) if j is None else 1.0 - np.exp(-exponent) * j
+            exponent, _ = _void_exponent_and_j(rows, params, inner, False)
+            cdf = -np.expm1(-exponent)
             tail[done:n] = np.where(rows < r1, -cdf, 1.0 - cdf)
             done = n
             zero = np.flatnonzero(exponent >= _TAIL_ZERO)
@@ -453,20 +454,14 @@ def _survival_curve(
     return tuple(grids)
 
 
-def cluster_nn_moment(exponent: float, params: ClusterParams, distance: str = "palm") -> float:
-    """E[R^exponent] of the nearest-base-station distance, via the tail formula.
+def cluster_nn_moment(exponent: float, params: ClusterParams) -> float:
+    """E[R^exponent] of the contact distance: from a uniform location, e.g. a user, to the nearest base station.
 
-    ``distance`` selects whose viewpoint the distance is taken from:
-
-    * ``"palm"``: from a typical point of the process itself (nearest-neighbor
-      distribution G, through the J-function);
-    * ``"contact"``: from an independent uniformly random location, e.g. a
-      user (empty-space function F, void probability only). This variant is
-      exact for the Thomas process and is what the Monte Carlo deployment
-      oracle reproduces.
-
-    Computed as Int_0^inf exponent * r^(exponent-1) * (1 - CDF(r)) dr; the
-    degenerate case lambda_1m = 0 reproduces the PPP contact moment either way.
+    Its CDF is the empty-space function F(r) = 1 - void probability at r,
+    exact for the Thomas process and what the Monte Carlo deployment oracle
+    samples (Afshang, Saha & Dhillon, IEEE WCL 2017). Computed as
+    Int_0^inf exponent * r^(exponent-1) * (1 - F(r)) dr; the degenerate case
+    lambda_1m = 0 reproduces the PPP contact moment.
     A moment of positive exponent that does not come out above its error
     estimate, the gap between the coarse and the fine grid, is a
     :class:`QuadratureError`.
@@ -475,11 +470,9 @@ def cluster_nn_moment(exponent: float, params: ClusterParams, distance: str = "p
         raise ParameterError(f"exponent must be >= 0, got {exponent}")
     if exponent == 0:
         return 1.0
-    if distance not in ("palm", "contact"):
-        raise ParameterError(f"distance must be 'palm' or 'contact', got {distance!r}")
     if params.lambda_1c == 0:
         raise ParameterError("cluster intensity must be > 0 for distance moments")
-    grids = _survival_curve(params.lambda_1c, params.lambda_1m, params.sigma, distance)
+    grids = _survival_curve(params.lambda_1c, params.lambda_1m, params.sigma)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             coarse, fine = (

@@ -4,12 +4,15 @@ import inspect
 import json
 import math
 import re
+from collections import Counter
+from dataclasses import fields, is_dataclass
 
 import pytest
 
 from crancost.cli import main
 from crancost.complexity import _SAMPLERS
 from crancost.config import (
+    _SCENARIO_KEYS,
     _SCHEMA,
     default_scenario,
     load_complexity_settings,
@@ -19,7 +22,7 @@ from crancost.config import (
     scenario_hash,
     scenario_to_config,
 )
-from crancost.costs import Architecture
+from crancost.costs import Architecture, Scenario
 from crancost.errors import ConfigError
 from crancost.sweeps import ARCHITECTURE_VARIANTS
 
@@ -154,8 +157,7 @@ class TestLoadScenario:
             load_scenario("/nonexistent/scenario.ini")
 
     def test_simulation_flags(self):
-        scen = load_scenario(text="[simulation]\nuser_bs_distance = palm\nc2_convention = normalized\n")
-        assert scen.user_bs_distance == "palm"
+        scen = load_scenario(text="[simulation]\nc2_convention = normalized\n")
         assert scen.c2_convention == "normalized"
 
     @pytest.mark.parametrize(
@@ -167,6 +169,7 @@ class TestLoadScenario:
             ("[complexity]\ngamma_offset_db = 0.4\n", "gamma_offset_db"),
             ("[complexity]\neps_channel = 0.3\n", "eps_channel"),
             ("[costs]\nc_macroo = 1\n", "c_macroo"),
+            ("[simulation]\nuser_bs_distance = contact\n", "user_bs_distance"),
             ("[DEFAULT]\nlambda3 = 2\n", "[DEFAULT]"),
         ],
     )
@@ -284,7 +287,24 @@ def _scenario_defaults() -> dict[str, str]:
 
 
 #: a valid other value for every scenario key that is not a number to halve
-_OTHER_CHOICE = {"mode": "dran", "gamma_offset_db": "0.4", "user_bs_distance": "palm", "c2_convention": "normalized"}
+_OTHER_CHOICE = {"mode": "dran", "gamma_offset_db": "0.4", "c2_convention": "normalized"}
+
+
+def _leaf_fields(record, prefix: str = "") -> list[str]:
+    """The dotted path of every field of ``record`` that is not itself a record."""
+    paths = []
+    for f in fields(record):
+        value = getattr(record, f.name)
+        paths += _leaf_fields(value, f"{prefix}{f.name}.") if is_dataclass(value) else [prefix + f.name]
+    return paths
+
+
+def test_every_scenario_field_has_exactly_one_config_key():
+    """Every leaf of Scenario, through equipment, links and each LinkCost, is set by one key, and every key sets one."""
+    leaves = _leaf_fields(Scenario())
+    keyed = Counter(".".join(row.names) for row in _SCENARIO_KEYS)
+    assert {path: keyed[path] for path in leaves} == dict.fromkeys(leaves, 1)
+    assert keyed.keys() <= set(leaves)
 
 
 @pytest.mark.parametrize("key,default", sorted(_scenario_defaults().items()))
@@ -347,10 +367,10 @@ class TestRoundTrip:
     @pytest.mark.parametrize(
         "variant,digest",
         [
-            ("dran", "42eca70ce8ada543"),
-            ("cloud_ran@0db", "521c1b1557638c5c"),
-            ("cloud_ran@0.4db", "8b6353a7b2fcd6a8"),
-            ("cloud_ran@0.9db", "b9ccd0fd68e6e64a"),
+            ("dran", "26869954b68fd4ce"),
+            ("cloud_ran@0db", "cc64f690e2cc5cfc"),
+            ("cloud_ran@0.4db", "272cd3a69ace2d66"),
+            ("cloud_ran@0.9db", "28939c1720ff6435"),
         ],
     )
     def test_default_variant_hashes_are_pinned(self, variant, digest):

@@ -80,6 +80,17 @@ class TestSamplePpp:
         with pytest.raises(ParameterError):
             sample_ppp(-1.0, UNIT, seed=1)
 
+    @pytest.mark.parametrize("intensity", [math.nan, math.inf])
+    def test_non_finite_intensity_rejected(self, intensity):
+        with pytest.raises(ParameterError, match="finite"):
+            sample_ppp(intensity, UNIT, seed=1)
+
+    @pytest.mark.parametrize("intensity", [1e19, 1e300, 1e308])
+    def test_a_mean_count_numpy_cannot_draw_is_a_parameter_error(self, intensity):
+        """Past about 9.2e18 numpy's Poisson draw raises; 1e308 on 100 km^2 is an infinite mean."""
+        with pytest.raises(ParameterError, match="mean count"):
+            sample_ppp(intensity, TORUS10, seed=1)
+
     def test_deterministic_given_seed(self):
         a = sample_ppp(50.0, UNIT, seed=7)
         b = sample_ppp(50.0, UNIT, seed=7)
@@ -164,6 +175,15 @@ class TestSampleClusterBs:
     def test_sigma_must_be_positive(self):
         with pytest.raises(ParameterError):
             sample_cluster_bs(1.0, 1.0, 0.0, UNIT, seed=1)
+
+    @pytest.mark.parametrize("lambda_1m,sigma", [(math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan), (1.0, math.inf)])
+    def test_non_finite_inputs_rejected(self, lambda_1m, sigma):
+        with pytest.raises(ParameterError, match="finite"):
+            sample_cluster_bs(10.0, lambda_1m, sigma, UNIT, seed=1)
+
+    def test_a_member_count_numpy_cannot_draw_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="mean count"):
+            sample_cluster_bs(10.0, 1e300, 0.5, TORUS10, seed=1)
 
     def test_small_torus_keeps_every_micro_inside(self):
         # a spread of 1.5 on a 2 km torus displaces most micros past an edge;

@@ -17,7 +17,7 @@ from crancost.costs import (
     Scenario,
     datacenter_cost,
 )
-from crancost.errors import AssignmentError, ConfigError, EstimationError, ParameterError
+from crancost.errors import AssignmentError, EstimationError, ParameterError
 from crancost.geometry import BackhaulDraw, BackhaulTech, MarkedBaseStationSet, Window, sample_ppp
 from crancost.simulate import (
     USER_FRACTION,
@@ -289,12 +289,10 @@ class TestCompareToClosedForm:
         z = (est.per_term_means["infra_bs_backhaul"] - corrupted) / est.per_term_std_errors["infra_bs_backhaul"]
         assert abs(z) > 3.0
 
-    @pytest.mark.parametrize("oracle", [estimate_mean_dc_cost, compare_to_closed_form])
-    def test_palm_scenario_is_refused(self, oracle):
-        """The oracle prices users at contact distances; Palm moments are not what it samples."""
-        with pytest.raises(ConfigError) as exc:
-            oracle(replace(default_scenario(), user_bs_distance="palm"), Window(4.0, 4.0), 4, seed=1)
-        assert exc.value.key == "user_bs_distance"
+    @pytest.mark.parametrize("field", ["lambda_0", "lambda_1m", "lambda_2_mw", "lambda_3"])
+    def test_a_layer_count_numpy_cannot_draw_is_a_parameter_error(self, field):
+        with pytest.raises(ParameterError, match="mean count"):
+            estimate_mean_dc_cost(replace(default_scenario(), **{field: 1e300}), Window(3.0, 3.0), 2, seed=0)
 
     def test_report_rows_are_complete(self):
         scen = replace(default_scenario(), lambda_1m=0.0, lambda_1c=10.0, p_mw=1.0, lambda_2_mw=5.0)

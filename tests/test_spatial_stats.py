@@ -407,10 +407,8 @@ class TestClusterNnMoment:
     @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
     @pytest.mark.parametrize("lam", [1.0, 10.0, 50.0])
     def test_degenerate_grid(self, beta, lam):
-        params = ClusterParams(lam, 0.0, 0.5)
-        for distance in ("palm", "contact"):
-            got = cluster_nn_moment(beta, params, distance=distance)
-            assert got == pytest.approx(ppp_contact_moment(beta, lam), rel=1e-3)
+        got = cluster_nn_moment(beta, ClusterParams(lam, 0.0, 0.5))
+        assert got == pytest.approx(ppp_contact_moment(beta, lam), rel=1e-3)
 
     def test_contact_moment_matches_simulated_user_distances(self):
         """Squared distance from random locations to the nearest station.
@@ -433,44 +431,13 @@ class TestClusterNnMoment:
             rep_means.append(np.mean(d**2))
         rep_means = np.asarray(rep_means)
         se = rep_means.std(ddof=1) / math.sqrt(len(rep_means))
-        theo = cluster_nn_moment(2.0, PAPERLIKE, distance="contact")
+        theo = cluster_nn_moment(2.0, PAPERLIKE)
         assert np.mean(rep_means) == pytest.approx(theo, abs=3 * se)
-
-    def test_palm_moment_matches_simulated_station_distances(self):
-        """Squared nearest-station distance from the stations themselves.
-
-        Valid where clusters overlap heavily (the mixture J-function's
-        independence assumption holds to within Monte Carlo resolution).
-        """
-        w = Window(6.0, 6.0)
-        samples = []
-        for i in range(200):
-            bs = sample_cluster_bs(
-                PAPERLIKE.lambda_1c, PAPERLIKE.lambda_1m, PAPERLIKE.sigma, w, layer_rng(19, i, 1)
-            )
-            pts = bs.points
-            if len(pts) < 2:
-                continue
-            tree = cKDTree(pts, boxsize=w.spans)
-            d, _ = tree.query(pts, k=2)
-            samples.append(d[:, 1] ** 2)
-        samples = np.concatenate(samples)
-        # realized points are correlated within a realization; use the
-        # between-realization spread of per-realization means for the SE
-        per_rep = np.array([s.mean() for s in np.array_split(samples, 200)])
-        se = per_rep.std(ddof=1) / math.sqrt(len(per_rep))
-        theo = cluster_nn_moment(2.0, PAPERLIKE, distance="palm")
-        assert np.mean(samples) == pytest.approx(theo, abs=3 * se + 0.01 * theo)
 
     def test_moments_finite_up_to_exponent_four(self):
         for beta in (1.0, 2.0, 3.0, 4.0):
-            for distance in ("palm", "contact"):
-                val = cluster_nn_moment(beta, PAPERLIKE, distance=distance)
-                assert math.isfinite(val) and val > 0
-
-    def test_unknown_distance_flag_rejected(self):
-        with pytest.raises(ParameterError):
-            cluster_nn_moment(2.0, PAPERLIKE, distance="nearest")
+            val = cluster_nn_moment(beta, PAPERLIKE)
+            assert math.isfinite(val) and val > 0
 
     @pytest.mark.parametrize(
         "params,exponent",
@@ -486,8 +453,7 @@ class TestClusterNnMoment:
         ],
     )
     def test_moments_converge_at_widely_spread_dense_clusters(self, params, exponent):
-        for distance in ("palm", "contact"):
-            assert math.isfinite(cluster_nn_moment(exponent, ClusterParams(*params), distance=distance))
+        assert math.isfinite(cluster_nn_moment(exponent, ClusterParams(*params)))
 
 
 def test_non_convergence_carries_the_achieved_error(monkeypatch):
@@ -507,7 +473,7 @@ def test_non_convergence_carries_the_achieved_error(monkeypatch):
 def test_a_moment_that_is_not_positive_is_a_quadrature_error(exponent):
     """At 1e12 micros per macro the survival lies inside the first panel, whose r1^e cancels to within the coarse-fine gap of 0."""
     with pytest.raises(QuadratureError, match="not positive") as exc:
-        cluster_nn_moment(exponent, ClusterParams(10, 1e12, 0.7), "contact")
+        cluster_nn_moment(exponent, ClusterParams(10, 1e12, 0.7))
     assert exc.value.achieved_error is not None and exc.value.achieved_error >= 0
 
 
@@ -519,12 +485,10 @@ def test_a_moment_beyond_the_float_range_is_a_typed_error():
         cluster_nn_moment(3000.0, default_scenario().cluster_params)
 
 
-@pytest.mark.parametrize(
-    "sigma,exponent,distance", [(1e6, 1.0, "contact"), (1e6, 2.0, "contact"), (1e150, 4.0, "palm")]
-)
-def test_a_kernel_far_wider_than_the_spacing_gives_the_poisson_limit(sigma, exponent, distance):
+@pytest.mark.parametrize("sigma,exponent", [(1e6, 1.0), (1e6, 2.0), (1e150, 4.0)])
+def test_a_kernel_far_wider_than_the_spacing_gives_the_poisson_limit(sigma, exponent):
     """At sigma = 1e6 and 1e150 km the stations are a PPP of intensity lambda_1c (1 + lambda_1m)."""
-    got = cluster_nn_moment(exponent, ClusterParams(10, 4, sigma), distance)
+    got = cluster_nn_moment(exponent, ClusterParams(10, 4, sigma))
     assert got == pytest.approx(ppp_contact_moment(exponent, 10 * (1 + 4)), rel=1e-12)
 
 
@@ -533,37 +497,21 @@ def test_a_kernel_far_wider_than_the_spacing_gives_the_poisson_limit(sigma, expo
 # singularity at r = 0
 PINNED_EXPONENTS = (0.25, 0.5, 1.0, 1.5, 2.0, 4.0)
 ADAPTIVE_MOMENTS = {
-    ((10.0, 4.0, math.sqrt(0.5)), "contact"): (
+    (10.0, 4.0, math.sqrt(0.5)): (
         0.5012349375891005, 0.25684965767556883, 0.07125594578853665,
         0.0209943509809277, 0.006498366545072068, 8.624417860697018e-05,
     ),
-    ((10.0, 4.0, math.sqrt(0.5)), "palm"): (
-        0.500589387915635, 0.2561872096447008, 0.07088744908052955,
-        0.02083107708538154, 0.0064308098269477585, 8.443252547994961e-05,
-    ),
-    ((2.0, 3.0, 0.5), "contact"): (
+    (2.0, 3.0, 0.5): (
         0.6384588857997977, 0.41796534428378457, 0.19092657359972526,
         0.09372334722722689, 0.048900556072020006, 0.00585267866705693,
     ),
-    ((2.0, 3.0, 0.5), "palm"): (
-        0.6306271516209272, 0.40762655083395233, 0.1813393523915164,
-        0.08657432528746807, 0.043876276155882236, 0.004631956210555668,
-    ),
-    ((50.0, 1.0, 0.1), "contact"): (
+    (50.0, 1.0, 0.1): (
         0.46441947812263557, 0.22096670709108973, 0.053165426505400536,
         0.013687446446639683, 0.0037275008568447825, 3.136168569891252e-05,
     ),
-    ((50.0, 1.0, 0.1), "palm"): (
-        0.4619730092325465, 0.21863184792124918, 0.0520375173246047,
-        0.013251301754991791, 0.0035693036463199388, 2.8763574370080664e-05,
-    ),
-    ((0.5, 10.0, 0.2), "contact"): (
+    (0.5, 10.0, 0.2): (
         0.7754886940966644, 0.6283233894266911, 0.45675585626537957,
         0.3673620647050015, 0.31808653258608505, 0.2883499736077756,
-    ),
-    ((0.5, 10.0, 0.2), "palm"): (
-        0.5830171230169451, 0.3548824421324032, 0.15030411709318917,
-        0.0769764272411765, 0.047835384867342526, 0.027482193941118747,
     ),
 }
 ADAPTIVE_VOID_AND_J = {
@@ -573,11 +521,10 @@ ADAPTIVE_VOID_AND_J = {
 }
 
 
-@pytest.mark.parametrize("key", list(ADAPTIVE_MOMENTS), ids=lambda k: f"{k[0][:2]}-{k[1]}")
-def test_moments_match_pinned_adaptive_values(key):
-    params, distance = key
-    for exponent, want in zip(PINNED_EXPONENTS, ADAPTIVE_MOMENTS[key], strict=True):
-        got = cluster_nn_moment(exponent, ClusterParams(*params), distance=distance)
+@pytest.mark.parametrize("params", list(ADAPTIVE_MOMENTS), ids=lambda p: f"{p[:2]}")
+def test_moments_match_pinned_adaptive_values(params):
+    for exponent, want in zip(PINNED_EXPONENTS, ADAPTIVE_MOMENTS[params], strict=True):
+        got = cluster_nn_moment(exponent, ClusterParams(*params))
         assert got == pytest.approx(want, rel=1e-8)
 
 
@@ -611,7 +558,7 @@ def test_cost_with_fractional_user_link_exponents_converges():
     links = replace(scenario.links, user_bs=LinkCost(a=5000.0, beta=0.5, b=10000.0, theta=0.25))
     scenario = replace(scenario, links=links)
     cost = datacenter_cost(scenario)
-    moment = partial(cluster_nn_moment, params=scenario.cluster_params, distance=scenario.user_bs_distance)
+    moment = partial(cluster_nn_moment, params=scenario.cluster_params)
     assert cost.capacity_user_bs / cost.infra_user_bs == pytest.approx(
         5000.0 * moment(0.5) / (10000.0 * moment(0.25)), rel=1e-12
     )
@@ -637,11 +584,11 @@ CUTOFF_SETS = [
 ]
 
 
-def _moment_or_error(exponent, params, distance):
+def _moment_or_error(exponent, params):
     from crancost.errors import QuadratureError
 
     try:
-        return cluster_nn_moment(exponent, params, distance=distance)
+        return cluster_nn_moment(exponent, params)
     except QuadratureError:
         return QuadratureError
 
@@ -657,23 +604,21 @@ def cold_survival_curve():
 
 
 @pytest.mark.parametrize("params", CUTOFF_SETS)
-@pytest.mark.parametrize("distance", ["contact", "palm"])
-def test_survival_cutoff_leaves_every_moment_bit_identical(monkeypatch, cold_survival_curve, params, distance):
+def test_survival_cutoff_leaves_every_moment_bit_identical(monkeypatch, cold_survival_curve, params):
     """Stopping both grids where their tails are 0 changes no bit, nor which sets raise."""
     from crancost.config import default_scenario
 
     params = default_scenario().cluster_params if params is None else ClusterParams(*params)
     exponents = (0.5, 2.0, 4.0)
-    cut = [_moment_or_error(e, params, distance) for e in exponents]
+    cut = [_moment_or_error(e, params) for e in exponents]
     monkeypatch.setattr(cold_survival_curve, "_TAIL_ZERO", math.inf)
     cold_survival_curve._survival_curve.cache_clear()
-    assert [_moment_or_error(e, params, distance) for e in exponents] == cut
+    assert [_moment_or_error(e, params) for e in exponents] == cut
 
 
 @pytest.mark.parametrize("params", [None, (2.92, 959.0, 0.0268)])
-@pytest.mark.parametrize("distance", ["contact", "palm"])
-def test_a_survival_row_does_not_move_with_the_call_that_evaluates_it(params, distance):
-    """Every row of both grids, evaluated alone and in calls of every length, gives the same exponent and J.
+def test_a_survival_row_does_not_move_with_the_call_that_evaluates_it(params):
+    """Every row of both grids, evaluated alone and in calls of every length, gives the same void exponent.
 
     The tail bit-identity tests above rest on this: a stop or a split of the
     coarse pass changes which call evaluates a row.
@@ -682,18 +627,18 @@ def test_a_survival_row_does_not_move_with_the_call_that_evaluates_it(params, di
     from crancost.config import default_scenario
 
     params = default_scenario().cluster_params if params is None else ClusterParams(*params)
-    palm = distance == "palm"
     r_cut = math.sqrt(spatial_stats._VOID_CUTOFF / (math.pi * params.lambda_1c))
     for (u, _), inner in spatial_stats._RULES:
         r = r_cut * u * u
 
         def in_calls_of(length):
-            """Each row's exponent, and its J for palm, from calls of ``length`` rows."""
-            calls = [
-                spatial_stats._void_exponent_and_j(r[i : i + length], params, inner, palm)
-                for i in range(0, r.size, length)
-            ]
-            return np.concatenate([np.column_stack([e, j]) if palm else e[:, None] for e, j in calls])
+            """Each row's exponent from calls of ``length`` rows."""
+            return np.concatenate(
+                [
+                    spatial_stats._void_exponent_and_j(r[i : i + length], params, inner, False)[0]
+                    for i in range(0, r.size, length)
+                ]
+            )
 
         alone = in_calls_of(1)
         for length in range(2, r.size + 1):
@@ -710,27 +655,26 @@ CLUSTER_SETS = st.tuples(
 )
 
 
-@given(params=CLUSTER_SETS, distance=st.sampled_from(["contact", "palm"]))
-@example(params=PAST_R_MID, distance="contact")
-@example(params=PAST_R_MID, distance="palm")
+@given(params=CLUSTER_SETS)
+@example(params=PAST_R_MID)
 @settings(max_examples=40, deadline=None)
-def test_survival_curve_tails_match_the_uncut_curve(params, distance):
+def test_survival_curve_tails_match_the_uncut_curve(params):
     """The stops drop only nodes whose tail is 0.0: every r1 and tail equals the unstopped grids'."""
     from crancost import spatial_stats
 
     spatial_stats._survival_curve.cache_clear()
-    cut = spatial_stats._survival_curve(*params, distance)
+    cut = spatial_stats._survival_curve(*params)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spatial_stats, "_TAIL_ZERO", math.inf)
         spatial_stats._survival_curve.cache_clear()
-        uncut = spatial_stats._survival_curve(*params, distance)
+        uncut = spatial_stats._survival_curve(*params)
     spatial_stats._survival_curve.cache_clear()
     for (r1, _, _, tail), (r1_uncut, _, _, tail_uncut) in zip(cut, uncut, strict=True):
         assert r1 == r1_uncut
         assert np.array_equal(tail, tail_uncut)
 
 
-def _moments_on_a_grid_with_4x_the_panels(params, exponents, distance):
+def _moments_on_a_grid_with_4x_the_panels(params, exponents):
     """The moments on 4x the outer and inner panels over the same [0, r_cut], with both grids laid out as in the module."""
     from crancost import spatial_stats
 
@@ -739,7 +683,7 @@ def _moments_on_a_grid_with_4x_the_panels(params, exponents, distance):
         mp.setattr(spatial_stats, "_R_PANELS", r_panels)
         mp.setattr(spatial_stats, "_RULES", spatial_stats._rules(r_panels, s_panels))
         spatial_stats._survival_curve.cache_clear()
-        moments = [cluster_nn_moment(e, ClusterParams(*params), distance=distance) for e in exponents]
+        moments = [cluster_nn_moment(e, ClusterParams(*params)) for e in exponents]
     spatial_stats._survival_curve.cache_clear()
     return moments
 
@@ -759,11 +703,10 @@ def test_moments_match_a_grid_with_4x_the_panels(params):
     from crancost import spatial_stats
 
     exponents = (0.25, 1.0, 2.0, 4.0)
-    for distance in ("contact", "palm"):
-        spatial_stats._survival_curve.cache_clear()
-        got = [cluster_nn_moment(e, ClusterParams(*params), distance=distance) for e in exponents]
-        want = _moments_on_a_grid_with_4x_the_panels(params, exponents, distance)
-        assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+    spatial_stats._survival_curve.cache_clear()
+    got = [cluster_nn_moment(e, ClusterParams(*params)) for e in exponents]
+    want = _moments_on_a_grid_with_4x_the_panels(params, exponents)
+    assert got == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
 def _converged_or_skip(f, *args, **kwargs):
@@ -773,13 +716,11 @@ def _converged_or_skip(f, *args, **kwargs):
         assume(False)
 
 
-def _assert_moment_scales(params, c, exponent, distance):
+def _assert_moment_scales(params, c, exponent):
     """Scaling every length by c scales E[R^e] by c^e: lambda_1c -> lambda_1c / c^2, sigma -> c sigma."""
     lambda_1c, lambda_1m, sigma = params
-    got = _converged_or_skip(
-        cluster_nn_moment, exponent, ClusterParams(lambda_1c / c**2, lambda_1m, c * sigma), distance=distance
-    )
-    want = _converged_or_skip(cluster_nn_moment, exponent, ClusterParams(*params), distance=distance)
+    got = _converged_or_skip(cluster_nn_moment, exponent, ClusterParams(lambda_1c / c**2, lambda_1m, c * sigma))
+    want = _converged_or_skip(cluster_nn_moment, exponent, ClusterParams(*params))
     assert got == pytest.approx(c**exponent * want, rel=1e-12, abs=0.0)
 
 
@@ -787,21 +728,17 @@ def _assert_moment_scales(params, c, exponent, distance):
     params=CLUSTER_SETS,
     c=_log_uniform(0.1, 10.0),
     exponent=st.sampled_from([0.25, 1.0, 2.0, 4.0]),
-    distance=st.sampled_from(["contact", "palm"]),
 )
 @settings(max_examples=60, deadline=None)
-def test_moment_scales_with_every_length(params, c, exponent, distance):
+def test_moment_scales_with_every_length(params, c, exponent):
     """The grid spans [0, r_cut], which scales with every length, so the identity holds to 1e-12 at every kappa."""
-    _assert_moment_scales(params, c, exponent, distance)
+    _assert_moment_scales(params, c, exponent)
 
 
-@pytest.mark.parametrize(
-    "params,c,distance",
-    [((math.exp(9.0), 0.0, math.exp(2.0)), math.e, "contact"), ((7750.2, 10.5, 6.64), 8.34, "palm")],
-)
-def test_moment_scales_with_every_length_at_large_kappa(params, c, distance):
+@pytest.mark.parametrize("params,c", [((math.exp(9.0), 0.0, math.exp(2.0)), math.e), ((7750.2, 10.5, 6.64), 8.34)])
+def test_moment_scales_with_every_length_at_large_kappa(params, c):
     """Where the survival once lay inside the first outer panel and cancelled against its r1^4."""
-    _assert_moment_scales(params, c, 4.0, distance)
+    _assert_moment_scales(params, c, 4.0)
 
 
 @given(params=CLUSTER_SETS, c=_log_uniform(0.1, 10.0), r_scaled=st.floats(0.0, 1.5))
@@ -823,7 +760,7 @@ def test_void_probability_scales_with_every_length(params, c, r_scaled):
 def test_dense_wide_clusters_reach_the_poisson_limit(params):
     """At sigma * sqrt(lambda_1c) >> 1 the stations are a PPP of intensity lambda_1c (1 + lambda_1m) at the survival's scale."""
     lambda_1c, lambda_1m, _ = params
-    got = cluster_nn_moment(4.0, ClusterParams(*params), distance="contact")
+    got = cluster_nn_moment(4.0, ClusterParams(*params))
     assert got == pytest.approx(ppp_contact_moment(4.0, lambda_1c * (1.0 + lambda_1m)), rel=1e-4)
 
 
@@ -866,10 +803,11 @@ def test_cold_cost_evaluation_passes_at_most_4000_disc_mass_cells(monkeypatch, c
 
 @pytest.mark.parametrize("kappa", [None, 0.01])
 def test_the_survival_grid_takes_its_masses_from_gaussian_disc_mass_bit_for_bit(monkeypatch, cold_survival_curve, kappa):
-    """Every disc-mass cell of a Palm curve, in kernel widths, is what the public function gives on that cell.
+    """Every disc-mass cell of a survival curve and of J, in kernel widths, is what the public function gives on that cell.
 
-    At the default kappa = sigma sqrt(lambda_1c) = 2.24 every cell has xi = ab below 100; at kappa = 0.01 most
-    cells take the large-xi expansion.
+    Only ``j_function`` and ``nn_distance_cdf`` reach the J columns, the grid over [0, F sigma] from a cluster
+    center. At the default kappa = sigma sqrt(lambda_1c) = 2.24 every cell has xi = ab below 100; at
+    kappa = 0.01 most cells take the large-xi expansion.
     """
     from crancost.config import default_scenario
 
@@ -884,7 +822,10 @@ def test_the_survival_grid_takes_its_masses_from_gaussian_disc_mass_bit_for_bit(
         return calls[-1][2]
 
     monkeypatch.setattr(cold_survival_curve, "_disc_mass", recording)
-    cold_survival_curve._survival_curve(params.lambda_1c, params.lambda_1m, params.sigma, "palm")
+    cold_survival_curve._survival_curve(params.lambda_1c, params.lambda_1m, params.sigma)
+    for r in ADAPTIVE_VOID_AND_J:
+        j_function(r, params)
+        nn_distance_cdf(r, params)
     monkeypatch.undo()  # gaussian_disc_mass calls the kernel too
     largest_xi = max(np.max(a * b) for a, b, _ in calls)
     assert largest_xi < 100.0 if kappa is None else largest_xi > 1e4
@@ -897,22 +838,21 @@ def test_a_cold_contact_moment_of_tight_clusters_takes_well_under_a_second(cold_
     kappa, lambda_1c = 1e-5, 10.0
     params = ClusterParams(lambda_1c, 4.0, kappa / math.sqrt(lambda_1c))
     start = time.perf_counter()
-    got = cluster_nn_moment(1.0, params, "contact")
+    got = cluster_nn_moment(1.0, params)
     assert time.perf_counter() - start < 0.5
     assert got == pytest.approx(ppp_contact_moment(1.0, lambda_1c), rel=3 * kappa, abs=0.0)
 
 
 @pytest.mark.parametrize("params,calls", [(None, 2), (PAST_R_MID, 3)])
-@pytest.mark.parametrize("distance", ["contact", "palm"])
 def test_coarse_pass_evaluates_past_r_mid_only_when_no_row_reached_the_tail_zero(
-    monkeypatch, cold_survival_curve, params, calls, distance
+    monkeypatch, cold_survival_curve, params, calls
 ):
     """One disc-mass call per pass, and a second coarse one only where no row up to r_mid reached exponent 38."""
     from crancost.config import default_scenario
 
     params = default_scenario().cluster_params if params is None else ClusterParams(*params)
     cells = _count_disc_mass_cells(monkeypatch, cold_survival_curve)
-    cold_survival_curve._survival_curve(params.lambda_1c, params.lambda_1m, params.sigma, distance)
+    cold_survival_curve._survival_curve(params.lambda_1c, params.lambda_1m, params.sigma)
     assert len(cells) == calls
 
 
@@ -923,19 +863,5 @@ def test_coarse_pass_evaluates_past_r_mid_only_when_no_row_reached_the_tail_zero
 )
 def test_a_moment_far_above_32_micros_per_macro_reaches_the_poisson_limit():
     """At a million micros per macro the stations are a PPP of intensity lambda_1c (1 + lambda_1m)."""
-    got = cluster_nn_moment(4.0, ClusterParams(10.0, 1e6, 0.7), "contact")
+    got = cluster_nn_moment(4.0, ClusterParams(10.0, 1e6, 0.7))
     assert got == pytest.approx(ppp_contact_moment(4.0, 10.0 * (1.0 + 1e6)), rel=1e-3, abs=0.0)
-
-
-@pytest.mark.xfail(
-    strict=True,
-    raises=QuadratureError,
-    reason="ROADMAP item 8: the Palm survival of tight clusters changes near sigma / sqrt(lambda_1m), "
-    "inside the first coarse panel, which the 8-node error estimate does not resolve",
-)
-@pytest.mark.parametrize("exponent", [0.25, 1.0])
-def test_palm_moments_of_tight_clusters_converge(exponent):
-    """At kappa = 0.033 and 11 micros per macro the 4x-panel grid converges (0.4253474 and 0.0723628)."""
-    params = (0.61, 11.1, 0.0422)
-    (want,) = _moments_on_a_grid_with_4x_the_panels(params, (exponent,), "palm")
-    assert cluster_nn_moment(exponent, ClusterParams(*params), "palm") == pytest.approx(want, rel=1e-6)

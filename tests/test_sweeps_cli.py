@@ -225,7 +225,7 @@ class TestCli:
             ("[sweep]\nvalues = abc\n", "values"),
             ("[complexity]\nzeta = 1\n", "zeta"),
             ("[complexity]\nnu_db = -1\n", "nu_db"),
-            ("[simulation]\nuser_bs_distance = bogus\n", "user_bs_distance"),
+            ("[simulation]\nc2_convention = bogus\n", "c2_convention"),
         ],
     )
     def test_a_bad_value_in_any_section_fails_every_command(self, tmp_path, capsys, command, text, key):
@@ -253,11 +253,12 @@ class TestCli:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "parameter" and "window" in error["message"]
 
-    @pytest.mark.parametrize("command", ["simulate", "compare"])
-    def test_oracle_commands_refuse_a_palm_scenario(self, tmp_path, capsys, command):
-        """The oracle measures contact distances; it cannot check the Palm closed form."""
+    @pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+    @pytest.mark.parametrize("value", ["contact", "palm"])
+    def test_the_removed_user_bs_distance_key_fails_every_command(self, tmp_path, capsys, command, value):
+        """Users are always priced at the contact distance; the key that chose it is unknown, whatever its value."""
         cfg, out, dump = tmp_path / "scenario.ini", tmp_path / "out.json", tmp_path / "nodes.csv"
-        cfg.write_text("[simulation]\nuser_bs_distance = palm\n")
+        cfg.write_text(f"[simulation]\nuser_bs_distance = {value}\n")
         argv = [*CONFIG_COMMANDS[command], "--config", str(cfg), "--out", str(out)]
         if command == "simulate":
             argv += ["--dump-realization", str(dump)]
