@@ -28,23 +28,32 @@ generator, so the head is drawn once however the calls are ordered and one
 head is kept at most (8 MB for 50 stations at 20000 draws); by the stream
 contract the grown head is the head a single draw from the seed gives. If
 numpy refuses the resize because a view of the head is still alive, the
-call drops the head and redraws it from the seed. A call
-evaluates the workload on views of its prefix, in blocks of whole
-realizations, about 32k draws each, so that the block's temporaries stay in
-cache. A draw below the lowest admission threshold selects no MCS, so its
-workload is NaN and so is its realization's sum: only those realizations are
-gathered, their draws below the floor replaced by the rejection rounds'
-values in index order, and evaluated again. Every element sees the same
-operations in the same order and every realization is summed alone, so the
-result is the same bit for bit whatever the block size and whatever was
-called before. The demand is the order statistic that
+call drops the head and redraws it from the seed. The stream also keeps
+the MCS index of its head's first draws under the last table of admission
+thresholds, one int8 per head draw up to 127 rates, grown in place with
+the head and dropped with it. A call on that table selects only the draws
+past the filled prefix and fills them in; a call on another table starts a
+new index. So a table selects each draw's MCS once per offset, however its
+pool sizes are ordered. A call evaluates the workload on views of its
+prefix and of the index, in blocks of whole realizations, about 32k draws
+each, so that the block's temporaries stay in cache. A draw below the
+lowest admission threshold selects no MCS, so its workload is NaN and so
+is its realization's sum: only those realizations are gathered, their
+draws below the floor replaced by the rejection rounds' values in index
+order, and selected and evaluated again. Every element sees the same
+operations in the same order and every realization is summed alone, a
+pool of fewer than 8 stations column by column in numpy's own order, so
+the result is the same bit for bit whatever the block size and whatever
+was called before. The demand is the order statistic that
 ``np.quantile(sums, 1 - eps, method="higher")`` returns, found by one
-partition of the sums in place. :meth:`McsTable.select` counts
-the admission thresholds each SNR meets, one vectorized comparison pass per
-MCS, in place of a binary search per draw. The nearest-base-station sampler
-and the workload evaluate their closed forms in one buffer with the same
-operations in the same order as the plain expressions, so every draw and
-workload keeps its exact value.
+partition of the sums in place. :meth:`McsTable.select` counts the
+admission thresholds each SNR meets, one vectorized comparison pass per
+MCS, in place of a binary search per draw. The workload evaluates its
+closed form in one buffer with the same operations in the same order as
+the plain expression, so every workload keeps its exact value. The
+nearest-base-station sampler draws from its closed form in the median
+SNR, five array passes, within a few ulp of the path through the
+distance.
 """
 
 from __future__ import annotations
@@ -131,6 +140,11 @@ class DecoderParams:
             )
 
 
+def _index_dtype(n_rates: int) -> type:
+    """The integer type of an MCS index into ``n_rates`` rates: int8 while -1 and every index fit."""
+    return np.int8 if n_rates < 128 else np.intp
+
+
 @dataclass(frozen=True)
 class McsTable:
     """Modulation-and-coding schemes: rates with admission thresholds.
@@ -155,7 +169,7 @@ class McsTable:
         value, without a binary search per element. NaN meets no threshold.
         """
         gamma = np.asarray(gamma, dtype=float)
-        count = np.zeros(gamma.shape, dtype=np.int8 if len(self) < 128 else np.intp)
+        count = np.zeros(gamma.shape, dtype=_index_dtype(len(self)))
         # one comparison buffer for every pass; its int8 view adds without a cast
         met = np.empty(gamma.shape, dtype=bool)
         for threshold in self.gamma_admission:
@@ -209,17 +223,18 @@ def decoding_complexity(gamma: float, rate: float, params: DecoderParams = Decod
     return max(0.0, rate / math.log2(params.zeta - 1.0) * bracket)
 
 
-def _complexity_vector(gamma: np.ndarray, mcs: McsTable, params: DecoderParams) -> np.ndarray:
-    """Vectorized workload with per-sample MCS selection.
+def _complexity_vector(gamma: np.ndarray, k: np.ndarray, mcs: McsTable, params: DecoderParams) -> np.ndarray:
+    """Vectorized workload of the SNRs ``gamma`` at their MCS indices ``k``, which ``mcs.select(gamma)`` gives.
 
-    Evaluates the ``decoding_complexity`` expression with the same operations
-    in the same order, in place in one buffer, so every value keeps its bits.
-    A draw below the lowest admission threshold selects no MCS and gives NaN,
-    which :func:`outage_demand` reads as the mark of a realization to
+    The caller passes the index so that a draw evaluated under one table at
+    several pool sizes is selected once. Evaluates the
+    ``decoding_complexity`` expression with the same operations in the same
+    order, in place in one buffer, so every value keeps its bits. A draw
+    below the lowest admission threshold selects no MCS (index -1) and gives
+    NaN, which :func:`outage_demand` reads as the mark of a realization to
     evaluate again with that draw redrawn; every other draw must be finite.
     Call it under ``np.errstate(invalid="ignore", divide="ignore")``.
     """
-    k = mcs.select(gamma)
     # index -1, below every threshold, takes the NaN after the last rate;
     # fancy indexing casts a small-integer index per element, which costs
     # more than one cast to intp up front
@@ -236,6 +251,22 @@ def _complexity_vector(gamma: np.ndarray, mcs: McsTable, params: DecoderParams) 
     rate /= math.log2(params.zeta - 1.0)
     work *= rate
     return np.maximum(work, 0.0, out=work)
+
+
+def _row_sums(work: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``work.sum(axis=1)`` written to ``out``, bit for bit.
+
+    Below 8 columns numpy adds each row's values left to right, in one inner
+    loop per row; adding whole columns in that order gives the same bits
+    several times faster. From 8 columns numpy sums pairwise, so those rows
+    keep its reduction.
+    """
+    if work.shape[1] >= 8:
+        return work.sum(axis=1, out=out)
+    np.copyto(out, work[:, 0])
+    for j in range(1, work.shape[1]):
+        out += work[:, j]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +325,9 @@ class NearestBsSnrSampler:
     ``lambda_1`` cancels: with r = sqrt(-ln(u) / (pi lambda_1)) and the median
     distance sqrt(ln(2) / (pi lambda_1)), the SNR is
     g_med * (-ln(u) / ln(2)) ** (-pathloss_exp / 2), g_med the median in
-    linear units. Draws at different intensities differ only by rounding.
+    linear units. :meth:`sample` evaluates that closed form, so ``lambda_1``
+    does not enter the draws: every intensity gives the same draws, bit for
+    bit, each within a few ulp of the distance-then-decibel chain above.
     """
 
     def __init__(self, lambda_1: float = 50.0, snr_median_db: float = 12.0, pathloss_exp: float = 4.0):
@@ -307,21 +340,15 @@ class NearestBsSnrSampler:
         self.pathloss_exp = float(pathloss_exp)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        # one buffer, the operations of the closed form in order:
-        # r = sqrt(-log(u) / (pi lambda_1)),
-        # 10 ** ((snr_median_db - 10 pathloss_exp log10(r / median_r)) / 10)
-        median_r = math.sqrt(math.log(2.0) / (math.pi * self.lambda_1))
+        # g_med * (-log(u) / ln 2) ** (-pathloss_exp / 2) in one buffer; numpy's
+        # power overflows to +inf, which the caller's check rejects, where
+        # Python's raises OverflowError
         snr = rng.random(size)
         np.log(snr, out=snr)
-        np.negative(snr, out=snr)
-        snr /= math.pi * self.lambda_1
-        np.sqrt(snr, out=snr)
-        snr /= median_r
-        np.log10(snr, out=snr)
-        snr *= 10.0 * self.pathloss_exp
-        np.subtract(self.snr_median_db, snr, out=snr)
-        snr /= 10.0
-        return np.power(10.0, snr, out=snr)
+        snr /= -math.log(2.0)
+        np.power(snr, -0.5 * self.pathloss_exp, out=snr)
+        snr *= np.power(10.0, self.snr_median_db / 10.0)
+        return snr
 
 
 _SAMPLERS = {
@@ -391,25 +418,37 @@ def _draw(sampler, rng, size: int) -> np.ndarray:
 
 
 class _Stream:
-    """One seed's SNR stream: a head of checked draws and the generator past it."""
+    """One seed's SNR stream: a head of checked draws, the generator past it, and the head's MCS index.
 
-    __slots__ = ("key", "head", "rng")
+    ``index`` holds one MCS index per head draw; its first ``selected``
+    entries are ``select`` of the head's first draws under the admission
+    thresholds ``table`` (their bytes), and the rest are not yet filled.
+    """
+
+    __slots__ = ("key", "head", "rng", "table", "index", "selected")
 
     def __init__(self, key, sampler, seed: int, size: int):
         self.key = key
         self.rng = np.random.default_rng(seed)
         self.head = _draw(sampler, self.rng, size)
         self.head.flags.writeable = False
+        self.table, self.index, self.selected = None, None, 0
 
     def grow(self, sampler, size: int) -> bool:
         """Extend the head in place to ``size`` draws, taken from the generator past it.
 
-        The head's own buffer is resized, so no second head is ever held.
-        Returns False, with the stream unchanged, if numpy refuses the resize:
-        it does while anything else refers to the head or to a view of it.
+        The head's own buffer is resized, and the index's with it, so no
+        second head or index is ever held. Returns False if numpy refuses a
+        resize: it does while anything else refers to the head or the index,
+        or to a view of either. The caller then drops the stream.
         """
         old = self.head.size
         try:
+            # the index first, so that the head, eight times larger, is the
+            # last block the allocator moves and the one it extends in place:
+            # the other order left about 1 MB more of the heap resident
+            if self.index is not None:
+                self.index.resize(size, refcheck=True)
             self.head.flags.writeable = True
             self.head.resize(size, refcheck=True)
         except ValueError:
@@ -419,6 +458,18 @@ class _Stream:
             self.head[lo : lo + _BLOCK] = _draw(sampler, self.rng, min(_BLOCK, size - lo))
         self.head.flags.writeable = False
         return True
+
+    def index_under(self, mcs: McsTable) -> tuple[np.ndarray, int]:
+        """The head's MCS index under ``mcs``, and how many of its first entries are filled.
+
+        An index selected under other admission thresholds is replaced by an
+        empty one, not overwritten, since a call may still be reading it.
+        """
+        table = np.asarray(mcs.gamma_admission, dtype=float).tobytes()
+        if table != self.table:
+            self.index = None  # drop the old index before the new one is allocated
+            self.table, self.index, self.selected = table, np.empty(self.head.size, _index_dtype(len(mcs))), 0
+        return self.index, self.selected
 
 
 #: The last stream drawn; it is looked up, grown and replaced under the lock.
@@ -539,14 +590,22 @@ def outage_demand(
         # a referenced head cannot grow, so holding it until the rejection
         # rounds have read past the prefix keeps the stream as it is
         head, rng = stream.head, stream.rng
+        index, selected = stream.index_under(mcs)
     draws = head[:size].reshape(n_mc, n_cloud)
+    ks = index[:size].reshape(n_mc, n_cloud)
     # whole realizations per block, each summed alone: the sums do not
     # depend on where the blocks end
     rows = max(1, _BLOCK // n_cloud)
     sums = np.empty(n_mc)
     with np.errstate(invalid="ignore", divide="ignore"):
         for start in range(0, n_mc, rows):
-            sums[start : start + rows] = _complexity_vector(draws[start : start + rows], mcs, params).sum(axis=1)
+            stop = min(start + rows, n_mc)
+            # select only the block's draws past the filled index; a call on
+            # the same table that overlaps this one writes the same values
+            lo, hi = max(start * n_cloud, selected), stop * n_cloud
+            if lo < hi:
+                index[lo:hi] = mcs.select(head[lo:hi])
+            _row_sums(_complexity_vector(draws[start:stop], ks[start:stop], mcs, params), sums[start:stop])
         # a draw below the floor makes its realization's sum NaN; the stream
         # stays as drawn, and the redone rows' copy takes the redrawn values,
         # which a boolean mask fills in row-major order, the stream's order
@@ -554,7 +613,10 @@ def outage_demand(
         again = draws[redo]
         below = again < floor
         again[below] = _rejection_rounds(sampler, head, rng, size, np.count_nonzero(below), floor)
-        sums[redo] = _complexity_vector(again, mcs, params).sum(axis=1)
+        sums[redo] = _row_sums(_complexity_vector(again, mcs.select(again), mcs, params), np.empty(redo.size))
+    with _memo_lock:
+        if stream.index is index:  # no call has replaced it under another table
+            stream.selected = max(stream.selected, size)
     # smallest provision covering at least a 1-eps fraction of realizations
     return _higher_quantile(sums, 1.0 - eps_comp)
 

@@ -30,7 +30,6 @@ __all__ = [
     "DRAN_POOLING_FACTOR",
     "dbm_to_watt",
     "spatial_avg_rate",
-    "spatial_avg_rate_naive",
     "invert_for_bs_intensity",
     "spectral_efficiency_target",
 ]
@@ -122,25 +121,6 @@ def spatial_avg_rate(lambda_0: float, lambda_1: float, radio: RadioParams = PAPE
     if lambda_0 <= 0 or lambda_1 <= 0:
         raise ParameterError("intensities must be > 0")
     return _rate_coefficient(lambda_0, radio) * math.sqrt(lambda_1)
-
-
-def spatial_avg_rate_naive(lambda_0: float, lambda_1: float, radio: RadioParams = PAPER_LTE_10MHZ) -> float:
-    """Literal Erfc * exp evaluation; overflows for x >~ 26. Testing reference only."""
-    if lambda_0 <= 0 or lambda_1 <= 0:
-        raise ParameterError("intensities must be > 0")
-    snr = radio.ptx_watt / radio.noise_watt
-    x = (math.pi**2 * lambda_0 / 4.0) * math.sqrt(snr)
-    return (
-        (math.pi**2.5 / 2.0)
-        * math.sqrt(lambda_0 * lambda_1 * snr)
-        * math.erfc(x)
-        * math.exp(x * x)
-    )
-
-
-def large_x_asymptotic_rate(lambda_0: float, lambda_1: float) -> float:
-    """Limit form 2*sqrt(lambda_1/lambda_0); the link budget cancels entirely."""
-    return 2.0 * math.sqrt(lambda_1 / lambda_0)
 
 
 def invert_for_bs_intensity(target: float, lambda_0: float) -> float:

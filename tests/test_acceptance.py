@@ -26,9 +26,7 @@ from crancost.config import default_scenario
 from crancost.costs import Architecture, datacenter_cost
 from crancost.dimensioning import (
     invert_for_bs_intensity,
-    large_x_asymptotic_rate,
     spatial_avg_rate,
-    spatial_avg_rate_naive,
     RadioParams,
 )
 from crancost.geometry import Window, layer_rng, sample_cluster_bs
@@ -39,6 +37,7 @@ from crancost.spatial_stats import (
     nn_distance_cdf,
     ppp_contact_moment,
 )
+from test_dimensioning import large_x_asymptotic_rate, spatial_avg_rate_naive
 
 TORUS10 = Window(10.0, 10.0)
 

@@ -304,6 +304,12 @@ class TestOutageDemand:
         with pytest.raises(SamplerDomainError, match="non-finite"):
             outage_demand(2, 0.1, RareNanSampler(), mcs, n_mc=first_nan, seed=1)
 
+    def test_a_median_past_the_float_range_is_a_domain_error(self):
+        """Built past make_snr_sampler's check, the sampler's overflow to +inf is a sampler error."""
+        sampler = NearestBsSnrSampler(snr_median_db=1e12)
+        with pytest.raises(SamplerDomainError, match="non-finite"):
+            outage_demand(1, 0.1, sampler, *TABLES[0.0], n_mc=10, seed=1)
+
     def test_workload_memory_is_one_draw_array_plus_fixed_blocks(self):
         mcs = snr_thresholds(default_mcs_rates())
         sampler = make_snr_sampler("nearest_bs")
@@ -380,19 +386,21 @@ class TestPinnedDemands:
     implementation; the comparison-pass selection and the in-place arithmetic
     must reproduce them exactly. The last three cases were recorded before the
     workload was evaluated in blocks: one spans about 31 blocks, one ends in a
-    partial block, and one has more stations than a block holds draws."""
+    partial block, and one has more stations than a block holds draws. The
+    nearest_bs cases were recorded again when its sampler took the closed
+    form; each moved by less than 3e-15 relative."""
 
     @pytest.mark.parametrize(
         "name,kwargs,offset,n,seed,n_mc,pooled,standalone",
         [
-            ("nearest_bs", {}, 0.0, 7, 3, 400, "0x1.5640fec8b77a8p+5", "0x1.0ce636dcb8606p+6"),
-            ("nearest_bs", {}, 0.9, 50, 11, 200, "0x1.285b6267d5e5ap+7", "0x1.02638b63a30c1p+8"),
-            ("nearest_bs", {"lambda_1": 10.0}, 0.9, 7, 3, 400, "0x1.a21dc10085692p+4", "0x1.24ad1ad37fda9p+5"),
+            ("nearest_bs", {}, 0.0, 7, 3, 400, "0x1.5640fec8b77b0p+5", "0x1.0ce636dcb860dp+6"),
+            ("nearest_bs", {}, 0.9, 50, 11, 200, "0x1.285b6267d5e61p+7", "0x1.02638b63a30c1p+8"),
+            ("nearest_bs", {"lambda_1": 10.0}, 0.9, 7, 3, 400, "0x1.a21dc10085690p+4", "0x1.24ad1ad37fda9p+5"),
             ("lognormal", {}, 0.0, 7, 3, 400, "0x1.9cc8813e3872ep+5", "0x1.349be58371bebp+6"),
             ("lognormal", {}, 0.9, 50, 11, 200, "0x1.7d4c946d805dap+7", "0x1.4cbdf60615b66p+8"),
             ("rayleigh_fading", {}, 0.0, 7, 3, 400, "0x1.95fb36d2faa1fp+5", "0x1.4385970de77d7p+6"),
             ("rayleigh_fading", {}, 0.9, 50, 11, 200, "0x1.6f37cad7aaa10p+7", "0x1.161144d2d4663p+8"),
-            ("nearest_bs", {}, 0.9, 50, 11, 20000, "0x1.2686afca49a97p+7", "0x1.0e3af70ba2bbdp+8"),
+            ("nearest_bs", {}, 0.9, 50, 11, 20000, "0x1.2686afca49a9bp+7", "0x1.0e3af70ba2bc9p+8"),
             ("lognormal", {}, 0.0, 7, 3, 30000, "0x1.9d70eec71d974p+5", "0x1.29b7849e0935cp+6"),
             ("rayleigh_fading", {}, 0.4, 40000, 2, 3, "0x1.57c805528808ep+17", "0x1.bb65b7d0c1e9bp+17"),
         ],
@@ -488,6 +496,29 @@ def test_sampler_registry_rejects_unknown_keys_and_non_numbers(name, params, key
         make_snr_sampler(name, **params)
 
 
+def _nearest_bs_chain(sampler, rng, size):
+    """The nearest-BS SNR through the distance: the reference for the sampler's closed form."""
+    r = np.sqrt(-np.log(rng.random(size)) / (math.pi * sampler.lambda_1))
+    median_r = math.sqrt(math.log(2.0) / (math.pi * sampler.lambda_1))
+    return 10.0 ** ((sampler.snr_median_db - 10.0 * sampler.pathloss_exp * np.log10(r / median_r)) / 10.0)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"lambda_1": 10.0, "pathloss_exp": 3.0}, {"snr_median_db": 0.0}])
+def test_nearest_bs_closed_form_matches_the_distance_chain(kwargs):
+    sampler = make_snr_sampler("nearest_bs", **kwargs)
+    got = sampler.sample(np.random.default_rng(7), 10**6)
+    want = _nearest_bs_chain(sampler, np.random.default_rng(7), 10**6)
+    assert np.max(np.abs(got - want) / want) < 1e-14
+
+
+def test_nearest_bs_draws_do_not_depend_on_lambda_1():
+    draws = {
+        make_snr_sampler("nearest_bs", lambda_1=lambda_1).sample(np.random.default_rng(3), 10_000).tobytes()
+        for lambda_1 in (5.0, 50.0, 500.0)
+    }
+    assert len(draws) == 1
+
+
 def test_nearest_bs_sampler_spans_the_mcs_range():
     mcs = snr_thresholds(default_mcs_rates())
     sampler = make_snr_sampler("nearest_bs", lambda_1=50.0)
@@ -506,6 +537,17 @@ def test_nearest_bs_sampler_spans_the_mcs_range():
 def test_higher_quantile_is_numpys(values, level):
     got = complexity._higher_quantile(np.array(values), level)
     assert got.hex() == float(np.quantile(values, level, method="higher")).hex()
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_row_sums_are_numpys_bit_for_bit(n):
+    """Column sums below 8 columns, numpy's reduction from 8, on rows with NaN."""
+    rng = np.random.default_rng(n)
+    work = rng.random((20_000, n)) * 10.0 ** rng.uniform(-5.0, 5.0, (20_000, n))
+    work[rng.random(work.shape) < 0.01] = np.nan
+    got = complexity._row_sums(work, np.empty(20_000))
+    assert np.isnan(got).any()
+    assert got.tobytes() == work.reshape(-1, n).sum(axis=1).tobytes()
 
 
 SAMPLER_SPECS = [
@@ -571,6 +613,22 @@ class TestSharedStream:
         call(50, twin, 0.9, 0)
         for args, got in live:
             assert got.hex() == self.alone(*args).hex()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        calls=st.lists(
+            st.tuples(st.sampled_from(sorted(TABLES)), st.sampled_from((1, 2, 5, 7, 20, 50)), st.integers(0, 2)),
+            min_size=2,
+            max_size=10,
+        )
+    )
+    def test_tables_pool_sizes_and_seeds_in_any_order_match_a_cleared_memo(self, calls):
+        sampler = make_snr_sampler("nearest_bs")
+        complexity._memo = None
+        got = [
+            outage_demand(n, 0.1, sampler, *TABLES[offset], n_mc=2000, seed=seed).hex() for offset, n, seed in calls
+        ]
+        assert got == [self.alone(n, sampler, offset, seed).hex() for offset, n, seed in calls]
 
     def test_a_call_inside_the_kept_head_draws_nothing(self):
         sampler = make_snr_sampler("nearest_bs")
@@ -661,6 +719,30 @@ class TestSharedStream:
             sys.setswitchinterval(interval)
         assert results == [serial[seed] for _ in range(4) for seed in (0, 0, 1)]
 
+    def test_threads_on_one_seed_across_tables_return_the_serial_demands(self):
+        sampler = make_snr_sampler("nearest_bs")
+        orders = [(0.0, 0.4, 0.9), (0.9, 0.0, 0.4), (0.4, 0.9, 0.0)]
+
+        def walk(offsets):
+            return [
+                outage_demand(n, 0.1, sampler, *TABLES[offset], n_mc=20_000, seed=0).hex()
+                for offset in offsets
+                for n in (1, 5, 20)
+            ]
+
+        complexity._memo = None
+        serial = [walk(offsets) for offsets in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # each table replaces the index that calls on another table may still read
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(walk, offsets) for _ in range(3) for offsets in orders]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == serial * 3
+
     def test_a_growth_that_meets_a_nan_keeps_no_non_finite_head(self):
         class RareNanSampler:
             """Keeps the stream contract; about one draw in 10^4 is NaN."""
@@ -730,6 +812,41 @@ class TestSharedStream:
             complexity._memo = None
             assert got.hex() == self.demand(n, sampler, 4).hex()
 
+    @staticmethod
+    def redone_draws(sampler, seed, offset, n):
+        """The draws of the realizations with a draw below the floor, at n stations and 20000 draws."""
+        mcs, _ = TABLES[offset]
+        draws = sampler.sample(np.random.default_rng(seed), n * 20_000).reshape(20_000, n)
+        return n * np.count_nonzero((draws < mcs.gamma_admission[0]).any(axis=1))
+
+    def test_each_draw_is_selected_once_per_table(self, monkeypatch):
+        """Only the redone realizations pass through ``select`` twice, whatever the order of the pool sizes."""
+        sampler = make_snr_sampler("nearest_bs")
+        selected = {True: 0, False: 0}  # elements selected in the kept head, and elsewhere
+
+        def counted(mcs, gamma, original=complexity.McsTable.select):
+            selected[np.shares_memory(gamma, complexity._memo.head)] += np.size(gamma)
+            return original(mcs, gamma)
+
+        monkeypatch.setattr(complexity.McsTable, "select", counted)
+        redone = {(offset, n): self.redone_draws(sampler, 4, offset, n) for offset in TABLES for n in self.ASCENDING}
+        complexity._memo = None
+        # the benchmark's order: pool sizes from the smallest up, pooled then standalone
+        for offset in TABLES:
+            for n in self.ASCENDING:
+                outage_demand(n, 0.1, sampler, *TABLES[offset], n_mc=20_000, seed=4)
+                dran_equivalent_demand(n, 0.1, sampler, *TABLES[offset], n_mc=20_000, seed=4)
+        # selecting every requested draw took 5.64 M
+        assert selected[True] == 3 * 50 * 20_000
+        assert selected[False] == sum(redone.values()) + sum(
+            len(self.ASCENDING) * redone[offset, 1] for offset in TABLES
+        )
+        selected.update({True: 0, False: 0})
+        complexity._memo = None
+        # the table's order: pool sizes from the largest down; selecting every requested draw took 5.28 M
+        pooling_table(list(TABLES), self.ASCENDING, 0.1, sampler, n_mc=20_000, seed=4)
+        assert selected == {True: 3 * 50 * 20_000, False: sum(redone.values())}
+
     def test_growing_the_head_keeps_one_head_at_most(self):
         sampler = make_snr_sampler("nearest_bs")
         complexity._memo = None
@@ -748,9 +865,9 @@ class TestSharedStream:
         sampler = make_snr_sampler("nearest_bs")
         views = []
 
-        def recorded(gamma, mcs, params, original=complexity._complexity_vector):
+        def recorded(gamma, k, mcs, params, original=complexity._complexity_vector):
             views.append(np.shares_memory(gamma, complexity._memo.head))
-            return original(gamma, mcs, params)
+            return original(gamma, k, mcs, params)
 
         monkeypatch.setattr(complexity, "_complexity_vector", recorded)
         complexity._memo = None

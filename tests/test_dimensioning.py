@@ -10,12 +10,29 @@ from crancost.dimensioning import (
     RadioParams,
     dbm_to_watt,
     invert_for_bs_intensity,
-    large_x_asymptotic_rate,
     spatial_avg_rate,
-    spatial_avg_rate_naive,
     spectral_efficiency_target,
 )
 from crancost.errors import ParameterError
+
+
+def spatial_avg_rate_naive(lambda_0: float, lambda_1: float, radio: RadioParams = PAPER_LTE_10MHZ) -> float:
+    """Literal Erfc * exp evaluation of ``spatial_avg_rate``; overflows for x >~ 26."""
+    if lambda_0 <= 0 or lambda_1 <= 0:
+        raise ParameterError("intensities must be > 0")
+    snr = radio.ptx_watt / radio.noise_watt
+    x = (math.pi**2 * lambda_0 / 4.0) * math.sqrt(snr)
+    return (
+        (math.pi**2.5 / 2.0)
+        * math.sqrt(lambda_0 * lambda_1 * snr)
+        * math.erfc(x)
+        * math.exp(x * x)
+    )
+
+
+def large_x_asymptotic_rate(lambda_0: float, lambda_1: float) -> float:
+    """Limit form 2*sqrt(lambda_1/lambda_0) of ``spatial_avg_rate``; the link budget cancels entirely."""
+    return 2.0 * math.sqrt(lambda_1 / lambda_0)
 
 
 class TestPowerParams:

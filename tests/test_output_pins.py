@@ -113,16 +113,16 @@ JSON_ROW_PINS = {
     ],
     "complexity": [
         {
-            "distributed_per_station": 9.29872851804914,
-            "distributed_servers": 0.18306871769909247,
+            "distributed_per_station": 9.298728518049128,
+            "distributed_servers": 0.1830687176990922,
             "gamma_offset_db": 0.0,
             "n_cloud": 1,
-            "pooled_per_station": 9.29872851804914,
-            "pooled_servers": 0.18306871769909247,
+            "pooled_per_station": 9.298728518049128,
+            "pooled_servers": 0.1830687176990922,
         },
         {
-            "distributed_per_station": 9.29872851804914,
-            "distributed_servers": 0.9153435884954623,
+            "distributed_per_station": 9.298728518049128,
+            "distributed_servers": 0.9153435884954612,
             "gamma_offset_db": 0.0,
             "n_cloud": 5,
             "pooled_per_station": 6.3818591110216385,
@@ -141,8 +141,8 @@ JSON_ROW_PINS = {
             "distributed_servers": 0.7910443917932277,
             "gamma_offset_db": 0.4,
             "n_cloud": 5,
-            "pooled_per_station": 5.018259412731185,
-            "pooled_servers": 0.49398491094072594,
+            "pooled_per_station": 5.018259412731188,
+            "pooled_servers": 0.4939849109407264,
         },
     ],
 }

@@ -552,11 +552,19 @@ class TestCli:
             (["--sampler", "degenerate", "--sampler-params", "{gamma"], "config", ["degenerate", "sampler-params"]),
             (["--sampler", "degenerate", "--sampler-params", "[3.0]"], "config", ["degenerate", "sampler-params"]),
             (["--sampler-params", '{"lambda_1": 10}'], "config", ["--sampler", "sampler-params"]),
+            # a dB level past the float range is refused before any draw
+            (
+                ["--sampler", "nearest_bs", "--sampler-params", '{"snr_median_db": 1e12}'],
+                "parameter",
+                ["snr_median_db", "past the float range"],
+            ),
+            # a finite exponent whose draws overflow to +inf
+            (["--sampler", "nearest_bs", "--sampler-params", '{"pathloss_exp": 1e6}'], "sampler", ["non-finite"]),
         ],
     )
     def test_complexity_sampler_params_errors_are_typed(self, tmp_path, capsys, flags, category, words):
         argv = ["complexity", "--pool-sizes", "1", "--offsets", "0", "--out", str(tmp_path / "cx.json")]
-        assert main([*argv, *flags]) == {"config": 2, "parameter": 3}[category]
+        assert main([*argv, *flags]) == {"config": 2, "parameter": 3, "sampler": 6}[category]
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == category
         assert all(word in error["message"] for word in words)
