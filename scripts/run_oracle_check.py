@@ -2,7 +2,8 @@
 """Validate the closed-form breakdown against the Monte Carlo deployment oracle.
 
 Runs the all-Poisson degenerate scenario and the full clustered default, and
-prints the per-term z-score table for each.
+prints the per-term z-score table for each. Exits 0 when both pass, 1 when
+either prints FAIL, and a typed error's code (as through crancost) otherwise.
 """
 
 import argparse
@@ -16,7 +17,7 @@ from crancost.geometry import Window
 from crancost.simulate import compare_to_closed_form
 
 
-def run_case(name, scenario, window, reps, seed):
+def run_case(name, scenario, window, reps, seed) -> bool:
     t0 = time.time()
     report = compare_to_closed_form(scenario, window, reps, seed)
     print(f"\n== {name} ({reps} replications, {time.time() - t0:.0f}s) ==")
@@ -28,6 +29,7 @@ def run_case(name, scenario, window, reps, seed):
         )
     print(f"verdict: {'PASS' if report.passed else 'FAIL'} (|z| <= {report.threshold})")
     print(report.window_note)
+    return report.passed
 
 
 def check_both(args) -> int:
@@ -35,9 +37,11 @@ def check_both(args) -> int:
     degenerate = replace(
         default_scenario(), lambda_1c=10.0, lambda_1m=0.0, p_mw=1.0, lambda_2_mw=5.0
     )
-    run_case("all-Poisson degenerate", degenerate, window, args.reps, args.seed)
-    run_case("clustered default", default_scenario(), window, args.reps, args.seed + 1)
-    return 0
+    passed = [
+        run_case("all-Poisson degenerate", degenerate, window, args.reps, args.seed),
+        run_case("clustered default", default_scenario(), window, args.reps, args.seed + 1),
+    ]
+    return 0 if all(passed) else 1
 
 
 def main() -> int:

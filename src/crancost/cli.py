@@ -51,7 +51,14 @@ from .costs import Architecture, Scenario, datacenter_cost
 from .dimensioning import OFFSET_PRESETS, invert_for_bs_intensity, spectral_efficiency_target
 from .errors import ConfigError, CrancostError
 from .geometry import Window
-from .simulate import compare_to_closed_form, estimate_mean_dc_cost, realization_rows, simulate_realization
+from .simulate import (
+    STATION_FRACTION,
+    USER_FRACTION,
+    compare_to_closed_form,
+    estimate_mean_dc_cost,
+    realization_rows,
+    simulate_realization,
+)
 from .sweeps import ARCHITECTURE_VARIANTS, SWEEP_AXES, SweepSpec, TOOL_VERSION, run_sweep, tabulate
 
 _EXIT_CODES = {
@@ -208,6 +215,8 @@ def cmd_simulate(args) -> int:
         "per_term_std_errors": est.per_term_std_errors,
         "seed": seed,
         "reps": args.reps,
+        "user_fraction": USER_FRACTION,
+        "station_fraction": STATION_FRACTION,
     }
     _emit(args, payload)
     return 0
@@ -229,6 +238,8 @@ def cmd_compare(args) -> int:
         "rows": report.rows(),
         "seed": seed,
         "reps": args.reps,
+        "user_fraction": USER_FRACTION,
+        "station_fraction": STATION_FRACTION,
     }
     # z to 4 significant digits, as a text cell; no reps_to_1pct is an empty one
     rows = [

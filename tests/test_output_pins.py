@@ -46,14 +46,14 @@ sigma2,0.5,cloud_ran@0.4db,0.4,2.83401e+06,1.661e+06,304534,770046,98435
 term,closed_form,empirical,std_error,z,pass,reps_to_1pct
 equipment_backhaul,291667,276543,6933.81,-2.181,True,34
 processing,37037.3,37263.2,938.935,0.2406,True,39
-capacity_dc,55926.9,63524.1,4809.1,1.58,True,444
+capacity_dc,55926.9,62621.2,6112.8,1.095,True,717
 infra_dc,17216.4,16095.7,543.64,-2.062,True,60
 equipment_bs,216686,205833,8379.95,-1.295,True,90
-capacity_bs_backhaul,45561.1,51518.2,2568.52,2.319,True,191
-infra_bs_backhaul,230227,254135,19060.3,1.254,True,412
+capacity_bs_backhaul,45561.1,50886.9,4054.28,1.314,True,476
+infra_bs_backhaul,230227,262462,16703.4,1.93,True,316
 capacity_user_bs,24.4314,27.1591,3.79935,0.7179,True,1452
 infra_user_bs,3682.08,3934.67,266.853,0.9466,True,316
-c_phi3,898028,908875,29628.6,0.3661,True,66
+c_phi3,898028,915668,23961.9,0.7362,True,43
 """,
     ),
     "complexity": (

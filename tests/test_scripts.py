@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from crancost import simulate
 from crancost.cli import main
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -33,6 +34,28 @@ def test_run_oracle_check(monkeypatch, capsys):
     assert "== all-Poisson degenerate (4 replications" in out
     assert "== clustered default (4 replications" in out
     assert out.count("verdict: ") == 2
+
+
+@pytest.mark.parametrize("failing", [(), (0,), (1,), (0, 1)])
+def test_run_oracle_check_exits_1_when_a_case_fails(monkeypatch, capsys, failing):
+    """A FAIL verdict in either case makes the exit status 1; two passes make it 0.
+
+    The degenerate case runs at ``--seed`` and the clustered one at
+    ``--seed + 1``; the stand-in report puts every z at 10 for a failing
+    seed and at 0 otherwise.
+    """
+    real = simulate.compare_to_closed_form
+
+    def compare(scenario, window, n_reps, seed):
+        report = real(scenario, window, n_reps, seed)
+        z = 10.0 if seed in failing else 0.0
+        report.z_scores, report.overall_z = dict.fromkeys(report.z_scores, z), z
+        return report
+
+    monkeypatch.setattr(simulate, "compare_to_closed_form", compare)
+    assert _run(monkeypatch, "run_oracle_check", "--reps", "4", "--window", "3", "--seed", "0") == int(bool(failing))
+    verdicts = [line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("verdict: ")]
+    assert verdicts == ["FAIL" if seed in failing else "PASS" for seed in (0, 1)]
 
 
 @pytest.mark.parametrize(

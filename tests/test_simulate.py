@@ -51,6 +51,63 @@ def total(real) -> float:
     return math.fsum(real.term_totals.values())
 
 
+#: the terms summed over the stations, which an oracle replication samples at STATION_FRACTION
+STATION_LINEAR = ("capacity_dc", "capacity_bs_backhaul", "infra_bs_backhaul")
+
+#: (architecture, window, seed) of the pinned six-replication estimates
+PINNED_CASES = {
+    "torus": (Architecture.CLOUD_RAN, Window(4.0, 4.0), 11),
+    "dran": (Architecture.DRAN, Window(4.0, 4.0), 13),
+}
+
+#: the nine means with the backhaul links of every station priced (STATION_FRACTION = 1)
+FULL_STATION_PINS = {
+    "torus": {
+        "equipment_backhaul": "0x1.0e4ae0e38e38fp+18",
+        "processing": "0x1.21485ad07d01fp+15",
+        "capacity_dc": "0x1.c2fc37ecaeb0bp+15",
+        "infra_dc": "0x1.f8a89e222aa61p+13",
+        "equipment_bs": "0x1.991238e38e38fp+17",
+        "capacity_bs_backhaul": "0x1.6f353a0b0737fp+15",
+        "infra_bs_backhaul": "0x1.cf470944fc19cp+17",
+        "capacity_user_bs": "0x1.90c88fc2c947dp+4",
+        "infra_user_bs": "0x1.cfff1bff350dbp+11",
+    },
+    "dran": {
+        "equipment_backhaul": "0x1.2ac68b8e38e3ap+18",
+        "processing": "0x1.ade979c9ed394p+15",
+        "capacity_dc": "0x1.b8b94c0969384p+15",
+        "infra_dc": "0x1.2687cb5d4c621p+14",
+        "equipment_bs": "0x1.af1c955555555p+18",
+        "capacity_bs_backhaul": "0x1.51f800da7ba75p+15",
+        "infra_bs_backhaul": "0x1.acd37f7505988p+17",
+        "capacity_user_bs": "0x1.6c5d36376d845p+4",
+        "infra_user_bs": "0x1.bb2c5e0729544p+11",
+    },
+}
+
+#: the station-linear means at the default STATION_FRACTION; the other six are those above
+STATION_SAMPLE_PINS = {
+    "torus": {
+        "capacity_dc": "0x1.bba158f3520b4p+15",
+        "capacity_bs_backhaul": "0x1.5ef9103a4080bp+15",
+        "infra_bs_backhaul": "0x1.bf1d5d6f81974p+17",
+    },
+    "dran": {
+        "capacity_dc": "0x1.ae7111e441238p+15",
+        "capacity_bs_backhaul": "0x1.467ec86156fdbp+15",
+        "infra_bs_backhaul": "0x1.b43154fdeebd8p+17",
+    },
+}
+
+
+def _pinned_hex(case: str) -> dict[str, str]:
+    architecture, window, seed = PINNED_CASES[case]
+    est = estimate_mean_dc_cost(default_scenario(architecture), window, 6, seed=seed)
+    assert (est.n_reps, est.n_discarded) == (6, 0)
+    return {name: mean.hex() for name, mean in est.per_term_means.items()}
+
+
 class TestSimulateRealization:
     def test_hand_instance_cost_is_seven(self):
         """One DC, one backhaul 1 km away, one macro 1 km further, one user
@@ -149,49 +206,30 @@ class TestEstimateMeanDcCost:
         with pytest.raises(EstimationError):
             estimate_mean_dc_cost(scen, Window(1.0, 1.0), 5, seed=0)
 
-    @pytest.mark.parametrize(
-        "architecture,window,seed,expected",
-        [
-            (
-                Architecture.CLOUD_RAN,
-                Window(4.0, 4.0),
-                11,
-                {
-                    "equipment_backhaul": "0x1.0e4ae0e38e38fp+18",
-                    "processing": "0x1.21485ad07d01fp+15",
-                    "capacity_dc": "0x1.c2fc37ecaeb0bp+15",
-                    "infra_dc": "0x1.f8a89e222aa61p+13",
-                    "equipment_bs": "0x1.991238e38e38fp+17",
-                    "capacity_bs_backhaul": "0x1.6f353a0b0737fp+15",
-                    "infra_bs_backhaul": "0x1.cf470944fc19cp+17",
-                    "capacity_user_bs": "0x1.90c88fc2c947dp+4",
-                    "infra_user_bs": "0x1.cfff1bff350dbp+11",
-                },
-            ),
-            (
-                Architecture.DRAN,
-                Window(4.0, 4.0),
-                13,
-                {
-                    "equipment_backhaul": "0x1.2ac68b8e38e3ap+18",
-                    "processing": "0x1.ade979c9ed394p+15",
-                    "capacity_dc": "0x1.b8b94c0969384p+15",
-                    "infra_dc": "0x1.2687cb5d4c621p+14",
-                    "equipment_bs": "0x1.af1c955555555p+18",
-                    "capacity_bs_backhaul": "0x1.51f800da7ba75p+15",
-                    "infra_bs_backhaul": "0x1.acd37f7505988p+17",
-                    "capacity_user_bs": "0x1.6c5d36376d845p+4",
-                    "infra_user_bs": "0x1.bb2c5e0729544p+11",
-                },
-            ),
-        ],
-        ids=["torus", "dran"],
-    )
-    def test_per_term_means_are_pinned(self, architecture, window, seed, expected):
+    @pytest.mark.parametrize("case", sorted(PINNED_CASES))
+    def test_per_term_means_are_pinned(self, case):
         """Sampling, assignment and pricing reproduce recorded means to the last bit."""
-        est = estimate_mean_dc_cost(default_scenario(architecture), window, 6, seed=seed)
-        assert (est.n_reps, est.n_discarded) == (6, 0)
-        assert {name: mean.hex() for name, mean in est.per_term_means.items()} == expected
+        assert _pinned_hex(case) == {**FULL_STATION_PINS[case], **STATION_SAMPLE_PINS[case]}
+
+    @pytest.mark.parametrize("case", sorted(PINNED_CASES))
+    def test_a_station_fraction_of_one_keeps_every_station(self, monkeypatch, case):
+        """At fraction 1 the mask keeps every station and no other stream or operation moves."""
+        monkeypatch.setattr(simulate, "STATION_FRACTION", 1.0)
+        assert _pinned_hex(case) == FULL_STATION_PINS[case]
+
+    def test_an_empty_station_sample_prices_the_station_linear_terms_at_zero(self, monkeypatch):
+        """An empty sample is kept, not discarded; the six other terms do not see it."""
+        scen, window = default_scenario(), Window(4.0, 4.0)
+        monkeypatch.setattr(simulate, "STATION_FRACTION", 1.0)
+        full = estimate_mean_dc_cost(scen, window, 6, seed=11)
+        monkeypatch.setattr(simulate, "STATION_FRACTION", 2.0**-30)
+        empty = estimate_mean_dc_cost(scen, window, 6, seed=11)
+        assert (empty.n_reps, empty.n_discarded) == (6, 0)
+        for name in COST_TERMS:
+            if name in STATION_LINEAR:
+                assert empty.per_term_means[name] == 0.0, name
+            else:
+                assert empty.per_term_means[name].hex() == full.per_term_means[name].hex(), name
 
     def test_conditioning_on_the_backhaul_draw_is_exact(self):
         """At p = 0.5 a replication's totals are the mean of its p = 1 and p = 0 totals.
@@ -274,20 +312,23 @@ class TestCompareToClosedForm:
         ]
         assert abs(z) > 3.0
 
-    def test_negative_control_on_a_backhaul_term_at_40_replications(self):
-        """A 10% error in the closed form's ``infra_bs_backhaul`` shows at 40 default replications.
+    @pytest.mark.parametrize("term", ["infra_bs_backhaul", "capacity_bs_backhaul"])
+    def test_negative_control_on_a_backhaul_term_at_40_replications(self, term):
+        """A 10% error in the closed form's backhaul term shows at 40 default replications.
 
-        Priced under both technologies, that term's standard error is about
-        0.7% of its mean at 40 replications on the 10 km torus, so the error
-        sits about 13 standard errors out. With one Bernoulli draw of the
-        technology per replication it was about 15%, and the same error
-        would hide inside one standard error.
+        Priced under both technologies, ``infra_bs_backhaul``'s standard
+        error is about 0.8% of its mean at 40 replications on the 10 km
+        torus, so the error sits about 12 standard errors out. With one
+        Bernoulli draw of the technology per replication it was about 15%,
+        and the same error would hide inside one standard error.
+        ``capacity_bs_backhaul`` is the term whose gate sampling the
+        stations at ``STATION_FRACTION`` loosens most: about 0.8% (0.5% with
+        every station), so the error also sits about 12 standard errors out.
         """
         scen = default_scenario()
         est = estimate_mean_dc_cost(scen, TORUS10, 40, seed=31)
-        corrupted = 1.1 * datacenter_cost(scen).infra_bs_backhaul
-        z = (est.per_term_means["infra_bs_backhaul"] - corrupted) / est.per_term_std_errors["infra_bs_backhaul"]
-        assert abs(z) > 3.0
+        corrupted = 1.1 * datacenter_cost(scen).as_dict()[term]
+        assert abs((est.per_term_means[term] - corrupted) / est.per_term_std_errors[term]) > 3.0
 
     @pytest.mark.parametrize("field", ["lambda_0", "lambda_1m", "lambda_2_mw", "lambda_3"])
     def test_a_layer_count_numpy_cannot_draw_is_a_parameter_error(self, field):

@@ -643,6 +643,7 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["n_reps"] == 4
         assert (payload["seed"], payload["reps"], payload["tool_version"]) == (3, 4, TOOL_VERSION)
+        assert (payload["user_fraction"], payload["station_fraction"]) == (0.25, 0.25)
         assert (payload["numpy_version"], payload["scipy_version"]) == (np.__version__, scipy.__version__)
         with open(dump) as fh:
             rows = list(csv.DictReader(fh))
@@ -661,6 +662,7 @@ class TestCli:
         assert len(payload["rows"]) == 10
         assert isinstance(payload["passed"], bool)
         assert (payload["seed"], payload["reps"], payload["tool_version"]) == (5, 30, TOOL_VERSION)
+        assert (payload["user_fraction"], payload["station_fraction"]) == (0.25, 0.25)
         assert (payload["numpy_version"], payload["scipy_version"]) == (np.__version__, scipy.__version__)
         assert payload["window_km"] == [6.0, 6.0]
 
