@@ -197,10 +197,9 @@ def _price_backhaul_links(
     each station in ``station_points`` contributes its link toward its
     backhaul node, its capacity weighted by its ``users_per_bs``; the
     stations may be a subset, and then only their users reach the backhaul
-    nodes. Links take the cost parameters of
-    ``backhaul.realized``. Returns ``bs_to_backhaul``, ``backhaul_to_dc``,
-    the users under each backhaul node and data center, and the five terms
-    that the backhaul layer enters.
+    nodes. Links take the cost parameters of ``backhaul.realized``. Returns
+    ``bs_to_backhaul``, ``backhaul_to_dc``, the users under each backhaul
+    node and data center, and the five terms that the backhaul layer enters.
     """
     s = scenario
     n_dc, n_backhaul = len(centers), len(backhaul.nodes)

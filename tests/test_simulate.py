@@ -218,18 +218,11 @@ class TestEstimateMeanDcCost:
         assert _pinned_hex(case) == FULL_STATION_PINS[case]
 
     def test_an_empty_station_sample_prices_the_station_linear_terms_at_zero(self, monkeypatch):
-        """An empty sample is kept, not discarded; the six other terms do not see it."""
-        scen, window = default_scenario(), Window(4.0, 4.0)
-        monkeypatch.setattr(simulate, "STATION_FRACTION", 1.0)
-        full = estimate_mean_dc_cost(scen, window, 6, seed=11)
+        """An empty sample is kept, not discarded; the six other terms keep their fraction-1 bits."""
         monkeypatch.setattr(simulate, "STATION_FRACTION", 2.0**-30)
-        empty = estimate_mean_dc_cost(scen, window, 6, seed=11)
-        assert (empty.n_reps, empty.n_discarded) == (6, 0)
-        for name in COST_TERMS:
-            if name in STATION_LINEAR:
-                assert empty.per_term_means[name] == 0.0, name
-            else:
-                assert empty.per_term_means[name].hex() == full.per_term_means[name].hex(), name
+        assert _pinned_hex("torus") == {
+            name: (0.0).hex() if name in STATION_LINEAR else pin for name, pin in FULL_STATION_PINS["torus"].items()
+        }
 
     def test_conditioning_on_the_backhaul_draw_is_exact(self):
         """At p = 0.5 a replication's totals are the mean of its p = 1 and p = 0 totals.
@@ -312,23 +305,33 @@ class TestCompareToClosedForm:
         ]
         assert abs(z) > 3.0
 
-    @pytest.mark.parametrize("term", ["infra_bs_backhaul", "capacity_bs_backhaul"])
-    def test_negative_control_on_a_backhaul_term_at_40_replications(self, term):
-        """A 10% error in the closed form's backhaul term shows at 40 default replications.
-
-        Priced under both technologies, ``infra_bs_backhaul``'s standard
-        error is about 0.8% of its mean at 40 replications on the 10 km
-        torus, so the error sits about 12 standard errors out. With one
-        Bernoulli draw of the technology per replication it was about 15%,
-        and the same error would hide inside one standard error.
-        ``capacity_bs_backhaul`` is the term whose gate sampling the
-        stations at ``STATION_FRACTION`` loosens most: about 0.8% (0.5% with
-        every station), so the error also sits about 12 standard errors out.
-        """
+    @staticmethod
+    def _z_against_a_10pct_error(term: str) -> float:
         scen = default_scenario()
         est = estimate_mean_dc_cost(scen, TORUS10, 40, seed=31)
         corrupted = 1.1 * datacenter_cost(scen).as_dict()[term]
-        assert abs((est.per_term_means[term] - corrupted) / est.per_term_std_errors[term]) > 3.0
+        return (est.per_term_means[term] - corrupted) / est.per_term_std_errors[term]
+
+    def test_negative_control_on_a_backhaul_term_at_40_replications(self):
+        """A 10% error in the closed form's ``infra_bs_backhaul`` shows at 40 default replications.
+
+        Priced under both technologies, that term's standard error is about
+        0.8% of its mean at 40 replications on the 10 km torus, so the error
+        sits about 12 standard errors out. With one Bernoulli draw of the
+        technology per replication it was about 15%, and the same error
+        would hide inside one standard error.
+        """
+        assert abs(self._z_against_a_10pct_error("infra_bs_backhaul")) > 3.0
+
+    def test_negative_control_where_station_sampling_loosens_the_gate_most(self):
+        """A 10% error in the closed form's ``capacity_bs_backhaul`` shows at 40 default replications.
+
+        Sampling the stations at ``STATION_FRACTION`` widens this term's
+        standard error the most: about 0.8% of its mean at 40 replications
+        on the 10 km torus (0.5% with every station priced), so the error
+        still sits about 12 standard errors out.
+        """
+        assert abs(self._z_against_a_10pct_error("capacity_bs_backhaul")) > 3.0
 
     @pytest.mark.parametrize("field", ["lambda_0", "lambda_1m", "lambda_2_mw", "lambda_3"])
     def test_a_layer_count_numpy_cannot_draw_is_a_parameter_error(self, field):
