@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import AssignmentError, ParameterError
 
@@ -268,6 +267,7 @@ def nearest_assign(lower: np.ndarray, upper: np.ndarray, window: Window) -> tupl
     deterministic for given inputs; the samplers are continuous, so ties
     have probability zero.
     """
+    from scipy.spatial import cKDTree  # here, so a command that assigns nothing does not import it
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
     if len(upper) == 0:
         raise AssignmentError("cannot assign against an empty upper layer")

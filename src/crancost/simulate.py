@@ -285,7 +285,8 @@ def estimate_mean_dc_cost(
     an upward 1/E[count] bias from Jensen's inequality). The estimate is the
     plain mean and standard error over the replications, so ``n_reps >= 2``
     suffices. Under-provisioned realizations (an empty layer) are discarded
-    and counted. Deterministic given the seed, independent of thread count.
+    and counted; fewer than 2 kept is an :class:`EstimationError`.
+    Deterministic given the seed, independent of thread count.
 
     A replication's totals are already its expectation over the backhaul
     technology (see :func:`_replication_terms`), its users are thinned to
@@ -326,17 +327,13 @@ def estimate_mean_dc_cost(
 
     n_expected_dc = scenario.lambda_3 * window.area
     kept = [totals / n_expected_dc for totals in results if totals is not None]
-    n_discarded = n_reps - len(kept)
-    if not kept:
-        raise EstimationError("every replication was discarded; the window is under-provisioned")
+    n_kept = len(kept)
+    if n_kept < 2:
+        raise EstimationError(f"{n_kept} of {n_reps} replications kept, fewer than 2; the window is under-provisioned")
     per_rep = np.vstack(kept)  # (n_kept, n_terms), in replication order
-    n_kept = per_rep.shape[0]
 
     term_means = {name: math.fsum(per_rep[:, j]) / n_kept for j, name in enumerate(COST_TERMS)}
-    term_ses = {
-        name: float(np.std(per_rep[:, j], ddof=1) / math.sqrt(n_kept)) if n_kept > 1 else 0.0
-        for j, name in enumerate(COST_TERMS)
-    }
+    term_ses = {name: float(np.std(per_rep[:, j], ddof=1) / math.sqrt(n_kept)) for j, name in enumerate(COST_TERMS)}
     rep_totals = per_rep.sum(axis=1)
     return CostEstimate(
         mean=math.fsum(rep_totals) / n_kept,
@@ -344,7 +341,7 @@ def estimate_mean_dc_cost(
         n_reps=n_kept,
         per_term_means=term_means,
         per_term_std_errors=term_ses,
-        n_discarded=n_discarded,
+        n_discarded=n_reps - n_kept,
     )
 
 

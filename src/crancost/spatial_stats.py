@@ -290,12 +290,12 @@ def _void_exponent_and_j(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Minus the log void probability and the J-function at the radii ``r`` (1-D, all > 0).
 
-    The inner integrals use the unit rule ``inner`` = (t, wt) mapped onto
-    [r, r + F sigma] for the void probability and onto [0, F sigma] for J,
-    with F = ``max_radius_factor``; both share one disc-mass call. J's grid
-    covers only the support of the Rayleigh kernel density it weights (below
-    e^-50 beyond 10 sigma), so it does not stretch with r. J is None unless
-    ``with_j``.
+    Both use one disc-mass call on the unit rule ``inner`` = (t, wt) mapped
+    onto the distance s to a cluster center in [r, r + F sigma], with
+    F = ``max_radius_factor``. J's member term (see :func:`j_function`)
+    weights these cells by the Rayleigh density, below e^-50 past
+    F sigma <= r + F sigma, so they cover s > r; its macro term is closed
+    form. J is None unless ``with_j``.
     """
     lam_m, sigma = params.lambda_1m, params.sigma
     area = math.pi * r * r
@@ -304,22 +304,20 @@ def _void_exponent_and_j(
     t, wt = inner
     span = DEFAULT_QUAD.max_radius_factor * sigma
     rr = r[:, None]
-    s_void = rr + span * t
-    s_j = span * t
-    s = np.concatenate([s_void, np.broadcast_to(s_j, s_void.shape)], axis=1) if with_j else s_void
+    s = rr + span * t
     mass = _disc_mass(s / sigma, rr / sigma)
-    n = t.size
     # inside the ball the bracket of the void integral is 1 and gives pi r^2;
     # einsum sums each row alone, where BLAS's matrix-vector kernel (picked
     # by the row count) moves a row by an ulp with the length of the call
-    outer = span * np.einsum("ij,j->i", s_void * -np.expm1(-lam_m * mass[:, :n]), wt)
+    outer = span * np.einsum("ij,j->i", s * -np.expm1(-lam_m * mass), wt)
     exponent = params.lambda_1c * (area + 2.0 * math.pi * outer)
     if not with_j:
         return exponent, None
-    f_radial = (s_j / sigma**2) * np.exp(-s_j * s_j / (2.0 * sigma**2))
-    member_term = span * np.einsum("ij,j->i", f_radial * np.exp(-lam_m * mass[:, n:]), wt)
+    f_radial = (s / sigma**2) * np.exp(-s * s / (2.0 * sigma**2))
+    member = span * np.einsum("ij,j->i", f_radial * np.exp(-lam_m * mass), wt)
+    parent = np.exp(lam_m * np.expm1(-r * r / (2.0 * sigma**2)))
     w = 1.0 / (1.0 + lam_m)
-    return exponent, w + (1.0 - w) * member_term
+    return exponent, w * parent + (1.0 - w) * member
 
 
 def _at_radius(r: float, params: ClusterParams, what: str, value) -> float:
@@ -349,12 +347,15 @@ def void_probability(r: float, params: ClusterParams) -> float:
 def j_function(r: float, params: ClusterParams) -> float:
     """J-function of the combined macro + micro base-station process.
 
-    Mixture of the macro component (a PPP, whose J is identically 1) and the
-    cluster-member component, weighted by their intensity shares:
-    1/(1+lambda_1m) + lambda_1m/(1+lambda_1m) * Int f(x) exp(-lambda_1m * m(|x|, r)) dx.
-    The mixture treats the two components as independent, so it is an
-    approximation for strongly clustered parameters (macros and their own
-    offspring are not independent); see the package notes.
+    J(r) = P(no other station in b(0, r)) under the reduced Palm distribution
+    of a typical station, divided by the void probability. It is exact for
+    the Thomas process (Moller & Waagepetersen 2004; Afshang, Saha & Dhillon,
+    IEEE WCL 2017), a mixture over the typical station's type with weights
+    1/(1+lambda_1m) for a macro and lambda_1m/(1+lambda_1m) for a micro:
+    exp(-lambda_1m (1 - e^(-r^2/2 sigma^2))), that none of the macro's own
+    micros lies in the ball, and Int_{s>r} f(s) exp(-lambda_1m m(s, r)) ds,
+    that the micro's own macro, at Rayleigh-distributed distance s, lies
+    outside it and none of its siblings inside, with m the Gaussian disc mass.
     """
     return _at_radius(r, params, "J-function integral", lambda exponent, j: j)
 
@@ -362,8 +363,8 @@ def j_function(r: float, params: ClusterParams) -> float:
 def nn_distance_cdf(r: float, params: ClusterParams) -> float:
     """CDF of the distance from a typical base station to its nearest neighbor.
 
-    G(r) = 1 - [void probability at r] * J(r); nondecreasing in r with
-    G(0) = 0 and G(r) -> 1.
+    G(r) = 1 - [void probability at r] * J(r), exact with the Palm J of
+    :func:`j_function`; nondecreasing in r with G(0) = 0 and G(r) -> 1.
     """
     return 1.0 - _at_radius(
         r, params, "nearest-neighbor CDF integral", lambda exponent, j: math.exp(-exponent) * j

@@ -6,7 +6,10 @@ imports when a helper is deleted.
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +47,12 @@ def test_package_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == crancost.__version__
+
+
+@pytest.mark.parametrize("module", ["crancost", "crancost.cli"])
+def test_importing_the_package_leaves_the_kd_tree_out(module):
+    """Only ``geometry.nearest_assign`` imports ``scipy.spatial``, so commands that assign nothing skip its import."""
+    env = {**os.environ, "PYTHONPATH": str(Path(crancost.__file__).parents[1])}
+    code = f"import sys, {module}; print('scipy.spatial' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "False"

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.spatial import cKDTree
 
-from crancost import geometry
 from crancost.config import default_scenario
 from crancost.errors import AssignmentError, ParameterError
 from crancost.geometry import (
@@ -329,7 +328,7 @@ class TestNearestAssign:
             upper = upper[0] + (np.array(upper_fracs) - 0.5) * (0.05 * min(spans))
             lower = np.vstack([lower, upper[0] + 0.5 * window.spans])
         upper, lower = window.wrap_points(upper), window.wrap_points(lower)
-        with mock.patch.object(geometry, "cKDTree", _CountingTree):
+        with mock.patch("scipy.spatial.cKDTree", _CountingTree):
             _CountingTree.periodic_rows = 0
             assigned, dist = nearest_assign(lower, upper, window)
         full = window.distance(lower[:, None, :], upper[None, :, :])
@@ -377,7 +376,7 @@ class TestNearestAssign:
         for lower, upper in [(users, stations), (stations, backhaul), (backhaul, centers)]:
             measured.clear(), fallback.clear()
             with mock.patch.object(Window, "distance", counting_distance):
-                with mock.patch.object(geometry, "cKDTree", RecordingTree):
+                with mock.patch("scipy.spatial.cKDTree", RecordingTree):
                     assigned, _ = nearest_assign(lower, upper, TORUS10)
             missed_points = set(fallback)
             missed = np.array([tuple(p) in missed_points for p in lower], dtype=bool)

@@ -290,16 +290,21 @@ class TestVoidProbability:
             assert all(b <= a + 1e-12 for a, b in zip(vs, vs[1:]))
 
 
-def riemann_j_member_term(params, r, half_extent=8.0, n=1200):
-    """Brute-force 2D Riemann sum of Int f(x) exp(-lam_m * m(|x|, r)) dx."""
+def riemann_j(params, r, extent=8.0, n=4000):
+    """Riemann sums of the Palm J: a macro term and a member term over s in (r, r + extent].
+
+    The macro term exp(-lam_m * m(0, r)) takes its disc mass from the polar
+    grid of ``riemann_disc_mass``. The member term is the midpoint sum of
+    Int_{s>r} f(s) exp(-lam_m * m(s, r)) ds with f the Rayleigh density; its
+    grid starts at r, where a 2D grid's indicator 1{|x| > r} would cut cells.
+    """
     sigma, lam_m = params.sigma, params.lambda_1m
-    ax = np.linspace(-half_extent, half_extent, n, endpoint=False) + half_extent / n
-    xx, yy = np.meshgrid(ax, ax, indexing="ij")
-    s = np.hypot(xx, yy)
-    f = np.exp(-(s**2) / (2 * sigma**2)) / (2 * np.pi * sigma**2)
-    mass = gaussian_disc_mass(s.ravel(), sigma, r).reshape(s.shape)
-    cell = (2 * half_extent / n) ** 2
-    return float(np.sum(f * np.exp(-lam_m * mass)) * cell)
+    h = extent / n
+    s = r + (np.arange(n) + 0.5) * h
+    rayleigh = s / sigma**2 * np.exp(-(s**2) / (2 * sigma**2))
+    member = float(np.sum(rayleigh * np.exp(-lam_m * gaussian_disc_mass(s, sigma, r))) * h)
+    macro = math.exp(-lam_m * riemann_disc_mass(0.0, sigma, r))
+    return (macro + lam_m * member) / (1.0 + lam_m)
 
 
 class TestJFunction:
@@ -318,8 +323,7 @@ class TestJFunction:
 
     def test_against_grid_riemann_oracle(self):
         params = ClusterParams(1.0, 1.0, 1.0)
-        member = riemann_j_member_term(params, 1.0)
-        expected = 0.5 + 0.5 * member
+        expected = riemann_j(params, 1.0)
         got = j_function(1.0, params)
         assert 0.0 < got <= 1.0
         assert got == pytest.approx(expected, abs=1e-4)
@@ -330,11 +334,12 @@ class TestJFunction:
 
     @pytest.mark.parametrize("r", [2.2, 2.75, 3.5, 5.0])
     def test_far_radius_reaches_the_whole_cluster_limit(self, r):
-        # r >> sigma: a ball around a member swallows its whole cluster, so the
-        # member term is exp(-lambda_1m); the inner grid must not stretch with r
+        # r >> sigma: a ball around a macro swallows all its micros, which are
+        # absent with probability exp(-lambda_1m), and a ball around a micro
+        # swallows its own macro, so only the macro term is left
         params = ClusterParams(50.0, 1.0, 0.1)
         lam_m = params.lambda_1m
-        limit = 1.0 / (1.0 + lam_m) + lam_m * math.exp(-lam_m) / (1.0 + lam_m)
+        limit = math.exp(-lam_m) / (1.0 + lam_m)
         assert j_function(r, params) == pytest.approx(limit, abs=1e-9)
 
 
@@ -380,14 +385,6 @@ class TestNnDistanceCdf:
         theo = np.array([nn_distance_cdf(r, PAPERLIKE) for r in grid])
         assert np.max(np.abs(emp - theo)) < 0.02
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "the mixture J-function treats macro and micro layers as independent; "
-            "for strongly clustered parameters (2, 3, 0.5) the dependence between "
-            "parents and their own offspring biases the closed form by KS ~ 0.04"
-        ),
-    )
     def test_strongly_clustered_parameters_within_tight_ks(self):
         params = ClusterParams(2.0, 3.0, 0.5)
         grid, emp = empirical_nn_cdf_grid(params, 8.0, 2000, 77, np.linspace(0.01, 0.99, 50))
@@ -514,10 +511,12 @@ ADAPTIVE_MOMENTS = {
         0.3673620647050015, 0.31808653258608505, 0.2883499736077756,
     ),
 }
+# the void probabilities as above; J from scipy.integrate.quad over (r, inf)
+# of the Palm member term at epsrel 1e-13, with its macro term in closed form
 ADAPTIVE_VOID_AND_J = {
-    0.05: (0.6762875945469786, 0.99601577692022),
-    0.2: (0.0027024316848898162, 0.9398330564648869),
-    1.0: (2.616848537154099e-35, 0.40789420709968816),
+    0.05: (0.6762875945469786, 0.9920505408162887),
+    0.2: (0.0027024316848898162, 0.8839048668010425),
+    1.0: (2.616848537154099e-35, 0.1515523702049434),
 }
 
 
@@ -772,10 +771,41 @@ def test_dense_wide_clusters_reach_the_poisson_limit(params):
 )
 @settings(max_examples=60, deadline=None)
 def test_void_probability_is_below_the_macro_void_probability(lambda_1c, lambda_1m, sigma, r_scaled):
-    """The stations include the macros: P(no station in b(0, r)) <= exp(-lambda_1c pi r^2)."""
+    """The stations include the macros: P(no station in b(0, r)) <= exp(-lambda_1c pi r^2).
+
+    It is at least exp(-lambda_1c (1 + lambda_1m) pi r^2), the void probability
+    of a PPP of the same intensity: in the exponent of the PGFL a cluster
+    centered outside the ball adds 1 - exp(-lambda_1m m) <= lambda_1m m, and
+    the disc mass m integrates over the plane to pi r^2.
+    """
     params = ClusterParams(lambda_1c, lambda_1m, sigma)
     r = r_scaled / math.sqrt(lambda_1c)
-    assert void_probability(r, params) <= math.exp(-params.lambda_1c * math.pi * r**2) * (1 + 1e-12)
+    void = void_probability(r, params)
+    assert void <= math.exp(-params.lambda_1c * math.pi * r**2) * (1 + 1e-12)
+    assert void >= math.exp(-params.lambda_1c * (1.0 + params.lambda_1m) * math.pi * r**2) * (1 - 1e-12)
+
+
+@given(
+    lambda_1c=st.floats(0.1, 100.0),
+    lambda_1m=st.floats(0.0, 20.0),
+    sigma=st.floats(0.05, 2.0),
+    r_scaled=st.lists(st.floats(0.0, 3.0), min_size=2, max_size=2),
+)
+@settings(max_examples=60, deadline=None)
+def test_j_is_a_nonincreasing_probability_from_one_grid_per_radius(lambda_1c, lambda_1m, sigma, r_scaled):
+    """0 <= J <= 1 and J(r2) <= J(r1) for r2 >= r1; a J of r > 0 passes 80 disc-mass cells, 32 coarse and 48 fine."""
+    from crancost import spatial_stats
+
+    params = ClusterParams(lambda_1c, lambda_1m, sigma)
+    r1, r2 = sorted(x / math.sqrt(lambda_1c) for x in r_scaled)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        cells = _count_disc_mass_cells(monkeypatch, spatial_stats)
+        j1 = j_function(r1, params)
+    j2 = j_function(r2, params)
+    assert 0.0 <= j1 <= 1.0 and 0.0 <= j2 <= 1.0
+    assert j2 <= j1 + 1e-12
+    if r1 > 0.0 and lambda_1m > 0.0:
+        assert cells == [32, 48]
 
 
 def _count_disc_mass_cells(monkeypatch, spatial_stats):
@@ -805,8 +835,8 @@ def test_cold_cost_evaluation_passes_at_most_4000_disc_mass_cells(monkeypatch, c
 def test_the_survival_grid_takes_its_masses_from_gaussian_disc_mass_bit_for_bit(monkeypatch, cold_survival_curve, kappa):
     """Every disc-mass cell of a survival curve and of J, in kernel widths, is what the public function gives on that cell.
 
-    Only ``j_function`` and ``nn_distance_cdf`` reach the J columns, the grid over [0, F sigma] from a cluster
-    center. At the default kappa = sigma sqrt(lambda_1c) = 2.24 every cell has xi = ab below 100; at
+    ``j_function`` and ``nn_distance_cdf`` weight the void integral's own cells, s in [r, r + F sigma] from a
+    cluster center, with J's Rayleigh density. At the default kappa = sigma sqrt(lambda_1c) = 2.24 every cell has xi = ab below 100; at
     kappa = 0.01 most cells take the large-xi expansion.
     """
     from crancost.config import default_scenario

@@ -253,6 +253,17 @@ class TestCli:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "parameter" and "window" in error["message"]
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_one_kept_replication_is_an_estimation_error(self, tmp_path, capsys, command):
+        """On a 0.8 km window seed 0 discards one of two replications, and one has no standard error."""
+        out = tmp_path / "x.json"
+        assert main([command, "--window", "0.8", "--reps", "2", "--seed", "0", "--out", str(out)]) == 7
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "estimation" and "1 of 2 replications kept" in error["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
     @pytest.mark.parametrize("value", ["contact", "palm"])
     def test_the_removed_user_bs_distance_key_fails_every_command(self, tmp_path, capsys, command, value):
