@@ -11,14 +11,15 @@ import argparse
 import sys
 
 from crancost.cli import exit_status
-from crancost.complexity import pooling_table
-from crancost.config import ComplexitySettings
+from crancost.complexity import N_MC, pooling_table
+from crancost.config import ConfigFile, read_config
 from crancost.dimensioning import OFFSET_PRESETS
 
 
-def print_table(args, settings: ComplexitySettings) -> int:
+def print_table(args, config: ConfigFile) -> int:
+    settings = config.complexity
     rows = pooling_table(
-        args.offsets, args.pool_sizes, settings.eps_comp, settings.make_sampler(), settings.decoder,
+        args.offsets, args.pool_sizes, settings.eps_comp, config.sampler, settings.decoder,
         n_mc=args.n_mc, seed=args.seed,
     )
     print(f"{'offset dB':>9s} {'N':>4s} {'pooled/N':>10s} {'alone/N':>10s} {'servers':>9s} {'gain':>6s}")
@@ -32,14 +33,13 @@ def print_table(args, settings: ComplexitySettings) -> int:
 
 
 def main() -> int:
-    settings = ComplexitySettings()
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pool-sizes", type=int, nargs="+", default=[1, 2, 5, 10, 20, 50])
     parser.add_argument("--offsets", type=float, nargs="+", default=list(OFFSET_PRESETS))
-    parser.add_argument("--n-mc", type=int, default=settings.n_mc)
+    parser.add_argument("--n-mc", type=int, default=N_MC)
     parser.add_argument("--seed", type=int, default=0)
     # a typed error exits as it does through crancost: a JSON line on stderr and its exit code
-    return exit_status(print_table, parser.parse_args(), settings)
+    return exit_status(print_table, parser.parse_args(), read_config())
 
 
 if __name__ == "__main__":

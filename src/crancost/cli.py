@@ -8,13 +8,17 @@ Subcommands:
   complexity  pooled vs distributed processing-demand table over pool sizes
   dimension   base-station intensity from the rate target
 
-Each subcommand takes only the shared options it reads. A ``--config``
-file is parsed once per command by ``config.read_config``, which checks
-every section whatever the command reads of it; evaluate's
-``--architecture`` takes the place of the config's before re-dimensioning.
-``simulate`` and ``compare`` check the worker count (``--threads``, else
-``CRANCOST_THREADS``) before they do anything else; a sweep runs serially.
-The commands with ``--seed`` reject a negative seed as a config error.
+Each subcommand takes only the shared options it reads. Each setting has
+one source: a ``--config`` file holds the scenario and the model, and the
+flags say what to run, how many draws or replications, and with how many
+workers. The file is parsed once per command by ``config.read_config``,
+which checks every section and builds the SNR sampler whatever the command
+reads of it. evaluate's ``--architecture``, like sweep's
+``--architectures``, picks the side of the comparison to run; it takes the
+place of the config's before re-dimensioning. ``simulate`` and
+``compare`` check ``--threads`` before they do anything else; a sweep runs
+serially. The commands with ``--seed`` reject a negative seed as a config
+error, as ``complexity`` does an ``--n-mc`` below 1.
 ``dimension`` rejects a ``--gamma-offset-db`` with no preset as a config
 error, as a config's ``gamma_offset_db`` is.
 
@@ -30,18 +34,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 import scipy
 
-from .complexity import make_snr_sampler, pooling_table
+from .complexity import N_MC, pooling_table
 from .config import (
-    ComplexitySettings,
     load_scenario,
     parse_names,
-    parse_setting,
     parse_values,
     read_config,
     scenario_hash,
@@ -72,16 +73,15 @@ _EXIT_CODES = {
 }
 
 
-def _threads(args) -> int:
-    """Worker count from --threads, else a non-empty CRANCOST_THREADS, else 1."""
-    raw = args.threads if args.threads is not None else os.environ.get("CRANCOST_THREADS") or "1"
+def _count(raw, key: str) -> int:
+    """``raw``, the value of the flag ``key``, as a whole number >= 1; anything else is a config error naming it."""
     try:
-        threads = int(raw)
+        value = float(raw)
     except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"thread count must be an integer >= 1, got {raw!r}", key="threads")
-    return threads
+        value = 0.0
+    if not (value >= 1 and value.is_integer()):
+        raise ConfigError(f"expected an integer >= 1, got {raw!r}", key=key)
+    return int(value)
 
 
 def _seed(args) -> int:
@@ -96,7 +96,7 @@ _SHARED_OPTIONS = {
     "format": {"choices": ("csv", "json"), "default": "json"},
     "seed": {"type": int, "default": 0},
     "reps": {"type": int, "default": 2000},
-    "threads": {"default": None, "help": "worker count >= 1 (env CRANCOST_THREADS)"},
+    "threads": {"default": 1, "help": "worker count >= 1"},
     "window": {"type": float, "default": 10.0, "help": "square window side, km"},
 }
 
@@ -160,42 +160,16 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _sampler(args, settings):
-    """The --sampler override built from --sampler-params, else the configured sampler."""
-    if args.sampler is None:
-        if args.sampler_params is not None:
-            raise ConfigError("needs --sampler to name the sampler it configures", key="sampler-params")
-        return settings.make_sampler()
-    try:
-        params = json.loads("{}" if args.sampler_params is None else args.sampler_params)
-        if not isinstance(params, dict):
-            raise ValueError(f"got {args.sampler_params!r}")
-    except ValueError as exc:  # json.JSONDecodeError included
-        raise ConfigError(f"sampler {args.sampler!r} needs a JSON object: {exc}", key="sampler-params") from None
-    return make_snr_sampler(args.sampler, **params)
-
-
 def cmd_sweep(args) -> int:
-    config = read_config(args.config)
-    scenario = config.sweep_scenario()
-    # each flag given wins over its own [sweep] key
-    section = config.sweep or {}
-    axis = args.axis or section.get("axis")
-    values = section.get("values") if args.values is None else parse_values(args.values, "values")
-    architectures = (
-        section.get("architectures", tuple(ARCHITECTURE_VARIANTS))
-        if args.architectures is None
-        else parse_names(args.architectures, "architectures")
-    )
-    if axis is None or values is None:
-        raise ConfigError("sweep needs --axis and --values, as flags or in a [sweep] config section", key="sweep")
-    spec = SweepSpec(axis=axis, values=values, architectures=architectures)
+    scenario = read_config(args.config).sweep_scenario()
+    values, architectures = parse_values(args.values, "values"), parse_names(args.architectures, "architectures")
+    spec = SweepSpec(axis=args.axis, values=values, architectures=architectures)
     _emit(args, *tabulate(run_sweep(spec, scenario)))
     return 0
 
 
 def cmd_simulate(args) -> int:
-    threads = _threads(args)
+    threads = _count(args.threads, "threads")
     seed = _seed(args)
     scenario = _load(args)
     window = Window(args.window, args.window)
@@ -223,7 +197,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    threads = _threads(args)
+    threads = _count(args.threads, "threads")
     seed = _seed(args)
     scenario = _load(args)
     window = Window(args.window, args.window)
@@ -252,19 +226,15 @@ def cmd_compare(args) -> int:
 
 def cmd_complexity(args) -> int:
     seed = _seed(args)
-    settings = read_config(args.config).complexity
+    config = read_config(args.config)
     pool_sizes = parse_values(args.pool_sizes, "pool-sizes")
     if not all(n >= 1 and n == int(n) for n in pool_sizes):
         raise ConfigError(f"expected integers >= 1, got {args.pool_sizes!r}", key="pool-sizes")
     offsets = parse_values(args.offsets, "offsets")
-    sampler = _sampler(args, settings)
-    # the flags are read as their [complexity] keys are, so a value has one check and one exit code
-    eps_comp, n_mc = (
-        getattr(settings, key) if raw is None else parse_setting("complexity", key, raw, key.replace("_", "-"))
-        for key, raw in (("eps_comp", args.eps_comp), ("n_mc", args.n_mc))
-    )
-    rows = pooling_table(offsets, pool_sizes, eps_comp, sampler, settings.decoder, n_mc=n_mc, seed=seed)
-    payload = {"rows": rows, "seed": seed, "n_mc": n_mc, "eps_comp": eps_comp}
+    n_mc = _count(args.n_mc, "n-mc")
+    settings = config.complexity
+    rows = pooling_table(offsets, pool_sizes, settings.eps_comp, config.sampler, settings.decoder, n_mc=n_mc, seed=seed)
+    payload = {"rows": rows, "seed": seed, "n_mc": n_mc, "eps_comp": settings.eps_comp}
     _emit(args, payload, tuple(rows[0]), [row.values() for row in rows])
     return 0
 
@@ -303,11 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="cost along one axis")
     _add_options(p_sweep, "config", "format")
-    p_sweep.add_argument("--axis", default=None, choices=SWEEP_AXES)
-    p_sweep.add_argument("--values", default=None, help="space- or comma-separated numbers")
+    p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
+    p_sweep.add_argument("--values", required=True, help="space- or comma-separated numbers")
     p_sweep.add_argument(
         "--architectures",
-        default=None,
+        default=",".join(ARCHITECTURE_VARIANTS),
         help="comma-separated subset of " + ",".join(ARCHITECTURE_VARIANTS),
     )
     p_sweep.set_defaults(func=cmd_sweep)
@@ -325,16 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(p_cx, "config", "format", "seed")
     p_cx.add_argument("--pool-sizes", default="1 2 5 10 20 50")
     p_cx.add_argument("--offsets", default=" ".join(f"{g:g}" for g in OFFSET_PRESETS))
-    p_cx.add_argument(
-        "--eps-comp", default=None,
-        help=f"outage target (default from config, {ComplexitySettings.eps_comp})",
-    )
-    p_cx.add_argument(
-        "--n-mc", default=None,
-        help=f"Monte Carlo draws (default from config, {ComplexitySettings.n_mc})",
-    )
-    p_cx.add_argument("--sampler", default=None, help="override the configured SNR sampler")
-    p_cx.add_argument("--sampler-params", default=None, help="JSON object of --sampler parameters")
+    p_cx.add_argument("--n-mc", default=N_MC, help="outage Monte Carlo draws, an integer >= 1")
     p_cx.set_defaults(func=cmd_complexity)
 
     p_dim = sub.add_parser("dimension", help="base-station intensity from the rate target")

@@ -86,6 +86,7 @@ __all__ = [
     "LognormalSnrSampler",
     "RayleighFadingSnrSampler",
     "NearestBsSnrSampler",
+    "N_MC",
     "outage_demand",
     "dran_equivalent_demand",
     "servers_required",
@@ -363,9 +364,9 @@ def make_snr_sampler(name: str = "nearest_bs", **params):
     """Instantiate a named SNR sampler from a config-style spec.
 
     Every parameter must be one the sampler takes and a finite number, and a
-    ``*_db`` level must be finite in linear units; an unknown name or key, or
-    any other value, is a :class:`ParameterError` naming the sampler and the
-    key.
+    ``*_db`` level must be finite in linear units; an unknown name or key, a
+    missing key the sampler has no default for, or any other value, is a
+    :class:`ParameterError` naming the sampler and the key.
 
     Every sampler keeps the stream contract that :func:`outage_demand`
     relies on: its draws depend only on the generator and on its type and
@@ -388,6 +389,9 @@ def make_snr_sampler(name: str = "nearest_bs", **params):
                 db_to_linear(value)
             except ParameterError:
                 raise ParameterError(f"{where} is {value} dB, past the float range in linear units") from None
+    for key, spec in accepted.items():
+        if spec.default is spec.empty and key not in params:
+            raise ParameterError(f"SNR sampler {name!r} parameter {key!r} is required; it has no default")
     return cls(**params)
 
 
@@ -397,6 +401,9 @@ def make_snr_sampler(name: str = "nearest_bs", **params):
 #: Draws per block of the workload stage. 2^15 doubles are 256 KiB, so a
 #: block's temporaries stay in the L2 cache; 2^14, 2^16 and 2^17 were slower.
 _BLOCK = 1 << 15
+
+#: Outage Monte Carlo draws per demand unless a caller asks for another count.
+N_MC = 20000
 
 #: Rejection rounds after which a sampler counts as inconsistent with the MCS table.
 _MAX_ROUNDS = 1000
@@ -559,7 +566,7 @@ def outage_demand(
     sampler,
     mcs: McsTable,
     params: DecoderParams = DecoderParams(),
-    n_mc: int = 20000,
+    n_mc: int = N_MC,
     seed: int = 0,
 ) -> float:
     """Pooled processing demand covering n_cloud stations at the outage target.
@@ -627,7 +634,7 @@ def dran_equivalent_demand(
     sampler,
     mcs: McsTable,
     params: DecoderParams = DecoderParams(),
-    n_mc: int = 20000,
+    n_mc: int = N_MC,
     seed: int = 0,
 ) -> float:
     """Distributed provisioning: each station dimensioned standalone.
@@ -682,7 +689,7 @@ def pooling_table(
     eps_comp: float,
     sampler,
     decoder: DecoderParams = DecoderParams(),
-    n_mc: int = 20000,
+    n_mc: int = N_MC,
     seed: int = 0,
 ) -> list[dict]:
     """Pooled vs standalone processing demand, one row per (offset, pool size).

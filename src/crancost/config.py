@@ -1,13 +1,17 @@
 """Scenario configuration: the default scenario, INI files, round-trip serialization.
 
 The config format is flat key-value text with one section per concern
-(architecture, geometry, costs, complexity, simulation, sweep); keys follow
-the model symbols. One ordered table, ``_SCHEMA``, maps each key to the
-attribute it sets and the values it accepts; it alone drives reading, the
-known-key check, writing and the keys a sweep rejects. :func:`read_config`
-parses a file once and checks every section: an unknown section or key, or a
-bad value anywhere, is a :class:`ConfigError` naming the key. Unset keys keep
-the :class:`Scenario` and :class:`ComplexitySettings` defaults.
+(architecture, geometry, costs, complexity, simulation); keys follow the
+model symbols. The file holds the scenario and the model alone: what to run,
+how many draws or replications and with how many workers are command-line
+flags, and no setting has a second source. One ordered table, ``_SCHEMA``,
+maps each key to the attribute it sets and the values it accepts; it alone
+drives reading, the known-key check, writing and the keys a sweep rejects.
+:func:`read_config` parses a file once and checks every section, and builds
+its SNR sampler: an unknown section or key, or a bad value anywhere, is a
+:class:`ConfigError` naming the key, and a sampler that cannot be built a
+:class:`ParameterError` naming the sampler and the key. Unset keys keep the
+:class:`Scenario` and :class:`ComplexitySettings` defaults.
 :func:`redimension` is the one place where an architecture and offset select
 the base-station intensity and the matching processing-cost fit.
 """
@@ -36,7 +40,6 @@ __all__ = [
     "load_complexity_settings",
     "parse_values",
     "parse_names",
-    "parse_setting",
     "scenario_to_config",
     "scenario_hash",
 ]
@@ -104,16 +107,12 @@ def default_scenario(
 
 @dataclass
 class ComplexitySettings:
-    """Decoder model, SNR-sampler spec and outage Monte Carlo settings of the [complexity] section."""
+    """Decoder model, SNR-sampler spec and outage target of the [complexity] section."""
 
     decoder: DecoderParams = DecoderParams()
     sampler_name: str = "nearest_bs"
     sampler_params: dict = field(default_factory=dict)
     eps_comp: float = 0.1
-    n_mc: int = 20000
-
-    def make_sampler(self):
-        return make_snr_sampler(self.sampler_name, **self.sampler_params)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +126,7 @@ class _Kind(NamedTuple):
     show: Callable[[object], str] = repr
 
 
-def _number(lo=None, hi=None, above=None, among=None, integer=False) -> _Kind:
+def _number(lo=None, hi=None, above=None, among=None) -> _Kind:
     """A finite number; ``lo``, ``hi`` inclusive, ``above`` exclusive, ``among`` the allowed values."""
 
     def parse(raw: str, key: str):
@@ -145,9 +144,7 @@ def _number(lo=None, hi=None, above=None, among=None, integer=False) -> _Kind:
             raise ConfigError(f"value {value} above maximum {hi}", key=key)
         if among is not None and value not in among:
             raise ConfigError(f"value {value} must be one of {sorted(among)}", key=key)
-        if integer and value != int(value):
-            raise ConfigError(f"expected an integer, got {raw!r}", key=key)
-        return int(value) if integer else value
+        return value
 
     return _Kind(parse)
 
@@ -262,7 +259,7 @@ _SCENARIO_KEYS = (
 
 #: why a sweep rejects a key, by its role
 _SWEEP_REJECTS = {
-    "argument": "the variants come from --architectures or [sweep] architectures",
+    "argument": "the variants come from --architectures",
     "derived": "every variant is re-dimensioned",
 }
 
@@ -273,10 +270,6 @@ _SCHEMA = (
     _Key("complexity", "nu_db", "decoder.", _number(above=0.0)),
     _Key("complexity", "sampler", "sampler_name", _TEXT),
     _Key("complexity", "eps_comp", "", _OPEN_UNIT),
-    _Key("complexity", "n_mc", "", _number(lo=1, integer=True)),
-    _Key("sweep", "axis", "", _TEXT),
-    _Key("sweep", "values", "", _Kind(parse_values)),
-    _Key("sweep", "architectures", "", _Kind(parse_names)),
 )
 
 _SECTIONS = {section: {row.key: row for row in rows} for section, rows in groupby(_SCHEMA, attrgetter("section"))}
@@ -289,11 +282,11 @@ _SECTIONS = {section: {row.key: row for row in rows} for section, rows in groupb
 class ConfigFile:
     """A config file read once, every key of every section parsed and checked.
 
-    ``complexity`` holds the [complexity] settings; ``sweep`` maps the
-    [sweep] keys to their values, or is None without that section.
+    ``complexity`` holds the [complexity] settings and ``sampler`` the SNR
+    sampler they name, built here so that every command checks it.
     """
 
-    def __init__(self, values: dict, sampler_params: dict, has_sweep: bool):
+    def __init__(self, values: dict, sampler_params: dict):
         self._scenario = {row: value for row, value in values.items() if row in _SCENARIO_KEYS}
         self.complexity = ComplexitySettings(sampler_params=sampler_params)
         for row, value in values.items():
@@ -302,10 +295,7 @@ class ConfigFile:
                     self.complexity = _replaced(self.complexity, row.names, value)
                 except ParameterError as exc:  # DecoderParams checks what one key cannot
                     raise ConfigError(str(exc), key=row.key) from None
-        sweep = {row.key: value for row, value in values.items() if row.section == "sweep"}
-        self.sweep = sweep if has_sweep else None
-        if self.sweep is not None and not {"axis", "values"} <= self.sweep.keys():
-            raise ConfigError("sweep section needs both 'axis' and 'values'", key="sweep")
+        self.sampler = make_snr_sampler(self.complexity.sampler_name, **self.complexity.sampler_params)
 
     def scenario(self, architecture: Architecture | None = None) -> Scenario:
         """The file's scenario over the :class:`Scenario` defaults, re-dimensioned.
@@ -359,12 +349,7 @@ def read_config(path=None, text: str | None = None) -> ConfigFile:
                 sampler_params[key.removeprefix("sampler_")] = _NUMBER.parse(raw, key)
             else:
                 raise ConfigError(f"unknown key in [{name}]; known: {', '.join(known)}", key=key)
-    return ConfigFile(values, sampler_params, parser.has_section("sweep"))
-
-
-def parse_setting(section: str, key: str, raw: str, name: str):
-    """``raw`` read as the value of the [section] ``key``; a :class:`ConfigError` names ``name``."""
-    return _SECTIONS[section][key].kind.parse(raw, name)
+    return ConfigFile(values, sampler_params)
 
 
 def load_scenario(path=None, text: str | None = None, architecture: Architecture | None = None) -> Scenario:

@@ -171,6 +171,8 @@ class TestLoadScenario:
             ("[costs]\nc_macroo = 1\n", "c_macroo"),
             ("[simulation]\nuser_bs_distance = contact\n", "user_bs_distance"),
             ("[DEFAULT]\nlambda3 = 2\n", "[DEFAULT]"),
+            ("[sweep]\naxis = lambda3\nvalues = 1 2 3\n", "[sweep]"),
+            ("[complexity]\nn_mc = 64\n", "n_mc"),
         ],
     )
     def test_unknown_section_or_key_is_rejected(self, tmp_path, capsys, text, name):
@@ -196,13 +198,13 @@ class TestComplexitySection:
         assert settings.sampler_name == "nearest_bs"
 
     def test_sampler_spec_from_config(self):
-        settings = load_complexity_settings(
+        config = read_config(
             text="[complexity]\nsampler = lognormal\nsampler_median_db = 15\nsampler_sigma_db = 4\n"
                  "eps_comp = 0.05\nzeta = 8\n"
         )
-        assert settings.decoder.zeta == 8.0
-        assert settings.eps_comp == 0.05
-        sampler = settings.make_sampler()
+        assert config.complexity.decoder.zeta == 8.0
+        assert config.complexity.eps_comp == 0.05
+        sampler = config.sampler
         assert sampler.median_db == 15.0
         assert sampler.sigma_db == 4.0
 
@@ -213,8 +215,6 @@ class TestComplexitySection:
             ("zeta = 1.5", "zeta"),
             ("nu_db = 0", "nu_db"),
             ("nu_db = -1", "nu_db"),
-            ("n_mc = 10.7", "n_mc"),
-            ("n_mc = 0", "n_mc"),
             ("sampler_gamma = x", "sampler_gamma"),
         ],
     )
@@ -223,9 +223,6 @@ class TestComplexitySection:
             load_complexity_settings(text=f"[complexity]\n{line}\n")
         assert exc.value.key == key
 
-    def test_integral_n_mc_is_accepted(self):
-        assert load_complexity_settings(text="[complexity]\nn_mc = 64.0\n").n_mc == 64
-
     #: a valid value other than the default for every [complexity] key
     NON_DEFAULT = {
         "zeta": "8",
@@ -233,7 +230,6 @@ class TestComplexitySection:
         "nu_db": "0.5",
         "sampler": "rayleigh_fading",
         "eps_comp": "0.2",
-        "n_mc": "5000",
     }
 
     @pytest.fixture(scope="class")
@@ -322,21 +318,6 @@ def test_every_scenario_key_changes_evaluate(tmp_path, key, default):
     section = next(row.section for row in _SCHEMA if row.key == key)
     other = _OTHER_CHOICE.get(key) or repr(float(default) / 2.0)
     assert _moved(costs(f"[{section}]\n{key} = {other}\n"), costs(""))
-
-
-class TestSweepSection:
-    def test_absent_returns_none(self):
-        assert read_config(text="").sweep is None
-
-    def test_parsed_fields(self):
-        sweep = read_config(
-            text="[sweep]\naxis = lambda3\nvalues = 1 2 3\narchitectures = dran,cloud_ran@0db\n"
-        ).sweep
-        assert sweep == {"axis": "lambda3", "values": (1.0, 2.0, 3.0), "architectures": ("dran", "cloud_ran@0db")}
-
-    def test_incomplete_section_rejected(self):
-        with pytest.raises(ConfigError):
-            read_config(text="[sweep]\naxis = lambda3\n")
 
 
 def _dump_config(tmp_path, text: str):

@@ -886,6 +886,31 @@ def test_coarse_pass_evaluates_past_r_mid_only_when_no_row_reached_the_tail_zero
     assert len(cells) == calls
 
 
+@given(
+    params=st.tuples(
+        _log_uniform(0.1, 100.0), st.one_of(st.just(0.0), _log_uniform(0.01, 1000.0)), _log_uniform(0.05, 10.0)
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_every_cluster_moment_lies_within_its_poisson_bounds(params):
+    """Up to 1000 micros per macro each moment lies between two PPP moments, to 1e-9 relative, or raises.
+
+    The micros are a Cox process driven by the macros, so the contact survival
+    lies between exp(-lambda_1c (1 + lambda_1m) pi r^2), the PPP of every
+    station, and exp(-lambda_1c pi r^2), the PPP of the macros alone.
+    Further above 1000 micros per macro some moments still fall below the
+    lower bound (ROADMAP item 8).
+    """
+    lambda_c, lambda_m, _ = params
+    for exponent in (0.25, 1.0, 2.0, 4.0):
+        try:
+            got = cluster_nn_moment(exponent, ClusterParams(*params))
+        except QuadratureError:
+            continue
+        lo, hi = ppp_contact_moment(exponent, lambda_c * (1.0 + lambda_m)), ppp_contact_moment(exponent, lambda_c)
+        assert lo * (1.0 - 1e-9) <= got <= hi * (1.0 + 1e-9), (exponent, got, lo, hi)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 8: far above 32 micros per macro the survival falls inside the first outer panel, "

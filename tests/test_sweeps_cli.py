@@ -222,7 +222,6 @@ class TestCli:
     @pytest.mark.parametrize(
         "text,key",
         [
-            ("[sweep]\nvalues = abc\n", "values"),
             ("[complexity]\nzeta = 1\n", "zeta"),
             ("[complexity]\nnu_db = -1\n", "nu_db"),
             ("[simulation]\nc2_convention = bogus\n", "c2_convention"),
@@ -236,6 +235,26 @@ class TestCli:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "config"
         assert f"'{key}'" in error["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+    @pytest.mark.parametrize(
+        "text,words",
+        [
+            ("sampler = bogus\n", ["bogus", "sampler"]),
+            ("sampler_bogus = 1\n", ["nearest_bs", "bogus"]),
+            ("sampler = degenerate\n", ["degenerate", "gamma"]),
+        ],
+        ids=["unknown-sampler", "unknown-parameter", "missing-parameter"],
+    )
+    def test_a_sampler_that_cannot_be_built_fails_every_command(self, tmp_path, capsys, command, text, words):
+        """The config's sampler is built when the file is read, whatever the command reads of it."""
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text("[complexity]\n" + text)
+        argv = [*CONFIG_COMMANDS[command], "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "parameter" and all(word in error["message"] for word in words)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", ["--lambda0", "--target"])
@@ -462,17 +481,6 @@ class TestCli:
         code = main(["evaluate", "--config", str(bad), "--out", str(tmp_path / "x.json")])
         assert code == 2
 
-    def test_sweep_spec_from_config_section(self, tmp_path):
-        cfg = tmp_path / "scenario.ini"
-        cfg.write_text("[sweep]\naxis = alpha\nvalues = 0 0.5 1\narchitectures = cloud_ran@0db\n")
-        out = tmp_path / "sweep.csv"
-        code = main(["sweep", "--config", str(cfg), "--format", "csv", "--out", str(out)])
-        assert code == 0
-        with open(out) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 3
-        assert {r["axis"] for r in rows} == {"alpha"}
-
     @pytest.mark.parametrize(
         "section,key,value",
         [
@@ -490,54 +498,27 @@ class TestCli:
         message = json.loads(capsys.readouterr().err)["message"]
         assert key in message
         if section == "architecture":
-            assert "--architectures" in message and "[sweep] architectures" in message
+            assert "--architectures" in message
 
-    def test_sweep_lists_parse_alike_from_flags_and_config(self, tmp_path):
-        cfg = tmp_path / "scenario.ini"
-        cfg.write_text("[sweep]\naxis = p\nvalues = 0, 0.5\narchitectures = dran, cloud_ran@0db\n")
-        from_config, from_flags = tmp_path / "config.csv", tmp_path / "flags.csv"
-        assert main(["sweep", "--config", str(cfg), "--format", "csv", "--out", str(from_config)]) == 0
+    def test_sweep_lists_ignore_spaces_around_separators(self, tmp_path):
+        """Numbers separated by commas or spaces and names by commas, surrounding spaces ignored."""
+        out = tmp_path / "flags.csv"
         flags = ["--axis", "p", "--values", "0, 0.5", "--architectures", "dran, cloud_ran@0db"]
-        assert main(["sweep", *flags, "--format", "csv", "--out", str(from_flags)]) == 0
-        assert from_flags.read_text() == from_config.read_text()
-        with open(from_flags) as fh:
+        assert main(["sweep", *flags, "--format", "csv", "--out", str(out)]) == 0
+        with open(out) as fh:
             assert [r["architecture"] for r in csv.DictReader(fh)] == ["dran", "cloud_ran@0db"] * 2
 
-    def test_sweep_flags_override_only_their_own_keys(self, tmp_path):
-        cfg = tmp_path / "scenario.ini"
-        cfg.write_text("[sweep]\naxis = p\nvalues = 0\narchitectures = dran\n")
-        out = tmp_path / "sweep.csv"
-        flags = ["--axis", "lambda0", "--values", "150 200"]
-        assert main(["sweep", "--config", str(cfg), *flags, "--format", "csv", "--out", str(out)]) == 0
-        with open(out) as fh:
-            rows = list(csv.DictReader(fh))
-        assert [(r["axis"], r["value"], r["architecture"]) for r in rows] == [
-            ("lambda0", "150", "dran"),
-            ("lambda0", "200", "dran"),
-        ]
+    @pytest.mark.parametrize("flags", [["--values", "0"], ["--axis", "alpha"]], ids=["no-axis", "no-values"])
+    def test_sweep_without_axis_or_values_is_a_usage_error(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *flags, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
 
-    def test_sweep_without_axis_or_config_fails_cleanly(self, tmp_path):
-        code = main(["sweep", "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-
-    @pytest.mark.parametrize(
-        "flag,text",
-        [
-            (",", None),
-            (" , ", "[sweep]\naxis = alpha\nvalues = 0\narchitectures = dran\n"),
-            (None, "[sweep]\naxis = alpha\nvalues = 0\narchitectures =\n"),
-        ],
-        ids=["flag", "flag-over-config", "config"],
-    )
-    def test_an_empty_architecture_list_is_a_config_error(self, tmp_path, capsys, flag, text):
-        """An empty list is refused, not replaced by every variant or dropped for the config's."""
+    def test_an_empty_architecture_list_is_a_config_error(self, tmp_path, capsys):
+        """An empty list is refused, not replaced by every variant."""
         out = tmp_path / "sweep.csv"
-        argv = ["sweep", "--axis", "alpha", "--values", "0", "--out", str(out)]
-        if flag is not None:
-            argv += ["--architectures", flag]
-        if text is not None:
-            (tmp_path / "scenario.ini").write_text(text)
-            argv += ["--config", str(tmp_path / "scenario.ini")]
+        argv = ["sweep", "--axis", "alpha", "--values", "0", "--architectures", ",", "--out", str(out)]
         assert main(argv) == 2
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "config" and "'architectures'" in error["message"]
@@ -545,54 +526,59 @@ class TestCli:
 
     def test_complexity_sampler_from_config(self, tmp_path):
         cfg = tmp_path / "scenario.ini"
-        cfg.write_text("[complexity]\nsampler = degenerate\nsampler_gamma = 3.0\nn_mc = 64\n")
+        cfg.write_text("[complexity]\nsampler = degenerate\nsampler_gamma = 3.0\n")
         out = tmp_path / "cx.json"
-        code = main(
-            ["complexity", "--config", str(cfg), "--pool-sizes", "1", "--offsets", "0", "--out", str(out)]
-        )
+        argv = ["complexity", "--config", str(cfg), "--pool-sizes", "1", "--offsets", "0", "--n-mc", "64"]
+        code = main([*argv, "--out", str(out)])
         assert code == 0
         rows = json.loads(out.read_text())["rows"]
         # degenerate sampler at gamma = 3: workload bounded by the single-MCS value
         assert rows[0]["pooled_per_station"] == pytest.approx(rows[0]["distributed_per_station"])
 
     @pytest.mark.parametrize(
-        "flags,category,words",
+        "text,category,words",
         [
-            (["--sampler", "nearest_bs", "--sampler-params", '{"bogus": 1}'], "parameter", ["nearest_bs", "bogus"]),
-            (["--sampler", "degenerate", "--sampler-params", '{"gamma": "x"}'], "parameter", ["degenerate", "gamma"]),
-            (["--sampler", "degenerate", "--sampler-params", "{gamma"], "config", ["degenerate", "sampler-params"]),
-            (["--sampler", "degenerate", "--sampler-params", "[3.0]"], "config", ["degenerate", "sampler-params"]),
-            (["--sampler-params", '{"lambda_1": 10}'], "config", ["--sampler", "sampler-params"]),
+            ("sampler = nearest_bs\nsampler_bogus = 1\n", "parameter", ["nearest_bs", "bogus"]),
             # a dB level past the float range is refused before any draw
             (
-                ["--sampler", "nearest_bs", "--sampler-params", '{"snr_median_db": 1e12}'],
+                "sampler = nearest_bs\nsampler_snr_median_db = 1e12\n",
                 "parameter",
                 ["snr_median_db", "past the float range"],
             ),
             # a finite exponent whose draws overflow to +inf
-            (["--sampler", "nearest_bs", "--sampler-params", '{"pathloss_exp": 1e6}'], "sampler", ["non-finite"]),
+            ("sampler = nearest_bs\nsampler_pathloss_exp = 1e6\n", "sampler", ["non-finite"]),
         ],
     )
-    def test_complexity_sampler_params_errors_are_typed(self, tmp_path, capsys, flags, category, words):
+    def test_complexity_sampler_params_errors_are_typed(self, tmp_path, capsys, text, category, words):
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text("[complexity]\n" + text)
         argv = ["complexity", "--pool-sizes", "1", "--offsets", "0", "--out", str(tmp_path / "cx.json")]
-        assert main([*argv, *flags]) == {"config": 2, "parameter": 3, "sampler": 6}[category]
+        assert main([*argv, "--config", str(cfg)]) == {"parameter": 3, "sampler": 6}[category]
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == category
         assert all(word in error["message"] for word in words)
 
-    @pytest.mark.parametrize("key,value", [("eps_comp", "1.5"), ("eps_comp", "0"), ("n_mc", "0")])
-    def test_complexity_flag_and_key_share_one_check(self, tmp_path, capsys, key, value):
-        """--eps-comp and --n-mc are read as their [complexity] keys are: one check, one exit code."""
+    @pytest.mark.parametrize(
+        "key,value", [("eps_comp", "1.5"), ("eps_comp", "0"), ("n-mc", "0"), ("n-mc", "2.5"), ("n-mc", "abc")]
+    )
+    def test_complexity_bad_eps_comp_or_n_mc_is_a_config_error(self, tmp_path, capsys, key, value):
+        """eps_comp is a [complexity] key and --n-mc a flag; a value out of range is a config error naming it."""
         out, cfg = tmp_path / "cx.json", tmp_path / "scenario.ini"
-        cfg.write_text(f"[complexity]\n{key} = {value}\n")
-        flag = key.replace("_", "-")
         argv = ["complexity", "--pool-sizes", "1", "--offsets", "0", "--out", str(out)]
-        assert main([*argv, f"--{flag}", value]) == 2
-        assert main([*argv, "--config", str(cfg)]) == 2
-        errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
-        assert [e["error"] for e in errors] == ["config", "config"]
-        assert f"'{flag}'" in errors[0]["message"] and f"'{key}'" in errors[1]["message"]
+        if key == "n-mc":
+            argv += ["--n-mc", value]
+        else:
+            cfg.write_text(f"[complexity]\n{key} = {value}\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "config" and f"'{key}'" in error["message"]
         assert not out.exists()
+
+    def test_an_integral_n_mc_is_accepted(self, tmp_path):
+        out = tmp_path / "cx.json"
+        assert main(["complexity", "--pool-sizes", "1", "--offsets", "0", "--n-mc", "64.0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["n_mc"] == 64
 
     def test_complexity_config_sampler_key_error_is_typed(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.ini"
@@ -690,16 +676,18 @@ class TestCli:
         assert rows["capacity_user_bs"]["reps_to_1pct"] is None
 
     def test_complexity_json_records_what_produced_it(self, tmp_path):
-        out = tmp_path / "cx.json"
+        out, cfg = tmp_path / "cx.json", tmp_path / "scenario.ini"
+        cfg.write_text("[complexity]\neps_comp = 0.05\n")
         argv = ["complexity", "--pool-sizes", "1 5", "--offsets", "0", "--n-mc", "500", "--seed", "7"]
-        assert main([*argv, "--eps-comp", "0.05", "--out", str(out)]) == 0
+        argv += ["--config", str(cfg)]
+        assert main([*argv, "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert (payload["seed"], payload["n_mc"], payload["eps_comp"]) == (7, 500, 0.05)
         assert payload["tool_version"] == TOOL_VERSION
         assert (payload["numpy_version"], payload["scipy_version"]) == (np.__version__, scipy.__version__)
         assert [(row["gamma_offset_db"], row["n_cloud"]) for row in payload["rows"]] == [(0.0, 1), (0.0, 5)]
         csv_out = tmp_path / "cx.csv"
-        assert main([*argv, "--eps-comp", "0.05", "--format", "csv", "--out", str(csv_out)]) == 0
+        assert main([*argv, "--format", "csv", "--out", str(csv_out)]) == 0
         # the CSV is the table alone
         assert sorted(csv_out.read_text().splitlines()[0].split(",")) == sorted(payload["rows"][0])
 
@@ -765,7 +753,8 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["lambda1"] == pytest.approx(50.03, abs=0.5)
 
-    def test_threads_env_var_honored(self, tmp_path, monkeypatch):
+    def test_threads_come_from_the_flag_alone(self, tmp_path, monkeypatch):
+        """--threads sets the worker count, 1 by default; the environment does not enter it."""
         from crancost import cli
 
         workers = []
@@ -775,19 +764,18 @@ class TestCli:
             return compare_to_closed_form(*args, threads=threads)
 
         monkeypatch.setattr(cli, "compare_to_closed_form", recorded)
-        monkeypatch.setenv("CRANCOST_THREADS", "2")
-        assert main([*CONFIG_COMMANDS["compare"], "--out", str(tmp_path / "compare.json")]) == 0
-        assert workers == [2]
+        monkeypatch.setenv("CRANCOST_THREADS", "abc")
+        argv = [*CONFIG_COMMANDS["compare"], "--out", str(tmp_path / "compare.json")]
+        assert main(argv) == 0
+        assert main([*argv, "--threads", "2"]) == 0
+        assert workers == [1, 2]
 
     @pytest.mark.parametrize("raw", ["0", "-1", "abc"])
-    def test_invalid_thread_count_is_a_config_error(self, tmp_path, monkeypatch, capsys, raw):
+    def test_invalid_thread_count_is_a_config_error(self, tmp_path, capsys, raw):
         argv = [*CONFIG_COMMANDS["compare"], "--out", str(tmp_path / "out")]
         assert main([*argv, "--threads", raw]) == 2
-        monkeypatch.setenv("CRANCOST_THREADS", raw)
-        assert main(argv) == 2
-        errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
-        assert [e["error"] for e in errors] == ["config", "config"]
-        assert all("threads" in e["message"] for e in errors)
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "config" and "threads" in error["message"]
 
     @pytest.mark.parametrize(
         "command,flag,value",
@@ -802,6 +790,9 @@ class TestCli:
             ("complexity", "--preset", "paper-default"),
             ("complexity", "--reps", "3"),
             ("complexity", "--threads", "2"),
+            ("complexity", "--sampler", "degenerate"),
+            ("complexity", "--sampler-params", "{}"),
+            ("complexity", "--eps-comp", "0.1"),
             ("dimension", "--config", "scenario.ini"),
             ("dimension", "--format", "csv"),
             ("dimension", "--seed", "9"),
@@ -811,6 +802,15 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main([command, flag, value])
         assert exc.value.code == 2
+
+    def test_readme_cli_names_only_flags_the_parser_has(self):
+        """Every --flag between the README's CLI and Experiment scripts headings is an option of some subcommand."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        text = readme[readme.index("\n## CLI\n") : readme.index("\n## Experiment scripts\n")]
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        subcommands = subparsers.choices.values()
+        options = {opt for sub in subcommands for action in sub._actions for opt in action.option_strings}
+        assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text)) - options == set()
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_bounded_window_flag_is_a_usage_error(self, tmp_path, command):
@@ -833,11 +833,6 @@ class TestCli:
             for command, sub in subparsers.choices.items()
         }
         assert documented == taken
-
-    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
-    def test_thread_count_is_only_checked_where_it_is_read(self, tmp_path, monkeypatch, command):
-        monkeypatch.setenv("CRANCOST_THREADS", "abc")
-        assert main([*CONFIG_COMMANDS[command], "--out", str(tmp_path / "out")]) == 0
 
     def test_readme_example_config_evaluates(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -876,10 +871,7 @@ class TestCli:
 EDGE_VALUES = ("0", "1e-300", "1e-12", "1e12", "1e300")
 
 #: keys of the scanned sections left out of the scan, and why
-UNSCANNED = {
-    "n_mc": "a large value is a memory request, not a domain error",
-    "sampler": "a name, not a number",
-}
+UNSCANNED = {"sampler": "a name, not a number"}
 
 SCENARIO_RUNS = {
     "evaluate": ["evaluate"],
@@ -900,17 +892,18 @@ def _scan_cases():
     for name, sampler in _SAMPLERS.items():
         for key in inspect.signature(sampler).parameters:
             for value in EDGE_VALUES:
-                params = json.dumps({key: float(value)})
-                yield f"{name}-{key}={value}", [*COMPLEXITY_RUN, "--sampler", name, "--sampler-params", params], None
+                text = f"[complexity]\nsampler = {name}\nsampler_{key} = {value}\n"
+                yield f"{name}-{key}={value}", COMPLEXITY_RUN, text
+    # a sampler without a parameter it has no default for
+    yield "degenerate-no-parameters", COMPLEXITY_RUN, "[complexity]\nsampler = degenerate\n"
     # the Poisson contact moment with one factor past the float range
     for value in ("1e300", "1e-300"):
         for command, argv in SCENARIO_RUNS.items():
             text = f"[geometry]\nlambda2_mw = {value}\n[costs]\nbeta12_mw = 4\n"
             yield f"{command}-lambda2_mw={value}-beta12_mw=4", argv, text
     # the lognormal sampler multiplies a median of 0.0 by an overflowed spread
-    params = json.dumps({"median_db": -4000.0, "sigma_db": 3000.0})
-    argv = [*COMPLEXITY_RUN, "--sampler", "lognormal", "--sampler-params", params]
-    yield "lognormal-median_db=-4000-sigma_db=3000", argv, None
+    text = "[complexity]\nsampler = lognormal\nsampler_median_db = -4000\nsampler_sigma_db = 3000\n"
+    yield "lognormal-median_db=-4000-sigma_db=3000", COMPLEXITY_RUN, text
     for flag, argv in (("--target", ["dimension"]), ("--lambda0", ["dimension"]), ("--offsets", COMPLEXITY_RUN)):
         for value in EDGE_VALUES:
             yield f"{argv[0]}{flag}={value}", [*argv, flag, value], None
