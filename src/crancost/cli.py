@@ -173,7 +173,7 @@ def cmd_simulate(args) -> int:
     seed = _seed(args)
     scenario = _load(args)
     window = Window(args.window, args.window)
-    # the estimate first: it refuses a scenario the oracle cannot check before anything is written
+    # the estimate first, so a failed estimate writes no dump
     est = estimate_mean_dc_cost(scenario, window, args.reps, seed, threads=threads)
     if args.dump_realization is not None:
         rows = realization_rows(simulate_realization(scenario, window, seed))
@@ -245,7 +245,7 @@ def cmd_dimension(args) -> int:
         raise ConfigError(
             f"value {args.gamma_offset_db} must be one of {sorted(OFFSET_PRESETS)}", key="gamma-offset-db"
         )
-    target = args.target if args.target is not None else spectral_efficiency_target(args.gamma_offset_db)
+    target = spectral_efficiency_target(args.gamma_offset_db)
     lambda_1 = invert_for_bs_intensity(target, args.lambda0)
     payload = {
         "lambda0": args.lambda0,
@@ -302,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(p_dim)
     p_dim.add_argument("--lambda0", type=float, default=Scenario.lambda_0)
     p_dim.add_argument("--gamma-offset-db", type=float, default=0.0)
-    p_dim.add_argument("--target", type=float, default=None, help="explicit bps/Hz target")
     p_dim.set_defaults(func=cmd_dimension)
 
     return parser

@@ -230,23 +230,12 @@ def _inside(points: np.ndarray, window: Window) -> bool:
     )
 
 
-def _cell_order(points: np.ndarray, window: Window, n_upper: int) -> np.ndarray:
-    """A permutation that visits ``points`` cell by cell, about one upper point per cell.
-
-    Consecutive queries then walk the same tree branches. The int16 keys
-    (at most 128 cells a side) make the stable argsort a radix sort.
-    """
-    per_side = np.clip((window.spans * math.sqrt(n_upper / window.area)).astype(int), 1, 128)
-    cell = (points * (per_side / window.spans)).astype(np.int16)
-    return np.argsort(cell[:, 1] * np.int16(per_side[0]) + cell[:, 0], kind="stable")
-
-
 def nearest_assign(lower: np.ndarray, upper: np.ndarray, window: Window) -> tuple[np.ndarray, np.ndarray]:
     """Index of, and distance to, the nearest upper point for every lower point.
 
     The upper points must lie in the window, and lower points outside it are
-    folded in first. The query then runs, cell by cell, on a plain KD-tree
-    over the upper points padded with their images within
+    folded in first. The query then runs on a plain KD-tree over the upper
+    points padded with their images within
     ``bound = 2 / sqrt(upper points per km^2)`` (at most half the smaller
     span) outside each edge and corner, limited to ``bound``. The tree splits
     at sliding midpoints (``balanced_tree=False``), which builds in about
@@ -279,18 +268,15 @@ def nearest_assign(lower: np.ndarray, upper: np.ndarray, window: Window) -> tupl
         lower = window.wrap_points(lower)
     bound = min(2.0 / math.sqrt(len(upper) / window.area), 0.5 * min(window.width, window.height))
     padded, owner = _ghost_padded(upper, window.spans, bound)
-    order = _cell_order(lower, window, len(upper))
     tree = cKDTree(padded, balanced_tree=False, compact_nodes=False)
-    hit_dist, found = tree.query(np.take(lower, order, axis=0), k=1, distance_upper_bound=bound)
-    idx, dist = np.empty_like(found), np.empty_like(hit_dist)
-    idx[order] = np.take(owner, found, mode="clip")  # a miss, found == len(padded), is replaced below
-    dist[order] = hit_dist
-    miss = order[found == len(padded)]
-    if miss.size:
-        _, idx[miss] = cKDTree(upper, boxsize=window.spans).query(np.take(lower, miss, axis=0), k=1)
+    dist, found = tree.query(lower, k=1, distance_upper_bound=bound)
+    idx = np.take(owner, found, mode="clip")  # a miss, found == len(padded), is replaced below
+    miss = found == len(padded)
+    if miss.any():
+        _, idx[miss] = cKDTree(upper, boxsize=window.spans).query(lower[miss], k=1)
     # a hit on an original point (they come first) already has the window metric
-    redo = order[found >= len(upper)]
-    dist[redo] = window.distance(np.take(lower, redo, axis=0), np.take(upper, np.take(idx, redo), axis=0))
+    redo = found >= len(upper)
+    dist[redo] = window.distance(lower[redo], upper[idx[redo]])
     return idx, dist
 
 

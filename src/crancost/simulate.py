@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .complexity import _whole
 from .costs import COST_TERMS, CostBreakdown, Scenario, datacenter_cost
-from .errors import AssignmentError, EstimationError, ParameterError
+from .errors import AssignmentError, EstimationError
 from .geometry import (
     BackhaulDraw,
     BackhaulTech,
@@ -285,8 +286,11 @@ def estimate_mean_dc_cost(
     an upward 1/E[count] bias from Jensen's inequality). The estimate is the
     plain mean and standard error over the replications, so ``n_reps >= 2``
     suffices. Under-provisioned realizations (an empty layer) are discarded
-    and counted; fewer than 2 kept is an :class:`EstimationError`.
-    Deterministic given the seed, independent of thread count.
+    and counted; fewer than 2 kept is an :class:`EstimationError`. A seed
+    that is not an integer >= 0, ``n_reps`` not an integer >= 2 or
+    ``threads`` not an integer >= 1 is a :class:`ParameterError`. At most
+    ``n_reps`` worker processes are started. Deterministic given the seed,
+    independent of thread count.
 
     A replication's totals are already its expectation over the backhaul
     technology (see :func:`_replication_terms`), its users are thinned to
@@ -316,12 +320,12 @@ def estimate_mean_dc_cost(
     nearest station, the contact distance, whose moments the closed form
     takes.
     """
-    if n_reps < 2:
-        raise ParameterError("n_reps must be >= 2")
+    n_reps, seed = _whole("n_reps", n_reps, 2), _whole("seed", seed, 0)
+    workers = min(_whole("threads", threads, 1), n_reps)
     jobs = [(scenario, window, seed, rep) for rep in range(n_reps)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_replication_terms, jobs, chunksize=max(1, n_reps // (4 * threads))))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_replication_terms, jobs, chunksize=max(1, n_reps // (4 * workers))))
     else:
         results = [_replication_terms(job) for job in jobs]
 

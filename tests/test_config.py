@@ -2,7 +2,6 @@
 
 import inspect
 import json
-import math
 import re
 from collections import Counter
 from dataclasses import fields, is_dataclass

@@ -4,12 +4,9 @@ import math
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from crancost.costs import (
     Architecture,
-    CostBreakdown,
     EquipmentCosts,
     LinkCost,
     LinkCostParams,

@@ -22,6 +22,7 @@ from crancost.geometry import (
     sample_cluster_bs,
     sample_ppp,
 )
+from crancost.simulate import STATION_FRACTION, USER_FRACTION
 
 UNIT = Window(1.0, 1.0)
 TORUS10 = Window(10.0, 10.0)
@@ -339,6 +340,7 @@ class TestNearestAssign:
             assert _CountingTree.periodic_rows >= 1
 
     def test_default_realizations_match_the_periodic_tree(self):
+        """A full deployment's three queries, and the five an oracle replication makes on thinned layers."""
         s = default_scenario()
         for rep in range(8):
             users = sample_ppp(s.lambda_0, TORUS10, layer_rng(17, rep, 0))
@@ -346,6 +348,12 @@ class TestNearestAssign:
             backhaul = sample_backhaul(s.p_mw, s.lambda_2_mw, s.lambda_2_of, TORUS10, layer_rng(17, rep, 2))
             centers = sample_ppp(s.lambda_3, TORUS10, layer_rng(17, rep, 3))
             pairs = [(users, stations.points), (stations.points, backhaul.nodes), (backhaul.nodes, centers)]
+            thinned = sample_ppp(USER_FRACTION * s.lambda_0, TORUS10, layer_rng(17, rep, 4))
+            kept = stations.points[layer_rng(17, rep, 5).random(len(stations)) < STATION_FRACTION]
+            pairs.append((thinned, stations.points))
+            for layer, intensity in ((6, s.lambda_2_mw), (7, s.lambda_2_of)):
+                nodes = sample_ppp(intensity, TORUS10, layer_rng(17, rep, layer))
+                pairs += [(kept, nodes), (nodes, centers)]
             for lower, upper in pairs:
                 assigned, dist = nearest_assign(lower, upper, TORUS10)
                 want_dist, want = cKDTree(upper, boxsize=TORUS10.spans).query(lower, k=1)

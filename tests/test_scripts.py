@@ -64,6 +64,7 @@ def test_run_oracle_check_exits_1_when_a_case_fails(monkeypatch, capsys, failing
         ("run_pooling_table", ("--seed", "-1"), "seed"),
         ("run_pooling_table", ("--n-mc", "0"), "n_mc"),
         ("run_oracle_check", ("--reps", "1", "--window", "3"), "n_reps"),
+        ("run_oracle_check", ("--seed", "-1", "--reps", "2", "--window", "3"), "seed"),
     ],
 )
 def test_a_typed_error_exits_as_through_the_cli(monkeypatch, capsys, name, argv, message):

@@ -201,6 +201,40 @@ class TestEstimateMeanDcCost:
         with pytest.raises(ParameterError):
             estimate_mean_dc_cost(default_scenario(), TORUS10, 1, seed=0)
 
+    @pytest.mark.parametrize(
+        "argument,value",
+        [("seed", -1), ("seed", 1.5), ("seed", True), ("n_reps", 2.5), ("threads", 0), ("threads", True)],
+    )
+    def test_run_settings_must_be_integers_in_range(self, argument, value):
+        settings = {"n_reps": 2, "seed": 0, argument: value}
+        with pytest.raises(ParameterError, match=f"^{argument} must be an integer"):
+            estimate_mean_dc_cost(default_scenario(), TORUS10, **settings)
+
+    def test_no_more_workers_than_replications(self, monkeypatch):
+        """5000 threads for 2 replications start a pool of 2, and the estimate is the serial one."""
+        started = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor: records the worker count and maps in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, jobs, chunksize):
+                return map(fn, jobs)
+
+        window = Window(4.0, 4.0)
+        serial = estimate_mean_dc_cost(default_scenario(), window, 2, seed=0)
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+        assert estimate_mean_dc_cost(default_scenario(), window, 2, seed=0, threads=5000) == serial
+        assert started == [2]
+
     def test_all_discarded_raises(self):
         scen = replace(default_scenario(), lambda_3=1e-9)
         with pytest.raises(EstimationError):

@@ -8,10 +8,7 @@ import inspect
 import io
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -27,7 +24,6 @@ from crancost.errors import ParameterError
 from crancost.simulate import compare_to_closed_form
 from crancost.spatial_stats import ppp_contact_moment
 from crancost.sweeps import (
-    ARCHITECTURE_VARIANTS,
     CSV_COLUMNS,
     TOOL_VERSION,
     SweepResult,
@@ -257,7 +253,7 @@ class TestCli:
         assert error["error"] == "parameter" and all(word in error["message"] for word in words)
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("flag", ["--lambda0", "--target"])
+    @pytest.mark.parametrize("flag", ["--lambda0"])
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_dimension_rejects_non_finite_inputs(self, tmp_path, capsys, flag, value):
         out = tmp_path / "dim.json"
@@ -796,6 +792,7 @@ class TestCli:
             ("dimension", "--config", "scenario.ini"),
             ("dimension", "--format", "csv"),
             ("dimension", "--seed", "9"),
+            ("dimension", "--target", "1.1"),
         ],
     )
     def test_unread_flag_is_a_usage_error(self, command, flag, value):
@@ -904,7 +901,7 @@ def _scan_cases():
     # the lognormal sampler multiplies a median of 0.0 by an overflowed spread
     text = "[complexity]\nsampler = lognormal\nsampler_median_db = -4000\nsampler_sigma_db = 3000\n"
     yield "lognormal-median_db=-4000-sigma_db=3000", COMPLEXITY_RUN, text
-    for flag, argv in (("--target", ["dimension"]), ("--lambda0", ["dimension"]), ("--offsets", COMPLEXITY_RUN)):
+    for flag, argv in (("--lambda0", ["dimension"]), ("--offsets", COMPLEXITY_RUN)):
         for value in EDGE_VALUES:
             yield f"{argv[0]}{flag}={value}", [*argv, flag, value], None
 
