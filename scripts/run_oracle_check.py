@@ -11,7 +11,7 @@ import sys
 import time
 from dataclasses import replace
 
-from crancost.cli import exit_status
+from crancost.cli import check_seed, exit_status
 from crancost.config import default_scenario
 from crancost.geometry import Window
 from crancost.simulate import compare_to_closed_form
@@ -33,13 +33,14 @@ def run_case(name, scenario, window, reps, seed) -> bool:
 
 
 def check_both(args) -> int:
+    seed = check_seed(args.seed)
     window = Window(args.window, args.window)
     degenerate = replace(
         default_scenario(), lambda_1c=10.0, lambda_1m=0.0, p_mw=1.0, lambda_2_mw=5.0
     )
     passed = [
-        run_case("all-Poisson degenerate", degenerate, window, args.reps, args.seed),
-        run_case("clustered default", default_scenario(), window, args.reps, args.seed + 1),
+        run_case("all-Poisson degenerate", degenerate, window, args.reps, seed),
+        run_case("clustered default", default_scenario(), window, args.reps, seed + 1),
     ]
     return 0 if all(passed) else 1
 
@@ -49,7 +50,8 @@ def main() -> int:
     parser.add_argument("--reps", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--window", type=float, default=10.0)
-    # a typed error exits as it does through crancost: a JSON line on stderr and its exit code
+    # --seed takes crancost's own check, and a typed error exits as it does through crancost:
+    # a JSON line on stderr and its exit code
     return exit_status(check_both, parser.parse_args())
 
 

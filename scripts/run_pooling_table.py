@@ -10,7 +10,7 @@ default ``[complexity]`` settings.
 import argparse
 import sys
 
-from crancost.cli import exit_status
+from crancost.cli import check_count, check_seed, exit_status
 from crancost.complexity import N_MC, pooling_table
 from crancost.config import ConfigFile, read_config
 from crancost.dimensioning import OFFSET_PRESETS
@@ -20,7 +20,7 @@ def print_table(args, config: ConfigFile) -> int:
     settings = config.complexity
     rows = pooling_table(
         args.offsets, args.pool_sizes, settings.eps_comp, config.sampler, settings.decoder,
-        n_mc=args.n_mc, seed=args.seed,
+        n_mc=check_count(args.n_mc, "n-mc"), seed=check_seed(args.seed),
     )
     print(f"{'offset dB':>9s} {'N':>4s} {'pooled/N':>10s} {'alone/N':>10s} {'servers':>9s} {'gain':>6s}")
     for row in rows:
@@ -36,9 +36,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pool-sizes", type=int, nargs="+", default=[1, 2, 5, 10, 20, 50])
     parser.add_argument("--offsets", type=float, nargs="+", default=list(OFFSET_PRESETS))
-    parser.add_argument("--n-mc", type=int, default=N_MC)
+    parser.add_argument("--n-mc", default=N_MC, help="outage Monte Carlo draws, an integer >= 1")
     parser.add_argument("--seed", type=int, default=0)
-    # a typed error exits as it does through crancost: a JSON line on stderr and its exit code
+    # --seed and --n-mc take crancost's own checks, and a typed error exits as it does through crancost:
+    # a JSON line on stderr and its exit code
     return exit_status(print_table, parser.parse_args(), read_config())
 
 

@@ -18,7 +18,9 @@ reads of it. evaluate's ``--architecture``, like sweep's
 place of the config's before re-dimensioning. ``simulate`` and
 ``compare`` check ``--threads`` before they do anything else; a sweep runs
 serially. The commands with ``--seed`` reject a negative seed as a config
-error, as ``complexity`` does an ``--n-mc`` below 1.
+error, as ``complexity`` does an ``--n-mc`` below 1; the experiment
+scripts take those two flags through the same checks, :func:`check_seed`
+and :func:`check_count`.
 ``dimension`` rejects a ``--gamma-offset-db`` with no preset as a config
 error, as a config's ``gamma_offset_db`` is.
 
@@ -73,7 +75,7 @@ _EXIT_CODES = {
 }
 
 
-def _count(raw, key: str) -> int:
+def check_count(raw, key: str) -> int:
     """``raw``, the value of the flag ``key``, as a whole number >= 1; anything else is a config error naming it."""
     try:
         value = float(raw)
@@ -84,11 +86,11 @@ def _count(raw, key: str) -> int:
     return int(value)
 
 
-def _seed(args) -> int:
-    """--seed, which must be >= 0 to seed numpy's SeedSequence."""
-    if args.seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {args.seed}", key="seed")
-    return args.seed
+def check_seed(seed: int) -> int:
+    """The --seed flag's value, which must be >= 0 to seed numpy's SeedSequence; else a config error."""
+    if seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed}", key="seed")
+    return seed
 
 
 _SHARED_OPTIONS = {
@@ -169,8 +171,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    threads = _count(args.threads, "threads")
-    seed = _seed(args)
+    threads = check_count(args.threads, "threads")
+    seed = check_seed(args.seed)
     scenario = _load(args)
     window = Window(args.window, args.window)
     # the estimate first, so a failed estimate writes no dump
@@ -197,8 +199,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    threads = _count(args.threads, "threads")
-    seed = _seed(args)
+    threads = check_count(args.threads, "threads")
+    seed = check_seed(args.seed)
     scenario = _load(args)
     window = Window(args.window, args.window)
     report = compare_to_closed_form(scenario, window, args.reps, seed, threads=threads)
@@ -225,13 +227,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_complexity(args) -> int:
-    seed = _seed(args)
+    seed = check_seed(args.seed)
     config = read_config(args.config)
     pool_sizes = parse_values(args.pool_sizes, "pool-sizes")
     if not all(n >= 1 and n == int(n) for n in pool_sizes):
         raise ConfigError(f"expected integers >= 1, got {args.pool_sizes!r}", key="pool-sizes")
     offsets = parse_values(args.offsets, "offsets")
-    n_mc = _count(args.n_mc, "n-mc")
+    n_mc = check_count(args.n_mc, "n-mc")
     settings = config.complexity
     rows = pooling_table(offsets, pool_sizes, settings.eps_comp, config.sampler, settings.decoder, n_mc=n_mc, seed=seed)
     payload = {"rows": rows, "seed": seed, "n_mc": n_mc, "eps_comp": settings.eps_comp}

@@ -186,6 +186,12 @@ def sample_cluster_bs(
     with standard deviation ``sigma`` per axis. Total expected intensity is
     ``lambda_1c * (1 + lambda_1m)``. Displaced micros wrap back into the
     torus, so every micro is kept.
+
+    When every displacement is shorter than the smaller span of the
+    window, as at the defaults, the fold is, per axis, one masked add of
+    the span below 0 and one masked subtract at or above it: bit for bit
+    :meth:`Window.wrap_points`, without its ``np.mod``, which folds the
+    micros of wider kernels.
     """
     if not (0 <= lambda_1c < math.inf and 0 <= lambda_1m < math.inf):
         raise ParameterError("cluster intensities must be finite and >= 0")
@@ -199,8 +205,22 @@ def sample_cluster_bs(
     offspring_counts = _poisson(rng, lambda_1m, n_mac)
     parents = np.repeat(np.arange(n_mac), offspring_counts)
     displacements = rng.standard_normal((parents.shape[0], 2)) * sigma
-    micros = window.wrap_points(macros[parents] + displacements)
-    return MarkedBaseStationSet(np.vstack([macros, micros]), n_mac, parents.astype(int))
+    micros = macros[parents] + displacements
+    # whole-array reductions and scalar spans: numpy runs an (n, 2) array's reduction along axis 0, or its
+    # broadcast against the (2,) spans, row by row, several times slower
+    reach = min(window.width, window.height)
+    if displacements.size and displacements.min() > -reach and displacements.max() < reach:
+        for axis, span in enumerate((window.width, window.height)):
+            # a macro in [+0, span) moved by less than a span lands in (-span, 2 span), rounding included,
+            # and never on -0.0. x in (-span, 0) folds to the rounded x + span, as np.mod gives it, and a sum
+            # that rounds up to the span meets wrap_points's span-to-0 fix in the subtract; x in
+            # [span, 2 span) folds to x - span, which is exact (Sterbenz).
+            coord = micros[:, axis]
+            np.add(coord, span, out=coord, where=coord < 0.0)
+            np.subtract(coord, span, out=coord, where=coord >= span)
+    else:
+        micros = window.wrap_points(micros)
+    return MarkedBaseStationSet(np.vstack([macros, micros]), n_mac, parents)
 
 
 def _ghost_padded(upper: np.ndarray, spans: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
@@ -224,9 +244,18 @@ def _ghost_padded(upper: np.ndarray, spans: np.ndarray, bound: float) -> tuple[n
 
 
 def _inside(points: np.ndarray, window: Window) -> bool:
-    """Whether every point lies in ``[0, width) x [0, height)``, in a few reductions."""
-    return points.size == 0 or bool(
-        points.min() >= 0.0 and points[:, 0].max() < window.width and points[:, 1].max() < window.height
+    """Whether every point lies in ``[0, width) x [0, height)``, in a few reductions.
+
+    The min and max over the whole array decide it when the max lies below
+    the smaller span, as in every square window; only otherwise is each
+    column's max taken, a strided reduction about twice as slow.
+    """
+    if points.size == 0:
+        return True
+    reach = min(window.width, window.height)
+    return bool(
+        points.min() >= 0.0
+        and (points.max() < reach or (points[:, 0].max() < window.width and points[:, 1].max() < window.height))
     )
 
 
@@ -250,11 +279,19 @@ def nearest_assign(lower: np.ndarray, upper: np.ndarray, window: Window) -> tupl
     the distance it returns for a hit on one of them is kept as it is. Only
     the rows that hit an image (about 1% of the users at the defaults) or
     took the periodic query are measured again with :meth:`Window.distance`,
-    the KD-tree's periodic metric to the last bit. Every distance therefore
-    equals :func:`assignment_distances` on the returned index. An exact tie
-    goes to whichever equidistant upper point the tree returns, which is
+    the KD-tree's periodic metric to the last bit; those rows are listed
+    once, by position. Every distance therefore equals
+    :func:`assignment_distances` on the returned index. An exact tie goes
+    to whichever equidistant upper point the tree returns, which is
     deterministic for given inputs; the samplers are continuous, so ties
     have probability zero.
+
+    Each lower point's row depends on that point and the upper layer only,
+    so one call on several lower layers stacked together returns, bit for
+    bit, each layer's own call, for one tree build and one pass of the
+    per-call steps; the oracle assigns both backhaul technologies' nodes to
+    the data centers that way. The membership checks take whole-array
+    reductions, which settle every square window.
     """
     from scipy.spatial import cKDTree  # here, so a command that assigns nothing does not import it
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
@@ -271,12 +308,14 @@ def nearest_assign(lower: np.ndarray, upper: np.ndarray, window: Window) -> tupl
     tree = cKDTree(padded, balanced_tree=False, compact_nodes=False)
     dist, found = tree.query(lower, k=1, distance_upper_bound=bound)
     idx = np.take(owner, found, mode="clip")  # a miss, found == len(padded), is replaced below
-    miss = found == len(padded)
-    if miss.any():
-        _, idx[miss] = cKDTree(upper, boxsize=window.spans).query(lower[miss], k=1)
-    # a hit on an original point (they come first) already has the window metric
-    redo = found >= len(upper)
-    dist[redo] = window.distance(lower[redo], upper[idx[redo]])
+    # a hit on an original point (they come first) already has the window metric; the other rows are
+    # hits on an image and misses, found == len(padded), listed once and indexed by position
+    redo = np.flatnonzero(found >= len(upper))
+    if redo.size:
+        miss = redo[found[redo] == len(padded)]
+        if miss.size:
+            _, idx[miss] = cKDTree(upper, boxsize=window.spans).query(lower[miss], k=1)
+        dist[redo] = window.distance(lower[redo], upper[idx[redo]])
     return idx, dist
 
 

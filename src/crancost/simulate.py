@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -134,8 +135,9 @@ def price_layers(
     backhaul-link step (:func:`_price_backhaul_links`) of one deployment.
     """
     user_to_bs, users_per_bs, user_terms = _price_user_links(scenario, window, users, stations)
+    (dc_links,) = _assign_to_centers(window, [backhaul.nodes], centers)
     bs_to_backhaul, backhaul_to_dc, users_per_backhaul, users_per_dc, backhaul_terms = _price_backhaul_links(
-        scenario, window, stations.points, users_per_bs, backhaul, centers
+        scenario, window, stations.points, users_per_bs, backhaul, len(centers), dc_links
     )
     terms = {**user_terms, **backhaul_terms}
     return DeploymentRealization(
@@ -182,32 +184,54 @@ def _price_user_links(
     return user_to_bs, users_per_bs, terms
 
 
+def _assign_to_centers(
+    window: Window, layers: list[np.ndarray], centers: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each backhaul layer's (``backhaul_to_dc``, distance) pair, from one query of their concatenation.
+
+    A query point's nearest data center does not depend on the other query
+    points, so each pair is the one a query of its layer alone gives, bit for
+    bit, for one tree build and one set of per-query steps. No data center,
+    or a layer with no node, is an :class:`AssignmentError`: the realization
+    is under-provisioned.
+    """
+    counts = [len(nodes) for nodes in layers]
+    if len(centers) == 0 or 0 in counts:
+        raise AssignmentError(
+            f"under-provisioned realization: {', '.join(map(str, counts))} backhaul nodes, {len(centers)} data centers"
+        )
+    index, dist = nearest_assign(np.concatenate(layers), centers, window)
+    cuts = [0, *accumulate(counts)]
+    return [(index[a:b], dist[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
 def _price_backhaul_links(
     scenario: Scenario,
     window: Window,
     station_points: np.ndarray,
     users_per_bs: np.ndarray,
     backhaul: BackhaulDraw,
-    centers: np.ndarray,
+    n_dc: int,
+    dc_links: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[str, float]]:
-    """Assign stations to backhaul nodes and those to data centers; price both links.
+    """Assign stations to backhaul nodes; price those links and the links to the ``n_dc`` data centers.
 
-    Every backhaul node in a data center's cell contributes the backhaul
-    equipment constant, its subtree's capacity demand priced over the actual
-    backhaul-to-data-center distance, and the infrastructure of that link;
-    each station in ``station_points`` contributes its link toward its
-    backhaul node, its capacity weighted by its ``users_per_bs``; the
-    stations may be a subset, and then only their users reach the backhaul
-    nodes. Links take the cost parameters of ``backhaul.realized``. Returns
-    ``bs_to_backhaul``, ``backhaul_to_dc``, the users under each backhaul
-    node and data center, and the five terms that the backhaul layer enters.
+    ``dc_links`` is the layer's (``backhaul_to_dc``, distance) pair from
+    :func:`_assign_to_centers`. Every backhaul node in a data center's cell
+    contributes the backhaul equipment constant, its subtree's capacity
+    demand priced over the actual backhaul-to-data-center distance, and the
+    infrastructure of that link; each station in ``station_points``
+    contributes its link toward its backhaul node, its capacity weighted by
+    its ``users_per_bs``; the stations may be a subset, and then only their
+    users reach the backhaul nodes. Links take the cost parameters of
+    ``backhaul.realized``. Returns ``bs_to_backhaul``, ``backhaul_to_dc``,
+    the users under each backhaul node and data center, and the five terms
+    that the backhaul layer enters.
     """
     s = scenario
-    n_dc, n_backhaul = len(centers), len(backhaul.nodes)
-    if n_dc == 0 or n_backhaul == 0:
-        raise AssignmentError(f"under-provisioned realization: {n_backhaul} backhaul nodes, {n_dc} data centers")
+    n_backhaul = len(backhaul.nodes)
+    backhaul_to_dc, d_bh_dc = dc_links
     bs_to_backhaul, d_bs_bh = nearest_assign(station_points, backhaul.nodes, window)
-    backhaul_to_dc, d_bh_dc = nearest_assign(backhaul.nodes, centers, window)
     users_per_backhaul = np.bincount(bs_to_backhaul, weights=users_per_bs, minlength=n_backhaul)
     users_per_dc = np.bincount(backhaul_to_dc, weights=users_per_backhaul, minlength=n_dc)
 
@@ -235,7 +259,8 @@ def _replication_terms(args) -> np.ndarray | None:
     totals are weighted by p and 1 - p: the exact conditional expectation
     over the Bernoulli draw of :func:`sample_backhaul`, which removes its
     variance from the five backhaul terms. A technology of weight 0 is not
-    sampled.
+    sampled. Both layers' nodes are assigned to the data centers in one
+    query (:func:`_assign_to_centers`).
 
     Both technologies price the backhaul links of the same Bernoulli
     sample of the stations, each kept with probability ``STATION_FRACTION``
@@ -255,14 +280,17 @@ def _replication_terms(args) -> np.ndarray | None:
         kept = layer_rng(seed, rep, _STATIONS).random(len(stations)) < STATION_FRACTION
         kept_points, kept_users = stations.points[kept], users_per_bs[kept]
         totals = np.array([user_terms.get(name, 0.0) for name in COST_TERMS])
-        for tech, weight, intensity, layer in (
-            (BackhaulTech.MW, s.p_mw, s.lambda_2_mw, _BACKHAUL_MW),
-            (BackhaulTech.OF, 1.0 - s.p_mw, s.lambda_2_of, _BACKHAUL_OF),
-        ):
-            if weight == 0.0:
-                continue
-            nodes = sample_ppp(intensity, window, layer_rng(seed, rep, layer))
-            *_, terms = _price_backhaul_links(s, window, kept_points, kept_users, BackhaulDraw(nodes, tech), centers)
+        draws = [
+            (BackhaulDraw(sample_ppp(intensity, window, layer_rng(seed, rep, layer)), tech), weight)
+            for tech, weight, intensity, layer in (
+                (BackhaulTech.MW, s.p_mw, s.lambda_2_mw, _BACKHAUL_MW),
+                (BackhaulTech.OF, 1.0 - s.p_mw, s.lambda_2_of, _BACKHAUL_OF),
+            )
+            if weight != 0.0
+        ]
+        dc_links = _assign_to_centers(window, [draw.nodes for draw, _ in draws], centers)
+        for (draw, weight), links in zip(draws, dc_links):
+            *_, terms = _price_backhaul_links(s, window, kept_points, kept_users, draw, len(centers), links)
             totals += weight * np.array([terms.get(name, 0.0) for name in COST_TERMS])
     except AssignmentError:
         return None
@@ -313,8 +341,9 @@ def estimate_mean_dc_cost(
 
     ``capacity_user_bs`` still sets the replications needed for 1%. One
     Bernoulli draw of the technology per replication left the five backhaul
-    terms at 2.4-7.3%. A replication takes about 6.8 ms, against 9.3 ms
-    with every station priced (2-core VM, one process).
+    terms at 2.4-7.3%. A replication takes about 6.2 ms, against 9.6 ms
+    with every station priced (medians of 20 interleaved passes of 40
+    replications, 2-core VM, one process).
 
     Users are priced at their distance from a uniform location to the
     nearest station, the contact distance, whose moments the closed form

@@ -196,6 +196,48 @@ class TestSampleClusterBs:
         assert len(bs) == bs.n_macros + len(bs.parent_of)
         assert np.all((bs.points >= 0.0) & (bs.points < w.spans))
 
+    @staticmethod
+    def _folded_by_wrap_points(lambda_1c, lambda_1m, sigma, window, seed):
+        """The sampler's draws, with the micros folded by ``Window.wrap_points``: the reference for the fold."""
+        rng = np.random.default_rng(seed)
+        macros = sample_ppp(lambda_1c, window, rng)
+        parents = np.repeat(np.arange(len(macros)), rng.poisson(lambda_1m, len(macros)))
+        micros = window.wrap_points(macros[parents] + rng.standard_normal((len(parents), 2)) * sigma)
+        return np.vstack([macros, micros]), parents
+
+    @pytest.mark.parametrize(
+        "window,sigma,folded_by_np_mod",
+        [
+            (TORUS10, default_scenario().sigma, False),
+            (Window(10.0, 4.0), default_scenario().sigma, False),
+            (Window(2.0, 2.0), 3.0, True),
+        ],
+        ids=["default-kernel", "default-kernel-rectangle", "kernel-wider-than-window"],
+    )
+    def test_the_fold_is_wrap_points_to_the_bit(self, window, sigma, folded_by_np_mod):
+        """Every coordinate, sign of zero included, is the one ``Window.wrap_points`` gives.
+
+        The default kernel displaces every micro by less than the smaller
+        span, so the masked add and subtract fold it, in the square and in
+        the rectangle; a kernel wider than the window moves micros by more
+        than a span, and ``np.mod`` folds them.
+        """
+        s = default_scenario()
+        wrapped = []
+        wrap_points = Window.wrap_points
+
+        def counting_wrap_points(self, points):
+            wrapped.append(len(points))
+            return wrap_points(self, points)
+
+        for seed in range(200):
+            want_points, want_parents = self._folded_by_wrap_points(s.lambda_1c, s.lambda_1m, sigma, window, seed)
+            with mock.patch.object(Window, "wrap_points", counting_wrap_points):
+                bs = sample_cluster_bs(s.lambda_1c, s.lambda_1m, sigma, window, seed)
+            assert bs.points.dtype == want_points.dtype and bs.points.tobytes() == want_points.tobytes()
+            assert bs.parent_of.dtype == want_parents.dtype and np.array_equal(bs.parent_of, want_parents)
+        assert bool(wrapped) == folded_by_np_mod
+
     def test_degenerate_cluster_matches_ppp_nn_distances(self):
         """lambda_1m = 0 is distributionally a PPP: two-sample KS on NN distances."""
         from scipy.spatial import cKDTree
@@ -340,7 +382,7 @@ class TestNearestAssign:
             assert _CountingTree.periodic_rows >= 1
 
     def test_default_realizations_match_the_periodic_tree(self):
-        """A full deployment's three queries, and the five an oracle replication makes on thinned layers."""
+        """A full deployment's three queries, and the four an oracle replication makes on thinned layers."""
         s = default_scenario()
         for rep in range(8):
             users = sample_ppp(s.lambda_0, TORUS10, layer_rng(17, rep, 0))
@@ -351,9 +393,11 @@ class TestNearestAssign:
             thinned = sample_ppp(USER_FRACTION * s.lambda_0, TORUS10, layer_rng(17, rep, 4))
             kept = stations.points[layer_rng(17, rep, 5).random(len(stations)) < STATION_FRACTION]
             pairs.append((thinned, stations.points))
-            for layer, intensity in ((6, s.lambda_2_mw), (7, s.lambda_2_of)):
-                nodes = sample_ppp(intensity, TORUS10, layer_rng(17, rep, layer))
-                pairs += [(kept, nodes), (nodes, centers)]
+            layers = [
+                sample_ppp(intensity, TORUS10, layer_rng(17, rep, layer))
+                for layer, intensity in ((6, s.lambda_2_mw), (7, s.lambda_2_of))
+            ]
+            pairs += [(kept, nodes) for nodes in layers] + [(np.concatenate(layers), centers)]
             for lower, upper in pairs:
                 assigned, dist = nearest_assign(lower, upper, TORUS10)
                 want_dist, want = cKDTree(upper, boxsize=TORUS10.spans).query(lower, k=1)

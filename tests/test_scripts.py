@@ -59,19 +59,27 @@ def test_run_oracle_check_exits_1_when_a_case_fails(monkeypatch, capsys, failing
 
 
 @pytest.mark.parametrize(
-    "name,argv,message",
+    "name,argv,command,category,code,message",
     [
-        ("run_pooling_table", ("--seed", "-1"), "seed"),
-        ("run_pooling_table", ("--n-mc", "0"), "n_mc"),
-        ("run_oracle_check", ("--reps", "1", "--window", "3"), "n_reps"),
-        ("run_oracle_check", ("--seed", "-1", "--reps", "2", "--window", "3"), "seed"),
+        ("run_pooling_table", ("--seed", "-1"), ("complexity", "--seed", "-1"), "config", 2, "seed"),
+        ("run_pooling_table", ("--n-mc", "0"), ("complexity", "--n-mc", "0"), "config", 2, "n-mc"),
+        ("run_oracle_check", ("--reps", "1", "--window", "3"), ("compare", "--reps", "1"), "parameter", 3, "n_reps"),
+        ("run_oracle_check", ("--seed", "-1", "--window", "3"), ("compare", "--seed", "-1"), "config", 2, "seed"),
     ],
 )
-def test_a_typed_error_exits_as_through_the_cli(monkeypatch, capsys, name, argv, message):
-    """A JSON error line on stderr and the category's exit code, not a traceback."""
-    assert _run(monkeypatch, name, *argv) == 3
-    error = json.loads(capsys.readouterr().err)
-    assert error["error"] == "parameter" and message in error["message"]
+def test_a_typed_error_exits_as_through_the_cli(monkeypatch, capsys, name, argv, command, category, code, message):
+    """A JSON error line on stderr and the category's exit code, not a traceback, as through ``crancost``.
+
+    ``--seed`` and ``--n-mc`` take the CLI's own checks, so a bad value is a
+    config error (exit 2) through both; ``--reps 1`` meets the library's
+    check, a parameter error (exit 3) through both.
+    """
+    assert _run(monkeypatch, name, *argv) == code
+    line = capsys.readouterr().err
+    error = json.loads(line)
+    assert error["error"] == category and message in error["message"]
+    assert main(list(command)) == code
+    assert capsys.readouterr().err == line
 
 
 def test_run_pooling_table(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo deployment oracle."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -18,9 +19,10 @@ from crancost.costs import (
     datacenter_cost,
 )
 from crancost.errors import AssignmentError, EstimationError, ParameterError
-from crancost.geometry import BackhaulDraw, BackhaulTech, MarkedBaseStationSet, Window, sample_ppp
+from crancost.geometry import BackhaulDraw, BackhaulTech, MarkedBaseStationSet, Window, nearest_assign, sample_ppp
 from crancost.simulate import (
     USER_FRACTION,
+    _assign_to_centers,
     _replication_terms,
     compare_to_closed_form,
     estimate_mean_dc_cost,
@@ -98,6 +100,26 @@ STATION_SAMPLE_PINS = {
         "capacity_bs_backhaul": "0x1.467ec86156fdbp+15",
         "infra_bs_backhaul": "0x1.b43154fdeebd8p+17",
     },
+}
+
+
+#: windows where some replications come out under-provisioned: (window, scenario fields)
+DISCARD_CASES = {
+    # about 1.2 expected data centers
+    "few-centers": (Window(2.0, 2.0), {"lambda_3": 0.3}),
+    # about 0.7 expected microwave nodes; the fiber layer is never empty
+    "sparse-microwave": (Window(1.5, 1.5), {"lambda_2_mw": 0.3}),
+}
+
+#: (n_reps, n_discarded, mean, digest of the nine per-term means) of 40 replications at seed 5, recorded
+#: when each technology still assigned its own nodes to the data centers
+DISCARD_PINS = {
+    ("few-centers", 0.0): (30, 10, "0x1.4f8fc0ff460b1p+23", "2c7f008852b77e6d"),
+    ("few-centers", 0.5): (30, 10, "0x1.42d5de0727914p+23", "e62380ad44e7f59f"),
+    ("few-centers", 1.0): (30, 10, "0x1.6dcf9a058dd52p+23", "5702bb72121948f9"),
+    ("sparse-microwave", 0.0): (40, 0, "0x1.c0afae855017dp+19", "5e10c77e1120f374"),
+    ("sparse-microwave", 0.5): (20, 20, "0x1.44f06a71266dbp+19", "2e133d75c7b29b31"),
+    ("sparse-microwave", 1.0): (20, 20, "0x1.92f8053a77865p+18", "ec6b73267216af51"),
 }
 
 
@@ -239,6 +261,47 @@ class TestEstimateMeanDcCost:
         scen = replace(default_scenario(), lambda_3=1e-9)
         with pytest.raises(EstimationError):
             estimate_mean_dc_cost(scen, Window(1.0, 1.0), 5, seed=0)
+
+    @pytest.mark.parametrize("case,p_mw", sorted(DISCARD_PINS))
+    def test_discards_are_pinned(self, case, p_mw):
+        """An empty data-center layer, or an empty node layer of a technology whose weight is not 0, discards.
+
+        At p = 0 the sparse microwave layer is not sampled, so nothing is
+        discarded; at p = 0.5 and 1 its empty draws discard half the
+        replications.
+        """
+        window, fields = DISCARD_CASES[case]
+        est = estimate_mean_dc_cost(replace(default_scenario(), p_mw=p_mw, **fields), window, 40, seed=5)
+        digest = hashlib.sha256(" ".join(m.hex() for m in est.per_term_means.values()).encode()).hexdigest()[:16]
+        assert (est.n_reps, est.n_discarded, est.mean.hex(), digest) == DISCARD_PINS[case, p_mw]
+
+    def test_one_data_center_query_assigns_both_technologies(self, monkeypatch):
+        """A replication at 0 < p < 1 makes four queries; its one data-center query gives each layer's own bits."""
+        queries = []
+
+        def recording(lower, upper, window):
+            queries.append((lower, upper))
+            return nearest_assign(lower, upper, window)
+
+        monkeypatch.setattr(simulate, "nearest_assign", recording)
+        window = Window(4.0, 4.0)
+        for rep in range(5):
+            queries.clear()
+            _replication_terms((default_scenario(), window, 23, rep))
+            assert len(queries) == 4
+            nodes, centers = queries[1]
+            mw, of = queries[2][1], queries[3][1]  # the upper layers of the two station queries
+            assert np.array_equal(nodes, np.concatenate([mw, of]))
+            for (index, dist), layer in zip(_assign_to_centers(window, [mw, of], centers), (mw, of)):
+                alone_index, alone_dist = nearest_assign(layer, centers, window)
+                assert np.array_equal(index, alone_index) and dist.tobytes() == alone_dist.tobytes()
+
+    def test_an_empty_layer_of_the_shared_query_is_under_provisioned(self):
+        centers, nodes = np.array([[1.0, 1.0]]), np.array([[2.0, 2.0]])
+        with pytest.raises(AssignmentError, match="1, 0 backhaul nodes, 1 data centers"):
+            _assign_to_centers(TORUS10, [nodes, np.empty((0, 2))], centers)
+        with pytest.raises(AssignmentError, match="1 backhaul nodes, 0 data centers"):
+            _assign_to_centers(TORUS10, [nodes], np.empty((0, 2)))
 
     @pytest.mark.parametrize("case", sorted(PINNED_CASES))
     def test_per_term_means_are_pinned(self, case):
