@@ -1,18 +1,19 @@
 """Four-layer point-process geometry: sampling and nearest-neighbor assignment.
 
-The observation window is a rectangle with its opposite edges identified (a
+The observation window is a square with its opposite edges identified (a
 torus), so that empirical means taken over the window match the stationary
-closed forms without edge corrections. Every point layer is an ``(n, 2)``
-float array of coordinates in km, and an assignment is the index array of
-each lower point's nearest upper point, returned with the array of distances
-to it. On the torus the query runs on a plain sliding-midpoint KD-tree over
-the upper layer padded with its images near the edges; the distances the
-tree returns are kept, and only the rows that hit an image or find no upper
-point within the padding's bound (those query a periodic tree) are measured
-again with the window metric (see :func:`nearest_assign`). All sampling
-operations are pure functions of their parameters and a seed; sub-streams for
-layers and replications are derived from one master seed through
-:func:`layer_rng`.
+closed forms without edge corrections. Neither its size nor its shape enters
+those means, so every computation reads its one side. Every point layer is
+an ``(n, 2)`` float array of coordinates in km, and an assignment is the
+index array of each lower point's nearest upper point, returned with the
+array of distances to it. On the torus the query runs on a plain
+sliding-midpoint KD-tree over the upper layer padded with its images near
+the edges; the distances the tree returns are kept, and only the rows that
+hit an image or find no upper point within the padding's bound (those query
+a periodic tree) are measured again with the window metric (see
+:func:`nearest_assign`). All sampling operations are pure functions of their
+parameters and a seed; sub-streams for layers and replications are derived
+from one master seed through :func:`layer_rng`.
 """
 
 from __future__ import annotations
@@ -46,9 +47,11 @@ class BackhaulTech(enum.Enum):
 
 @dataclass(frozen=True)
 class Window:
-    """Rectangular observation window in km, with opposite edges identified.
+    """Square observation window in km, with opposite edges identified.
 
     Distances are measured on the torus, which removes boundary effects.
+    ``width`` and ``height`` are both the side; unequal values are a
+    :class:`ParameterError`.
     """
 
     width: float
@@ -57,45 +60,53 @@ class Window:
     def __post_init__(self):
         if not (0 < self.width < math.inf and 0 < self.height < math.inf):
             raise ParameterError(f"window dimensions must be finite and positive, got {self.width} x {self.height}")
+        if self.height != self.width:
+            raise ParameterError(f"the window must be a square, got {self.width} x {self.height}")
 
     @property
     def area(self) -> float:
         return self.width * self.height
 
-    @property
-    def spans(self) -> np.ndarray:
-        return np.array([self.width, self.height])
-
     def wrap_points(self, points: np.ndarray) -> np.ndarray:
-        """Fold coordinates back into [0, span) per axis."""
-        pts = np.mod(points, self.spans)
-        # float mod of a tiny negative can land exactly on the span
-        pts[pts >= self.spans] = 0.0
-        return pts
+        """Fold coordinates back into [0, side): ``np.mod(points, side)`` to the bit, a result of side set to 0.
 
-    def deltas(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Coordinate differences a-b under the window metric.
-
-        This is the minimum-image difference ``d - span * round(d / span)``.
-        For points inside the window the shift is one span only when ``|d|``
-        is about half a span or more, so the subtraction is exact (Sterbenz)
-        and distances match the KD-tree's periodic metric to the last bit.
+        When every coordinate lies in (-side, 2 side), as every micro of a
+        kernel narrower than the window does, the fold is one masked add of
+        the side below 0 and one masked subtract at or above it, without
+        ``np.mod``. x in (-side, 0) folds to the rounded x + side, as
+        ``np.mod`` gives it, and a sum that rounds up to the side meets the
+        side-to-0 fix in the subtract; x in [side, 2 side) folds to
+        x - side, which is exact (Sterbenz). Adding 0.0 first makes -0.0
+        the +0.0 that ``np.mod`` returns.
         """
-        d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-        spans = self.spans
-        shift = d / spans
-        np.round(shift, out=shift)
-        shift *= spans
-        d -= shift
-        return d
+        side = self.width
+        pts = np.add(points, 0.0)
+        if pts.size and pts.min() > -side and pts.max() < 2.0 * side:
+            np.add(pts, side, out=pts, where=pts < 0.0)
+            np.subtract(pts, side, out=pts, where=pts >= side)
+            return pts
+        np.mod(pts, side, out=pts)
+        # float mod of a tiny negative can land exactly on the side
+        pts[pts >= side] = 0.0
+        return pts
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Pairwise (broadcast) distance between points under the window metric.
 
-        ``sqrt(dx*dx + dy*dy)``, the operations of ``np.linalg.norm(d, axis=-1)``
-        without its copies.
+        The coordinate differences are the minimum-image ones,
+        ``d - side * round(d / side)``. For points inside the window the
+        shift is one side only when ``|d|`` is about half a side or more, so
+        the subtraction is exact (Sterbenz) and distances match the KD-tree's
+        periodic metric to the last bit. The distance is
+        ``sqrt(dx*dx + dy*dy)``, the operations of
+        ``np.linalg.norm(d, axis=-1)`` without its copies.
         """
-        d = self.deltas(a, b)
+        side = self.width
+        d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+        shift = d / side
+        np.round(shift, out=shift)
+        shift *= side
+        d -= shift
         d *= d
         return np.sqrt(np.add.reduce(d, axis=-1))
 
@@ -144,7 +155,7 @@ def sample_ppp(intensity: float, window: Window, seed) -> np.ndarray:
         raise ParameterError(f"intensity must be finite and >= 0, got {intensity}")
     rng = np.random.default_rng(seed)
     n = _poisson(rng, intensity * window.area)
-    return rng.random((n, 2)) * window.spans
+    return rng.random((n, 2)) * window.width
 
 
 def _poisson(rng: np.random.Generator, mean: float, size=None):
@@ -185,13 +196,7 @@ def sample_cluster_bs(
     Poisson(lambda_1m) number of micros displaced by an isotropic Gaussian
     with standard deviation ``sigma`` per axis. Total expected intensity is
     ``lambda_1c * (1 + lambda_1m)``. Displaced micros wrap back into the
-    torus, so every micro is kept.
-
-    When every displacement is shorter than the smaller span of the
-    window, as at the defaults, the fold is, per axis, one masked add of
-    the span below 0 and one masked subtract at or above it: bit for bit
-    :meth:`Window.wrap_points`, without its ``np.mod``, which folds the
-    micros of wider kernels.
+    torus through :meth:`Window.wrap_points`, so every micro is kept.
     """
     if not (0 <= lambda_1c < math.inf and 0 <= lambda_1m < math.inf):
         raise ParameterError("cluster intensities must be finite and >= 0")
@@ -204,26 +209,11 @@ def sample_cluster_bs(
         return MarkedBaseStationSet(macros, n_mac, np.empty(0, dtype=int))
     offspring_counts = _poisson(rng, lambda_1m, n_mac)
     parents = np.repeat(np.arange(n_mac), offspring_counts)
-    displacements = rng.standard_normal((parents.shape[0], 2)) * sigma
-    micros = macros[parents] + displacements
-    # whole-array reductions and scalar spans: numpy runs an (n, 2) array's reduction along axis 0, or its
-    # broadcast against the (2,) spans, row by row, several times slower
-    reach = min(window.width, window.height)
-    if displacements.size and displacements.min() > -reach and displacements.max() < reach:
-        for axis, span in enumerate((window.width, window.height)):
-            # a macro in [+0, span) moved by less than a span lands in (-span, 2 span), rounding included,
-            # and never on -0.0. x in (-span, 0) folds to the rounded x + span, as np.mod gives it, and a sum
-            # that rounds up to the span meets wrap_points's span-to-0 fix in the subtract; x in
-            # [span, 2 span) folds to x - span, which is exact (Sterbenz).
-            coord = micros[:, axis]
-            np.add(coord, span, out=coord, where=coord < 0.0)
-            np.subtract(coord, span, out=coord, where=coord >= span)
-    else:
-        micros = window.wrap_points(micros)
+    micros = window.wrap_points(macros[parents] + rng.standard_normal((parents.shape[0], 2)) * sigma)
     return MarkedBaseStationSet(np.vstack([macros, micros]), n_mac, parents)
 
 
-def _ghost_padded(upper: np.ndarray, spans: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
+def _ghost_padded(upper: np.ndarray, side: float, bound: float) -> tuple[np.ndarray, np.ndarray]:
     """The upper points plus their images within ``bound`` outside each edge and corner.
 
     Returns the padded points and ``owner``, the index in ``upper`` of each.
@@ -233,44 +223,34 @@ def _ghost_padded(upper: np.ndarray, spans: np.ndarray, bound: float) -> tuple[n
     for axis in (0, 1):
         coord = points[:, axis]
         low = np.flatnonzero(coord < bound)
-        high = np.flatnonzero(coord >= spans[axis] - bound)
+        high = np.flatnonzero(coord >= side - bound)
         above = np.take(points, low, axis=0)
-        above[:, axis] += spans[axis]
+        above[:, axis] += side
         below = np.take(points, high, axis=0)
-        below[:, axis] -= spans[axis]
+        below[:, axis] -= side
         points = np.concatenate((points, above, below))
         owner = np.concatenate((owner, np.take(owner, low), np.take(owner, high)))
     return points, owner
 
 
-def _inside(points: np.ndarray, window: Window) -> bool:
-    """Whether every point lies in ``[0, width) x [0, height)``, in a few reductions.
-
-    The min and max over the whole array decide it when the max lies below
-    the smaller span, as in every square window; only otherwise is each
-    column's max taken, a strided reduction about twice as slow.
-    """
-    if points.size == 0:
-        return True
-    reach = min(window.width, window.height)
-    return bool(
-        points.min() >= 0.0
-        and (points.max() < reach or (points[:, 0].max() < window.width and points[:, 1].max() < window.height))
-    )
+def _inside(points: np.ndarray, side: float) -> bool:
+    """Whether every point lies in ``[0, side)^2``: one min and one max over the whole array."""
+    return points.size == 0 or bool(points.min() >= 0.0 and points.max() < side)
 
 
 def nearest_assign(lower: np.ndarray, upper: np.ndarray, window: Window) -> tuple[np.ndarray, np.ndarray]:
     """Index of, and distance to, the nearest upper point for every lower point.
 
-    The upper points must lie in the window, and lower points outside it are
-    folded in first. The query then runs on a plain KD-tree over the upper
-    points padded with their images within
-    ``bound = 2 / sqrt(upper points per km^2)`` (at most half the smaller
-    span) outside each edge and corner, limited to ``bound``. The tree splits
-    at sliding midpoints (``balanced_tree=False``), which builds in about
-    half the time of median splits and queries about as fast. Every image
-    within ``bound`` of a point in the window is in the padded set, so a hit
-    is the min-image nearest neighbour; the rows with no upper point within
+    The upper points must lie in the window and the lower points must be
+    finite; lower points outside the window are folded in first by
+    :meth:`Window.wrap_points`. The query then runs on a plain KD-tree over
+    the upper points padded with their images within
+    ``bound = 2 / sqrt(upper points per km^2)`` (at most half the side)
+    outside each edge and corner, limited to ``bound``. The tree splits at
+    sliding midpoints (``balanced_tree=False``), which builds in about half
+    the time of median splits and queries about as fast. Every image within
+    ``bound`` of a point in the window is in the padded set, so a hit is the
+    min-image nearest neighbour; the rows with no upper point within
     ``bound`` take an exact query of a periodic KD-tree.
 
     The original points come first in the padded set, and within ``bound``
@@ -290,21 +270,22 @@ def nearest_assign(lower: np.ndarray, upper: np.ndarray, window: Window) -> tupl
     so one call on several lower layers stacked together returns, bit for
     bit, each layer's own call, for one tree build and one pass of the
     per-call steps; the oracle assigns both backhaul technologies' nodes to
-    the data centers that way. The membership checks take whole-array
-    reductions, which settle every square window.
+    the data centers that way. Each membership check is one min and one
+    max over the whole array.
     """
     from scipy.spatial import cKDTree  # here, so a command that assigns nothing does not import it
     lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    side = window.width
     if len(upper) == 0:
         raise AssignmentError("cannot assign against an empty upper layer")
-    if not _inside(upper, window):
-        raise ParameterError(
-            f"upper layer points must lie in the toroidal window [0, {window.width}) x [0, {window.height})"
-        )
-    if not _inside(lower, window):
+    if not _inside(upper, side):
+        raise ParameterError(f"upper layer points must lie in the toroidal window [0, {side}) x [0, {side})")
+    if not _inside(lower, side):
+        if not np.isfinite(lower).all():
+            raise ParameterError("lower layer points must be finite")
         lower = window.wrap_points(lower)
-    bound = min(2.0 / math.sqrt(len(upper) / window.area), 0.5 * min(window.width, window.height))
-    padded, owner = _ghost_padded(upper, window.spans, bound)
+    bound = min(2.0 / math.sqrt(len(upper) / window.area), 0.5 * side)
+    padded, owner = _ghost_padded(upper, side, bound)
     tree = cKDTree(padded, balanced_tree=False, compact_nodes=False)
     dist, found = tree.query(lower, k=1, distance_upper_bound=bound)
     idx = np.take(owner, found, mode="clip")  # a miss, found == len(padded), is replaced below
@@ -314,7 +295,7 @@ def nearest_assign(lower: np.ndarray, upper: np.ndarray, window: Window) -> tupl
     if redo.size:
         miss = redo[found[redo] == len(padded)]
         if miss.size:
-            _, idx[miss] = cKDTree(upper, boxsize=window.spans).query(lower[miss], k=1)
+            _, idx[miss] = cKDTree(upper, boxsize=side).query(lower[miss], k=1)
         dist[redo] = window.distance(lower[redo], upper[idx[redo]])
     return idx, dist
 

@@ -465,7 +465,10 @@ def cluster_nn_moment(exponent: float, params: ClusterParams) -> float:
     lambda_1m = 0 reproduces the PPP contact moment.
     A moment of positive exponent that does not come out above its error
     estimate, the gap between the coarse and the fine grid, is a
-    :class:`QuadratureError`.
+    :class:`QuadratureError`, and so is one outside its exact bounds, the
+    PPP contact moments at lambda_1c (1 + lambda_1m) and at lambda_1c, by
+    more than ``DEFAULT_QUAD.rel_tol`` relative: the grid misses the
+    survival far above 32 micros per macro, and the mass of high exponents.
     """
     if exponent < 0:
         raise ParameterError(f"exponent must be >= 0, got {exponent}")
@@ -491,6 +494,17 @@ def cluster_nn_moment(exponent: float, params: ClusterParams) -> float:
         raise QuadratureError(
             f"the distance moment of exponent {exponent} at {params} came out {moment!r}, "
             f"not positive by more than its error estimate {err!r}",
+            achieved_error=err,
+        )
+    # the stations are a Cox process driven by the macros, so the contact survival lies between that of
+    # the PPP of every station and that of the macros alone; far above 32 micros per macro the grid can
+    # miss it by more than the absolute floor lets through. A bound past the float range is a ParameterError.
+    low = ppp_contact_moment(exponent, params.lambda_1c * (1.0 + params.lambda_1m))
+    high = ppp_contact_moment(exponent, params.lambda_1c)
+    if not low * (1.0 - DEFAULT_QUAD.rel_tol) <= moment <= high * (1.0 + DEFAULT_QUAD.rel_tol):
+        raise QuadratureError(
+            f"the distance moment of exponent {exponent} at {params} came out {moment!r}, "
+            f"outside its Poisson bounds [{low!r}, {high!r}]",
             achieved_error=err,
         )
     return moment

@@ -216,7 +216,7 @@ def _empirical_nn_ks(params: ClusterParams, side: float, n_rep: int, seed: int) 
         pts = bs.points
         if len(pts) < 2:
             continue
-        tree = cKDTree(pts, boxsize=w.spans)
+        tree = cKDTree(pts, boxsize=w.width)
         d, _ = tree.query(pts, k=2)
         samples.append(d[:, 1])
     d = np.sort(np.concatenate(samples))

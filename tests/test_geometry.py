@@ -1,6 +1,7 @@
 """Tests for the point-process sampling and assignment layer."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -29,6 +30,13 @@ TORUS10 = Window(10.0, 10.0)
 COORD_FRACTION = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))
 
 
+def _mod_fold(points, side):
+    """The reference fold: ``np.mod`` into [0, side), with a result of side (from a tiny negative) set to 0."""
+    pts = np.mod(points, side)
+    pts[pts >= side] = 0.0
+    return pts
+
+
 class _CountingTree(cKDTree):
     """A cKDTree that counts the rows queried on periodic trees."""
 
@@ -47,10 +55,33 @@ class TestWindow:
         with pytest.raises(ParameterError):
             Window(1.0, -2.0)
 
+    def test_a_rectangle_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="square"):
+            Window(4.0, 2.0)
+
     def test_wrap_points_folds_into_window(self):
-        w = Window(4.0, 2.0)
-        pts = w.wrap_points(np.array([[4.5, -0.5], [-1e-20, 2.0]]))
-        assert np.all((pts >= 0.0) & (pts < w.spans))
+        w = Window(4.0, 4.0)
+        pts = w.wrap_points(np.array([[4.5, -0.5], [-1e-20, 4.0]]))
+        assert np.all((pts >= 0.0) & (pts < w.width))
+
+    @given(
+        side=st.floats(1e-3, 1e3),
+        inside=st.lists(st.floats(-1.0, 2.0, exclude_min=True, exclude_max=True), max_size=40),
+        far=st.lists(st.one_of(st.floats(-3.0, 4.0), st.floats(-1e6, 1e6)), max_size=4),
+        edges=st.lists(st.integers(0, 8), max_size=8),
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_wrap_points_is_the_np_mod_fold_to_the_bit(self, side, inside, far, edges):
+        """Coordinates inside (-side, 2 side), in side units, and outside it, with the edge values mixed in."""
+        edge_values = (
+            0.0, -0.0, -5e-324, -1e-300, math.nextafter(side, 0.0), side, math.nextafter(2.0 * side, 0.0),
+            2.0 * side, -side,
+        )
+        coords = [f * side for f in inside + far] + [edge_values[i] for i in edges]
+        points = np.array(coords + [0.0] * (len(coords) % 2)).reshape(-1, 2)
+        got = Window(side, side).wrap_points(points)
+        want = _mod_fold(points, side)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @given(
         ax=st.floats(0, 10, allow_nan=False),
@@ -194,49 +225,42 @@ class TestSampleClusterBs:
         drawn = rng.poisson(5.0, size=len(sample_ppp(8.0, w, rng)))
         assert np.array_equal(np.bincount(bs.parent_of, minlength=bs.n_macros), drawn)
         assert len(bs) == bs.n_macros + len(bs.parent_of)
-        assert np.all((bs.points >= 0.0) & (bs.points < w.spans))
+        assert np.all((bs.points >= 0.0) & (bs.points < w.width))
 
     @staticmethod
-    def _folded_by_wrap_points(lambda_1c, lambda_1m, sigma, window, seed):
-        """The sampler's draws, with the micros folded by ``Window.wrap_points``: the reference for the fold."""
+    def _folded_by_np_mod(lambda_1c, lambda_1m, sigma, window, seed):
+        """The sampler's draws, with the micros folded by ``np.mod``: the reference for the fold."""
         rng = np.random.default_rng(seed)
         macros = sample_ppp(lambda_1c, window, rng)
         parents = np.repeat(np.arange(len(macros)), rng.poisson(lambda_1m, len(macros)))
-        micros = window.wrap_points(macros[parents] + rng.standard_normal((len(parents), 2)) * sigma)
+        micros = _mod_fold(macros[parents] + rng.standard_normal((len(parents), 2)) * sigma, window.width)
         return np.vstack([macros, micros]), parents
 
     @pytest.mark.parametrize(
         "window,sigma,folded_by_np_mod",
         [
             (TORUS10, default_scenario().sigma, False),
-            (Window(10.0, 4.0), default_scenario().sigma, False),
+            (Window(4.0, 4.0), default_scenario().sigma, False),
             (Window(2.0, 2.0), 3.0, True),
         ],
-        ids=["default-kernel", "default-kernel-rectangle", "kernel-wider-than-window"],
+        ids=["default-kernel", "default-kernel-4km", "kernel-wider-than-window"],
     )
-    def test_the_fold_is_wrap_points_to_the_bit(self, window, sigma, folded_by_np_mod):
-        """Every coordinate, sign of zero included, is the one ``Window.wrap_points`` gives.
+    def test_the_fold_is_np_mod_to_the_bit(self, window, sigma, folded_by_np_mod):
+        """Every coordinate, sign of zero included, is the one ``np.mod`` gives.
 
-        The default kernel displaces every micro by less than the smaller
-        span, so the masked add and subtract fold it, in the square and in
-        the rectangle; a kernel wider than the window moves micros by more
-        than a span, and ``np.mod`` folds them.
+        The default kernel displaces every micro by less than the side, so
+        the masked add and subtract of ``Window.wrap_points`` fold it; a
+        kernel wider than the window moves micros by more than a side, and
+        ``np.mod`` folds them.
         """
         s = default_scenario()
-        wrapped = []
-        wrap_points = Window.wrap_points
-
-        def counting_wrap_points(self, points):
-            wrapped.append(len(points))
-            return wrap_points(self, points)
-
-        for seed in range(200):
-            want_points, want_parents = self._folded_by_wrap_points(s.lambda_1c, s.lambda_1m, sigma, window, seed)
-            with mock.patch.object(Window, "wrap_points", counting_wrap_points):
-                bs = sample_cluster_bs(s.lambda_1c, s.lambda_1m, sigma, window, seed)
+        with mock.patch("numpy.mod", wraps=np.mod) as mod:
+            samples = [sample_cluster_bs(s.lambda_1c, s.lambda_1m, sigma, window, seed) for seed in range(200)]
+        assert mod.called == folded_by_np_mod
+        for seed, bs in enumerate(samples):
+            want_points, want_parents = self._folded_by_np_mod(s.lambda_1c, s.lambda_1m, sigma, window, seed)
             assert bs.points.dtype == want_points.dtype and bs.points.tobytes() == want_points.tobytes()
             assert bs.parent_of.dtype == want_parents.dtype and np.array_equal(bs.parent_of, want_parents)
-        assert bool(wrapped) == folded_by_np_mod
 
     def test_degenerate_cluster_matches_ppp_nn_distances(self):
         """lambda_1m = 0 is distributionally a PPP: two-sample KS on NN distances."""
@@ -248,7 +272,7 @@ class TestSampleClusterBs:
                 pts = sampler(i + seed0)
                 if len(pts) < 2:
                     continue
-                tree = cKDTree(pts, boxsize=TORUS10.spans)
+                tree = cKDTree(pts, boxsize=TORUS10.width)
                 d, _ = tree.query(pts, k=2)
                 out.append(d[:, 1])
             return np.concatenate(out)
@@ -296,8 +320,7 @@ class TestNearestAssign:
         upper = rng.uniform(0, 10, (37, 2))
         assigned, dist = nearest_assign(lower, upper, TORUS10)
         # exhaustive pairwise argmin oracle
-        deltas = TORUS10.deltas(lower[:, None, :], upper[None, :, :])
-        full = np.linalg.norm(deltas, axis=-1)
+        full = TORUS10.distance(lower[:, None, :], upper[None, :, :])
         assert np.array_equal(assigned, np.argmin(full, axis=1))
         assert np.array_equal(dist, full.min(axis=1))
 
@@ -336,7 +359,7 @@ class TestNearestAssign:
         rng = np.random.default_rng(2024)
         lower = rng.uniform(0, 10, (20_000, 2))
         upper = rng.uniform(0, 10, (300, 2))
-        dist, idx = cKDTree(upper, boxsize=TORUS10.spans).query(lower, k=1)
+        dist, idx = cKDTree(upper, boxsize=TORUS10.width).query(lower, k=1)
         assert np.array_equal(TORUS10.distance(lower, upper[idx]), dist)
 
     @pytest.mark.parametrize("point", [[5.0, 1.0], [1.0, -0.1], [1.0, math.nan]])
@@ -345,31 +368,40 @@ class TestNearestAssign:
         with pytest.raises(ParameterError, match="upper layer"):
             nearest_assign(np.array([[2.0, 2.0]]), upper, Window(5, 5))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_lower_point_that_is_not_finite_is_a_parameter_error(self, value):
+        """Checked before the fold, so no RuntimeWarning comes first."""
+        upper = np.array([[1.0, 1.0], [3.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="lower layer"):
+                nearest_assign(np.array([[value, 1.0], [2.0, 2.0]]), upper, TORUS10)
+
     def test_lower_points_outside_the_torus_are_folded_in(self):
         window = Window(5, 5)
         upper = np.random.default_rng(6).uniform(0, 5, (40, 2))
         lower = np.array([[-0.5, 6.2], [5.0, 0.0], [-5.0, -2.5], [12.3, 4.9], [2.0, 2.0]])
         assigned, dist = nearest_assign(lower, upper, window)
-        want_dist, want = cKDTree(upper, boxsize=window.spans).query(lower, k=1)
+        want_dist, want = cKDTree(upper, boxsize=window.width).query(lower, k=1)
         assert np.array_equal(assigned, want)
         assert np.array_equal(dist, want_dist)
 
     @given(
-        spans=st.tuples(st.floats(0.5, 20.0), st.floats(0.5, 20.0)),
+        side=st.floats(0.5, 20.0),
         upper_fracs=st.lists(st.tuples(COORD_FRACTION, COORD_FRACTION), min_size=1, max_size=50),
         lower_fracs=st.lists(st.tuples(COORD_FRACTION, COORD_FRACTION), min_size=1, max_size=200),
         clustered=st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_padded_query_is_the_min_image_argmin(self, spans, upper_fracs, lower_fracs, clustered):
-        window = Window(*spans)
-        upper = np.array(upper_fracs) * window.spans
-        lower = np.array(lower_fracs) * window.spans
+    def test_padded_query_is_the_min_image_argmin(self, side, upper_fracs, lower_fracs, clustered):
+        window = Window(side, side)
+        upper = np.array(upper_fracs) * side
+        lower = np.array(lower_fracs) * side
         if clustered:
-            # every upper point within 5% of the smaller span of the first one; the point
-            # opposite the cluster lies past half the smaller span, the longest bound
-            upper = upper[0] + (np.array(upper_fracs) - 0.5) * (0.05 * min(spans))
-            lower = np.vstack([lower, upper[0] + 0.5 * window.spans])
+            # every upper point within 5% of the side of the first one; the point
+            # opposite the cluster lies past half the side, the longest bound
+            upper = upper[0] + (np.array(upper_fracs) - 0.5) * (0.05 * side)
+            lower = np.vstack([lower, upper[0] + 0.5 * side])
         upper, lower = window.wrap_points(upper), window.wrap_points(lower)
         with mock.patch("scipy.spatial.cKDTree", _CountingTree):
             _CountingTree.periodic_rows = 0
@@ -400,7 +432,7 @@ class TestNearestAssign:
             pairs += [(kept, nodes) for nodes in layers] + [(np.concatenate(layers), centers)]
             for lower, upper in pairs:
                 assigned, dist = nearest_assign(lower, upper, TORUS10)
-                want_dist, want = cKDTree(upper, boxsize=TORUS10.spans).query(lower, k=1)
+                want_dist, want = cKDTree(upper, boxsize=TORUS10.width).query(lower, k=1)
                 assert np.array_equal(assigned, want)
                 assert np.array_equal(dist, want_dist)
 
@@ -433,7 +465,7 @@ class TestNearestAssign:
             missed_points = set(fallback)
             missed = np.array([tuple(p) in missed_points for p in lower], dtype=bool)
             # the nearest image lies across an edge: the padded tree found a ghost
-            across = np.any(np.abs(lower - upper[assigned]) > 0.5 * TORUS10.spans, axis=1)
+            across = np.any(np.abs(lower - upper[assigned]) > 0.5 * TORUS10.width, axis=1)
             assert sum(measured) == np.count_nonzero(across & ~missed) + np.count_nonzero(missed)
             total += sum(measured)
         assert 0 < total < 0.1 * len(users)

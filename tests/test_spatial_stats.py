@@ -77,7 +77,7 @@ class TestPppContactMoment:
         for _ in range(300):
             n = rng.poisson(lam * w.area)
             pts = rng.uniform(0, 8.0, (n, 2))
-            tree = cKDTree(pts, boxsize=w.spans)
+            tree = cKDTree(pts, boxsize=w.width)
             d, _ = tree.query(rng.uniform(0, 8.0, (50, 2)), k=1)
             samples.append(d**2)
         samples = np.concatenate(samples)
@@ -352,7 +352,7 @@ def empirical_nn_cdf_grid(params, window_side, n_rep, seed, quantiles):
         pts = bs.points
         if len(pts) < 2:
             continue
-        tree = cKDTree(pts, boxsize=w.spans)
+        tree = cKDTree(pts, boxsize=w.width)
         d, _ = tree.query(pts, k=2)
         ds.append(d[:, 1])
     d = np.sort(np.concatenate(ds))
@@ -423,7 +423,7 @@ class TestClusterNnMoment:
             pts = bs.points
             if len(pts) == 0:
                 continue
-            tree = cKDTree(pts, boxsize=w.spans)
+            tree = cKDTree(pts, boxsize=w.width)
             d, _ = tree.query(rng.uniform(0, 6.0, (200, 2)), k=1)
             rep_means.append(np.mean(d**2))
         rep_means = np.asarray(rep_means)
@@ -888,18 +888,21 @@ def test_coarse_pass_evaluates_past_r_mid_only_when_no_row_reached_the_tail_zero
 
 @given(
     params=st.tuples(
-        _log_uniform(0.1, 100.0), st.one_of(st.just(0.0), _log_uniform(0.01, 1000.0)), _log_uniform(0.05, 10.0)
+        _log_uniform(0.1, 100.0), st.one_of(st.just(0.0), _log_uniform(0.01, 1e6)), _log_uniform(0.05, 10.0)
     )
 )
+@example(params=(10.0, 1e9, 0.7))
+@example(params=(10.0, 1e12, 0.7))
 @settings(max_examples=100, deadline=None)
 def test_every_cluster_moment_lies_within_its_poisson_bounds(params):
-    """Up to 1000 micros per macro each moment lies between two PPP moments, to 1e-9 relative, or raises.
+    """Up to a million micros per macro each moment lies between two PPP moments, to 1e-9 relative, or raises.
 
     The micros are a Cox process driven by the macros, so the contact survival
     lies between exp(-lambda_1c (1 + lambda_1m) pi r^2), the PPP of every
     station, and exp(-lambda_1c pi r^2), the PPP of the macros alone.
-    Further above 1000 micros per macro some moments still fall below the
-    lower bound (ROADMAP item 8).
+    ``cluster_nn_moment`` checks the bounds itself, so far above 1000 micros
+    per macro, where the grid misses the survival, it raises instead of
+    returning a wrong moment.
     """
     lambda_c, lambda_m, _ = params
     for exponent in (0.25, 1.0, 2.0, 4.0):
@@ -911,10 +914,18 @@ def test_every_cluster_moment_lies_within_its_poisson_bounds(params):
         assert lo * (1.0 - 1e-9) <= got <= hi * (1.0 + 1e-9), (exponent, got, lo, hi)
 
 
+@pytest.mark.parametrize("params", [(10.0, 1e9, 0.7), (10.0, 1e12, 0.7)])
+@pytest.mark.parametrize("exponent", [0.25, 1.0, 2.0, 4.0])
+def test_a_moment_the_grid_misses_far_above_32_micros_per_macro_is_a_quadrature_error(params, exponent):
+    """The grid misses the survival there; the moment is a typed error, never a value outside its Poisson bounds."""
+    with pytest.raises(QuadratureError):
+        cluster_nn_moment(exponent, ClusterParams(*params))
+
+
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 8: far above 32 micros per macro the survival falls inside the first outer panel, "
-    "and the 1e-5 absolute floor of the acceptance rule passes a wrong moment",
+    reason="ROADMAP item 8: far above 32 micros per macro the survival falls inside the first outer panel; "
+    "the moment lies outside its Poisson bounds, and cluster_nn_moment raises QuadratureError",
 )
 def test_a_moment_far_above_32_micros_per_macro_reaches_the_poisson_limit():
     """At a million micros per macro the stations are a PPP of intensity lambda_1c (1 + lambda_1m)."""
